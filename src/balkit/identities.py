@@ -409,7 +409,8 @@ _CATALOG: list[IdentityDescriptor] = [
 ]
 
 _BY_ID = {d.ident: d for d in _CATALOG}
-assert len(_BY_ID) == len(_CATALOG), "identity ids must be unique"
+if len(_BY_ID) != len(_CATALOG):
+    raise AssertionError("identity ids must be unique")
 
 # Shared default cache for one-off evaluations; harness runs build their own.
 _DEFAULT_TERMS = TermSource()

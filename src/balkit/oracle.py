@@ -35,11 +35,14 @@ class BalancerWitness:
     right_sum: int
 
     def __post_init__(self) -> None:
-        assert self.r >= 0, "balancer must be nonnegative"
-        assert self.left_sum == self.right_sum, (
-            "witness sums differ for n=%d, r=%d: %d != %d"
-            % (self.n, self.r, self.left_sum, self.right_sum)
-        )
+        # Explicit raises, not asserts: the check must hold under python -O.
+        if self.r < 0:
+            raise AssertionError("balancer must be nonnegative")
+        if self.left_sum != self.right_sum:
+            raise AssertionError(
+                "witness sums differ for n=%d, r=%d: %d != %d"
+                % (self.n, self.r, self.left_sum, self.right_sum)
+            )
 
 
 def isqrt(x: int) -> int:

@@ -121,49 +121,46 @@ def term_binet(kind: SequenceKind, n: int) -> int:
     a - b*sqrt(2), so the closed forms collapse to C(n) = a and B(n) = b/2.
     With (1 + sqrt(2))**(2n-1) = p + q*sqrt(2) they give c(n) = p and
     b(n) = (q - 1)/2. The divisibility of the extracted coefficients is
-    forced algebraically; it is asserted rather than assumed.
+    forced algebraically; it is checked rather than assumed, also under
+    python -O, and a violation raises AssertionError.
     """
     _check_index(kind, n)
     if kind is SequenceKind.BALANCING or kind is SequenceKind.LUCAS_BALANCING:
         u = qpow(LAMBDA1, n)
         if kind is SequenceKind.LUCAS_BALANCING:
             return u.a
-        assert u.b % 2 == 0, "sqrt(2) coefficient of (3+2*sqrt(2))^n must be even"
+        if u.b % 2:
+            raise AssertionError("sqrt(2) coefficient of (3+2*sqrt(2))^n must be even")
         return u.b // 2
     u = qpow(ALPHA1, 2 * n - 1)
     if kind is SequenceKind.LUCAS_COBALANCING:
         return u.a
-    assert u.b % 2 == 1, "sqrt(2) coefficient of (1+sqrt(2))^(2n-1) must be odd"
+    if u.b % 2 != 1:
+        raise AssertionError("sqrt(2) coefficient of (1+sqrt(2))^(2n-1) must be odd")
     return (u.b - 1) // 2
 
 
 def pair_bc(n: int) -> tuple[int, int]:
-    """(B(n), C(n)) in O(log n) multiplications by fast doubling.
+    """(B(n), C(n)) by fast doubling, two big products per bit of n.
 
-    Scans the bits of n from the top, carrying the pairs at consecutive
-    indices k and k+1 and advancing with
-        B(2k)   = 2*B(k)*C(k)
-        C(2k)   = 2*C(k)**2 - 1
-        B(2k+1) = B(k+1)*C(k) + B(k)*C(k+1)
-        C(2k+1) = C(k+1)*C(k) + 8*B(k+1)*B(k)
+    Scans the bits of n from the top, carrying only (B(k), C(k)). Each bit
+    doubles the index with
+        B(2k) = 2*B(k)*C(k)
+        C(2k) = 2*C(k)**2 - 1
+    and a set bit then steps it by one with the addition law for index 1,
+        B(k+1) = 3*B(k) + C(k)
+        C(k+1) = 8*B(k) + 3*C(k)
+    which costs only small multiples. Each bit therefore costs two big
+    products, B*C and C**2, where carrying the pairs at k and k+1 would cost
+    eight (Takahashi's fast-doubling scheme, Inf. Proc. Letters 75, 2000).
     """
     if n < 0:
         raise DomainError("index must be nonnegative, got %d" % n)
-    if n == 0:
-        return (0, 1)
-    bn, cn = 0, 1  # index k
-    bn1, cn1 = 1, 3  # index k + 1
+    bn, cn = 0, 1  # index k = 0
     for i in range(n.bit_length() - 1, -1, -1):
-        b_even = 2 * bn * cn
-        c_even = 2 * cn * cn - 1
-        b_odd = bn1 * cn + bn * cn1
-        c_odd = cn1 * cn + 8 * bn1 * bn
+        bn, cn = 2 * bn * cn, 2 * cn * cn - 1
         if (n >> i) & 1:
-            bn, cn = b_odd, c_odd
-            bn1, cn1 = 2 * bn1 * cn1, 2 * cn1 * cn1 - 1
-        else:
-            bn, cn = b_even, c_even
-            bn1, cn1 = b_odd, c_odd
+            bn, cn = 3 * bn + cn, 8 * bn + 3 * cn
     return bn, cn
 
 
@@ -179,7 +176,8 @@ def pair_cobal(n: int) -> tuple[int, int]:
         raise DomainError("cobalancing pair is defined for n >= 1, got n=%d" % n)
     big_b, big_c = pair_bc(n)
     diff = big_c - 2 * big_b - 1
-    assert diff % 2 == 0, "C(n) - 2*B(n) - 1 must be even"
+    if diff % 2:
+        raise AssertionError("C(n) - 2*B(n) - 1 must be even")
     return (diff // 2, 4 * big_b - big_c)
 
 

@@ -1,10 +1,13 @@
 """Command-line contract: commands, formats, exit codes, stream separation."""
 
 import json
+import random
+import sys
 
 import pytest
 
 from balkit import cli
+from balkit.sequences import SequenceKind, pair_bc, stream
 
 
 def run_cli(capsys, *argv):
@@ -226,3 +229,75 @@ def test_stderr_only_carries_diagnostics(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+# -- decimal rendering -------------------------------------------------------
+
+T = cli._STR_MAX_BITS
+
+
+@pytest.fixture
+def no_int_str_limit():
+    # The reference str() calls need the digit limit off, as cli.main sets it.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _render_cases():
+    rng = random.Random(3)
+    xs = [0, 1]
+    xs += [10**k + d for k in (1, 18, 19, 38, 39, 1000, 9864, 9865, 30103, 100000)
+           for d in (-1, 0)]
+    xs += [(1 << k) + d for k in (64, 127, 128, 129, 256, T - 1, T, T + 1, 65536)
+           for d in (-1, 1)]
+    for bits in (T - 1, T, T + 1):
+        xs.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    return xs
+
+
+def test_decimal_str_equals_str(no_int_str_limit):
+    for x in _render_cases():
+        assert cli._decimal_str(x) == str(x), x.bit_length()
+        assert cli._decimal_str(-x) == str(-x), x.bit_length()
+    x = random.Random(4).getrandbits(10**6) | 1 << (10**6 - 1)
+    assert cli._decimal_str(x) == str(x)
+
+
+def test_decimal_str_split_route_on_small_values(monkeypatch, no_int_str_limit):
+    # With no str() fast path and tiny leaves, even small values take the split.
+    monkeypatch.setattr(cli, "_STR_MAX_BITS", 0)
+    monkeypatch.setattr(cli, "_LEAF_BITS", 8)
+    for x in _render_cases()[:40] + list(range(300)):
+        assert cli._decimal_str(x) == str(x)
+
+
+def test_term_above_render_threshold_matches_str(capsys):
+    n = 20000
+    value = pair_bc(n)[0]
+    assert value.bit_length() > T
+    code, out, _ = run_cli(capsys, "term", "B", str(n))
+    assert (code, out) == (0, str(value) + "\n")
+    code, out, _ = run_cli(capsys, "term", "B", str(n), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(
+        {"kind": "balancing", "n": n, "value": str(value)},
+        sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_seq_above_render_threshold_matches_str(capsys):
+    start, stop = 13000, 13003
+    values = [t.value for t in stream(SequenceKind.BALANCING, start, stop)]
+    assert values[0].bit_length() > T
+    code, out, _ = run_cli(capsys, "seq", "B", str(start), str(stop))
+    assert (code, out) == (0, "".join(str(v) + "\n" for v in values))
+    code, out, _ = run_cli(capsys, "seq", "B", str(start), str(stop), "--format", "csv")
+    rows = ["n,value"] + ["%d,%d" % (start + i, v) for i, v in enumerate(values)]
+    assert (code, out) == (0, "\n".join(rows) + "\n")
+    code, out, _ = run_cli(capsys, "seq", "B", str(start), str(stop), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["values"] == [str(v) for v in values]

@@ -1,5 +1,7 @@
 """Sequence generation: the three routes against an independent reference."""
 
+import random
+
 import pytest
 
 from balkit.sequences import (
@@ -81,6 +83,21 @@ def test_pair_cobal_examples():
     assert pair_cobal(1) == (0, 1)
     assert pair_cobal(3) == (14, 41)
     assert pair_cobal(5) == (492, 1393)
+
+
+def _long_bit_patterns():
+    # All-ones, lone-one and one-past bit patterns up to 17 bits, plus
+    # seeded random indices, so every doubling branch runs on long inputs.
+    edges = {m + d for m in (1 << k for k in range(17)) for d in (-1, 0, 1)}
+    rng = random.Random(20)
+    return sorted(edges) + [rng.randint(1, 10**5) for _ in range(20)]
+
+
+def test_doubling_matches_binet_on_long_bit_patterns():
+    for n in _long_bit_patterns():
+        assert pair_bc(n) == (term_binet(B, n), term_binet(C, n)), n
+        if n >= 1:
+            assert pair_cobal(n) == (term_binet(b, n), term_binet(c, n)), n
 
 
 def test_method_agreement_up_to_300():
