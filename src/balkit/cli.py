@@ -19,11 +19,12 @@ from . import harness, identities, oracle
 from .sequences import (
     DomainError,
     SequenceKind,
+    index_of,
     pair_bc,
-    pair_cobal,
     parse_kind,
     stream,
     term_binet,
+    term_doubling,
     term_recurrence,
 )
 
@@ -59,8 +60,14 @@ def _decimal_str(x: int) -> str:
     decimal.Decimal, whose libmpdec multiply is subquadratic. The context is
     unbounded and traps Inexact and Rounded, so the result is exact or the
     conversion raises.
+
+    str() also refuses values above the process-wide int/str digit limit
+    (4300 digits by default; main lifts it), so it is used only while
+    bits <= 3 * limit: a decimal digit carries log2(10) > 3 bits.
     """
-    if x.bit_length() <= _STR_MAX_BITS:
+    bits = x.bit_length()
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if bits <= _STR_MAX_BITS and (limit == 0 or bits <= 3 * limit):
         return str(x)
     import decimal
 
@@ -92,7 +99,7 @@ def _decimal_str(x: int) -> str:
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = True
         ctx.traps[decimal.Rounded] = True
-        return str(convert(x, x.bit_length()))
+        return str(convert(x, bits))
 
 
 def _term_value(kind: SequenceKind, n: int, method: str) -> int:
@@ -103,16 +110,7 @@ def _term_value(kind: SequenceKind, n: int, method: str) -> int:
     if method == "binet":
         return term_binet(kind, n)
     if method == "doubling":
-        if kind is SequenceKind.BALANCING:
-            return pair_bc(n)[0]
-        if kind is SequenceKind.LUCAS_BALANCING:
-            return pair_bc(n)[1]
-        if n < kind.min_index:
-            raise DomainError(
-                "%s is defined for n >= %d, got n=%d" % (kind.value, kind.min_index, n)
-            )
-        pair = pair_cobal(n)
-        return pair[0] if kind is SequenceKind.COBALANCING else pair[1]
+        return term_doubling(kind, n)
     raise DomainError("unknown method %r" % method)
 
 
@@ -158,26 +156,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cap = os.environ.get("BALKIT_MAX_N")
     if cap is not None:
         max_n = min(max_n, int(cap))
+    if args.jobs < 1:
+        raise DomainError("workers must be >= 1, got %d" % args.jobs)
     report = harness.run_suite(
         max_n,
         ids=args.id,
-        workers=args.jobs,
         collect_cases=args.verbose and args.format == "csv",
     )
     sys.stdout.write(harness.emit_report(report, args.format).decode("utf-8"))
     return 0 if report.passed else 1
-
-
-def _index_of(values_from_1, target: int) -> Optional[int]:
-    """Index n >= 1 with generator(n) == target, scanning ascending."""
-    n = 1
-    while True:
-        value = values_from_1(n)
-        if value == target:
-            return n
-        if value > target:
-            return None
-        n += 1
 
 
 def _classify(x: int) -> dict:
@@ -185,14 +172,14 @@ def _classify(x: int) -> dict:
 
     if oracle.is_balancing(x):
         w = oracle.balancer_of(x)
-        idx = _index_of(lambda n: pair_bc(n)[0], x)
+        idx = index_of(SequenceKind.BALANCING, x)
         out["balancing"] = {"member": True, "index": idx, "balancer": _decimal_str(w.r)}
     else:
         out["balancing"] = {"member": False}
 
     if oracle.is_cobalancing(x):
         w = oracle.cobalancer_of(x)
-        idx = _index_of(lambda n: pair_cobal(n)[0], x)
+        idx = index_of(SequenceKind.COBALANCING, x)
         out["cobalancing"] = {"member": True, "index": idx, "cobalancer": _decimal_str(w.r)}
     else:
         out["cobalancing"] = {"member": False}
@@ -204,7 +191,7 @@ def _classify(x: int) -> dict:
         t = (x * x - 1) // 8
         y = oracle.isqrt(t)
         if y * y == t:
-            lucas_b = 0 if y == 0 else _index_of(lambda n: pair_bc(n)[0], y)
+            lucas_b = index_of(SequenceKind.BALANCING, y)
     out["lucas-balancing"] = (
         {"member": True, "index": lucas_b} if lucas_b is not None else {"member": False}
     )
@@ -215,7 +202,7 @@ def _classify(x: int) -> dict:
         t = (x * x - 1) // 8
         b = (oracle.isqrt(4 * t + 1) - 1) // 2
         if b * (b + 1) == t:
-            lucas_c = _index_of(lambda n: pair_cobal(n)[0], b)
+            lucas_c = index_of(SequenceKind.COBALANCING, b)
     out["lucas-cobalancing"] = (
         {"member": True, "index": lucas_c} if lucas_c is not None else {"member": False}
     )
@@ -334,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker count for verification (default: 1)",
+        help="accepted for compatibility; verification runs in one thread (default: 1)",
     )
     common.add_argument(
         "--verbose",

@@ -4,71 +4,46 @@ A campaign enumerates an index grid, evaluates every in-domain case exactly
 and accounts for every enumerated pair as either checked or skipped by the
 domain predicate; nothing is dropped silently. Results come back as a
 VerificationReport that serializes deterministically: identical inputs give
-byte-identical JSON/CSV, regardless of worker count. Measured wall times
-stay on the in-process report objects; the canonical serializations zero
-them out, since emitting timings would break byte-level reproducibility.
+byte-identical JSON/CSV. Measured wall times stay on the in-process report
+objects; the canonical serializations zero them out, since emitting timings
+would break byte-level reproducibility.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import identities, oracle
-from .identities import IdentityDescriptor
+from .identities import EvalResult, IdentityDescriptor
 from .sequences import (
     DomainError,
     SequenceKind,
     TermSource,
-    pair_bc,
-    pair_cobal,
     stream,
     term_binet,
+    term_doubling,
 )
 
 FORMATS = ("json", "csv", "plain")
 
 
-@dataclass(frozen=True)
-class CaseFailure:
-    """One evaluated case whose two sides disagreed.
-
-    For congruence entries lhs is the actual residue and rhs the expected
-    residue, both already reduced modulo the entry's modulus.
-    """
-
-    ident: str
-    n: int
-    m: Optional[int]
-    lhs: int
-    rhs: int
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    """One evaluated case, retained only when a run collects cases."""
-
-    ident: str
-    n: int
-    m: Optional[int]
-    lhs: int
-    rhs: int
-    holds: bool
-
-
 @dataclass
 class IdentityRecord:
-    """Per-identity tally for one campaign."""
+    """Per-identity tally for one campaign.
+
+    failures holds the cases whose two sides disagreed (holds=False); cases
+    holds every evaluated case, and is filled only when a run collects them.
+    """
 
     ident: str
     checked: int
     skipped: int
     wall_ms: int
-    failures: list[CaseFailure] = field(default_factory=list)
-    cases: list[CaseResult] = field(default_factory=list)
+    failures: list[EvalResult] = field(default_factory=list)
+    cases: list[EvalResult] = field(default_factory=list)
 
 
 @dataclass
@@ -86,7 +61,7 @@ class VerificationReport:
         return sum(len(r.failures) for r in self.records)
 
 
-def _sort_key(f: CaseFailure) -> tuple[int, int]:
+def _sort_key(f: EvalResult) -> tuple[int, int]:
     return (f.n, -1 if f.m is None else f.m)
 
 
@@ -99,8 +74,8 @@ def _run_identity(
     started = time.perf_counter()
     checked = 0
     skipped = 0
-    failures: list[CaseFailure] = []
-    cases: list[CaseResult] = []
+    failures: list[EvalResult] = []
+    cases: list[EvalResult] = []
     domain, lhs, rhs = desc.domain, desc.lhs, desc.rhs
     if desc.arity == 1:
         grid: Iterable[tuple[int, Optional[int]]] = ((n, None) for n in range(max_n + 1))
@@ -114,9 +89,9 @@ def _run_identity(
         rv = rhs(terms, n, m)
         checked += 1
         if lv != rv:
-            failures.append(CaseFailure(desc.ident, n, m, lv, rv))
+            failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
         if collect_cases:
-            cases.append(CaseResult(desc.ident, n, m, lv, rv, lv == rv))
+            cases.append(EvalResult(desc.ident, n, m, lv, rv, lv == rv))
     failures.sort(key=_sort_key)
     wall_ms = int((time.perf_counter() - started) * 1000)
     return IdentityRecord(desc.ident, checked, skipped, wall_ms, failures, cases)
@@ -125,7 +100,6 @@ def _run_identity(
 def run_suite(
     max_n: int,
     ids: Optional[list[str]] = None,
-    workers: int = 1,
     catalog: Optional[list[IdentityDescriptor]] = None,
     collect_cases: bool = False,
 ) -> VerificationReport:
@@ -133,14 +107,12 @@ def run_suite(
 
     Unary entries see every n in 0..max_n, binary entries every (n, m) pair
     in the (max_n+1) x (max_n+1) grid; the domain predicates decide which
-    cases count as checked. Workers parallelize across identities; the term
-    cache is filled single-threaded first so the workers only read it, and
-    failures are sorted, so the report does not depend on worker count.
+    cases count as checked. Identities run one after another in one thread,
+    in catalog (or ids) order, and each record's failures are sorted by
+    (n, m), so the report depends only on the arguments.
     """
     if max_n < 1:
         raise DomainError("max_n must be >= 1, got %d" % max_n)
-    if workers < 1:
-        raise DomainError("workers must be >= 1, got %d" % workers)
     if catalog is None:
         catalog = identities.list_identities()
     by_id = {d.ident: d for d in catalog}
@@ -156,19 +128,12 @@ def run_suite(
 
     terms = TermSource()
     # Largest index any catalog entry can touch: 2*max_n + 1 for B/C shifts,
-    # 4*max_n for the quadrupled-index congruence on c. Filled up front so
-    # concurrent workers never extend the cache.
+    # 4*max_n for the quadrupled-index congruence on c. Filled up front, so
+    # the evaluators only read the cache.
     terms.prefill(2 * max_n + 2, 4 * max_n + 2)
 
-    if workers == 1 or len(selected) <= 1:
-        records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda d: _run_identity(d, max_n, terms, collect_cases), selected)
-            )
     report = VerificationReport("identity-catalog", max_n)
-    report.records = records
+    report.records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
     return report
 
 
@@ -193,21 +158,16 @@ def compare_methods(max_n: int) -> VerificationReport:
     for kind in SequenceKind:
         started = time.perf_counter()
         checked = 0
-        failures: list[CaseFailure] = []
+        failures: list[EvalResult] = []
         for term in stream(kind, kind.min_index, max_n):
             binet = term_binet(kind, term.n)
-            if kind is SequenceKind.BALANCING:
-                doubled = pair_bc(term.n)[0]
-            elif kind is SequenceKind.LUCAS_BALANCING:
-                doubled = pair_bc(term.n)[1]
-            elif kind is SequenceKind.COBALANCING:
-                doubled = pair_cobal(term.n)[0]
-            else:
-                doubled = pair_cobal(term.n)[1]
+            doubled = term_doubling(kind, term.n)
             checked += 1
             if not (term.value == binet == doubled):
                 other = binet if binet != term.value else doubled
-                failures.append(CaseFailure(_AGREE_IDS[kind], term.n, None, term.value, other))
+                failures.append(
+                    EvalResult(_AGREE_IDS[kind], term.n, None, term.value, other, False)
+                )
                 break
         wall_ms = int((time.perf_counter() - started) * 1000)
         report.records.append(
@@ -224,24 +184,24 @@ def _oracle_record(
 ) -> IdentityRecord:
     started = time.perf_counter()
     checked = 0
-    failures: list[CaseFailure] = []
+    failures: list[EvalResult] = []
     common = min(len(scanned), len(generated))
     for i in range(common):
         checked += 1
         if scanned[i] != generated[i]:
-            failures.append(CaseFailure(ident, i, None, scanned[i], generated[i]))
+            failures.append(EvalResult(ident, i, None, scanned[i], generated[i], False))
     if len(scanned) != len(generated):
         # Encode the length mismatch as a failure at the first missing slot.
-        failures.append(CaseFailure(ident, common, None, len(scanned), len(generated)))
+        failures.append(EvalResult(ident, common, None, len(scanned), len(generated), False))
     for member in scanned:
         checked += 1
         try:
             w = witness(member)
         except (DomainError, AssertionError):
-            failures.append(CaseFailure(ident, member, None, -1, -1))
+            failures.append(EvalResult(ident, member, None, -1, -1, False))
             continue
         if w.left_sum != w.right_sum or w.r < 0:
-            failures.append(CaseFailure(ident, member, None, w.left_sum, w.right_sum))
+            failures.append(EvalResult(ident, member, None, w.left_sum, w.right_sum, False))
     failures.sort(key=_sort_key)
     wall_ms = int((time.perf_counter() - started) * 1000)
     return IdentityRecord(ident, checked, 0, wall_ms, failures)
@@ -277,10 +237,7 @@ def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
     out: list[int] = []
     n = 1
     while True:
-        if kind is SequenceKind.BALANCING:
-            value = pair_bc(n)[0]
-        else:
-            value = pair_cobal(n)[0]
+        value = term_doubling(kind, n)
         if value > limit:
             return out
         out.append(value)
@@ -317,17 +274,12 @@ def _json_obj(report: VerificationReport) -> dict:
 def _csv_rows(report: VerificationReport) -> list[str]:
     rows = ["id,n,m,lhs,rhs,holds"]
     for r in report.records:
-        if r.cases:
-            for c in r.cases:
-                m = "" if c.m is None else str(c.m)
-                rows.append(
-                    "%s,%d,%s,%s,%s,%s"
-                    % (c.ident, c.n, m, c.lhs, c.rhs, "true" if c.holds else "false")
-                )
-        else:
-            for f in r.failures:
-                m = "" if f.m is None else str(f.m)
-                rows.append("%s,%d,%s,%s,%s,false" % (f.ident, f.n, m, f.lhs, f.rhs))
+        for c in r.cases or r.failures:
+            m = "" if c.m is None else str(c.m)
+            rows.append(
+                "%s,%d,%s,%s,%s,%s"
+                % (c.ident, c.n, m, c.lhs, c.rhs, "true" if c.holds else "false")
+            )
     return rows
 
 

@@ -53,7 +53,12 @@ class IdentityDescriptor:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Outcome of one identity evaluation; holds iff lhs == rhs."""
+    """Outcome of one evaluated case.
+
+    evaluate() and the harness grid set holds iff lhs == rhs. For congruence
+    entries lhs is the actual residue and rhs the expected one. The harness
+    also records failed method and oracle comparisons as holds=False cases.
+    """
 
     ident: str
     n: int

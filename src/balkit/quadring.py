@@ -73,21 +73,6 @@ ALPHA1 = QuadInt(1, 1)
 ALPHA2 = QuadInt(1, -1)
 
 
-def qmul(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Ring product of two elements."""
-    return x * y
-
-
 def qpow(x: QuadInt, k: int) -> QuadInt:
     """x**k for k >= 0 by square-and-multiply; qpow(x, 0) is the identity."""
     return x ** k
-
-
-def qconj(x: QuadInt) -> QuadInt:
-    """Conjugation (sign flip of the sqrt(2) coefficient)."""
-    return x.conj()
-
-
-def qnorm(x: QuadInt) -> int:
-    """Norm a^2 - 2*b^2 as a plain integer."""
-    return x.norm()

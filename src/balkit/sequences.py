@@ -14,9 +14,11 @@ this implementation keeps them equal.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 from .quadring import ALPHA1, LAMBDA1, qpow
 
@@ -101,17 +103,9 @@ def term_recurrence(kind: SequenceKind, n: int) -> int:
     """n-th term by iterating x(k+1) = 6*x(k) - x(k-1) (+2 for cobalancing).
 
     O(n) big-integer operations; the reference route the other evaluators
-    are compared against.
+    are compared against. It is the one-term case of stream().
     """
-    _check_index(kind, n)
-    lo = kind.min_index
-    x, y = _SEEDS[kind]
-    if n == lo:
-        return x
-    add = _step_add(kind)
-    for _ in range(n - lo - 1):
-        x, y = y, 6 * y - x + add
-    return y
+    return stream(kind, n, n)[0].value
 
 
 def term_binet(kind: SequenceKind, n: int) -> int:
@@ -181,6 +175,45 @@ def pair_cobal(n: int) -> tuple[int, int]:
     return (diff // 2, 4 * big_b - big_c)
 
 
+def term_doubling(kind: SequenceKind, n: int) -> int:
+    """n-th term by fast doubling: kind's member of pair_bc(n) or pair_cobal(n)."""
+    _check_index(kind, n)
+    if kind is SequenceKind.BALANCING:
+        return pair_bc(n)[0]
+    if kind is SequenceKind.LUCAS_BALANCING:
+        return pair_bc(n)[1]
+    pair = pair_cobal(n)
+    return pair[0] if kind is SequenceKind.COBALANCING else pair[1]
+
+
+_LOG2_LAMBDA = math.log2(3 + 2 * math.sqrt(2))
+
+
+def index_of(kind: SequenceKind, x: int) -> Optional[int]:
+    """Index k with kind's k-th term equal to x, or None if x is no term.
+
+    The terms grow by a factor near 3+2*sqrt(2) per index, so x's bit length
+    pins k to within one (in double precision, for k below about 10**14).
+    One doubling evaluation checks the estimate exactly and at most one more
+    tries its neighbour, so the cost is O(log k) big-integer operations.
+    """
+    if x < 0:
+        return None
+    # By the leading terms of the closed forms, round(bits / log2(3+2*sqrt(2)))
+    # of the k-th term is k for C and k - 1 for B, b and c; for c only just
+    # (bits/log2 lambda < k - 1/2 by a margin that can get tiny), which the
+    # neighbour step absorbs.
+    k = round(x.bit_length() / _LOG2_LAMBDA)
+    if kind is not SequenceKind.LUCAS_BALANCING:
+        k += 1
+    value = term_doubling(kind, k)
+    if value != x:
+        k += 1 if value < x else -1
+        if k < kind.min_index or term_doubling(kind, k) != x:
+            return None
+    return k
+
+
 def stream(kind: SequenceKind, start: int, stop: int) -> list[Term]:
     """Consecutive terms start..stop (inclusive) from one recurrence pass."""
     _check_index(kind, start)
@@ -202,9 +235,9 @@ class TermSource:
     """List-cached terms of all four sequences for repeated exact lookups.
 
     The caches grow by ascending recurrence passes. Growth is serialized by
-    a lock and appends only, so once a prefix is filled, concurrent readers
-    of that prefix need no synchronization; callers that share a source
-    across workers should prefill() the range they will touch first.
+    a lock and appends only, so a source may be shared between threads: once
+    a prefix is filled, its readers need no synchronization, and callers
+    that share a source should prefill() the range they will touch first.
     """
 
     def __init__(self) -> None:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from balkit import cli
-from balkit.sequences import SequenceKind, pair_bc, stream
+from balkit.sequences import SequenceKind, pair_bc, pair_cobal, parse_kind, stream
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +28,15 @@ def test_term_domain_error_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "n >= 1" in err
+
+
+@pytest.mark.parametrize("method", ["recurrence", "binet", "doubling"])
+@pytest.mark.parametrize("kind,n", [("B", -1), ("C", -1), ("b", 0), ("c", 0)])
+def test_term_domain_error_same_on_every_route(capsys, method, kind, n):
+    code, out, err = run_cli(capsys, "term", kind, str(n), "--method", method)
+    seq = parse_kind(kind)
+    assert (code, out) == (2, "")
+    assert err == "error: %s is defined for n >= %d, got n=%d\n" % (seq.value, seq.min_index, n)
 
 
 def test_term_methods_agree(capsys):
@@ -102,6 +111,11 @@ def test_verify_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_verify_rejects_jobs_below_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "0")
+    assert (code, out, err) == (2, "", "error: workers must be >= 1, got 0\n")
+
+
 def test_verify_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("BALKIT_MAX_N", "5")
     code, out, _ = run_cli(capsys, "verify", "--max-n", "500", "--format", "json")
@@ -159,6 +173,30 @@ def test_classify_json(capsys):
     obj = json.loads(out)
     assert obj["cobalancing"] == {"member": True, "index": 3, "cobalancer": "6"}
     assert obj["balancing"] == {"member": False}
+
+
+def _scanned_index(kind, x):
+    """Reference for index_of: scan the recurrence upward, as classify once did."""
+    for t in stream(kind, kind.min_index, 4002):
+        if t.value >= x:
+            return t.n if t.value == x else None
+    raise AssertionError("scan bound too small for %d" % x)
+
+
+_CLASSIFY_VALUES = sorted(
+    {0, 1} | {v for k in (1, 2, 700, 4000) for v in pair_bc(k) + pair_cobal(k)}
+)
+
+
+@pytest.mark.parametrize(
+    "x", _CLASSIFY_VALUES, ids=lambda x: str(x) if x < 10**6 else "%dbits" % x.bit_length()
+)
+def test_classify_indices_match_linear_scan(capsys, monkeypatch, x):
+    code, out, _ = run_cli(capsys, "classify", str(x))
+    monkeypatch.setattr(cli, "index_of", _scanned_index)
+    expected = run_cli(capsys, "classify", str(x))
+    assert (code, out) == expected[:2]
+    assert out.count("yes") >= 1
 
 
 def test_classify_malformed_exit_2(capsys):
@@ -301,3 +339,21 @@ def test_seq_above_render_threshold_matches_str(capsys):
     code, out, _ = run_cli(capsys, "seq", "B", str(start), str(stop), "--format", "json")
     assert code == 0
     assert json.loads(out)["values"] == [str(v) for v in values]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_library_render_ignores_int_str_digit_limit(capsys):
+    # cli.main lifts the process-wide limit; a library caller may not have.
+    x = pair_bc(7000)[0]  # 17,800 bits, 5,359 digits: over the default 4300
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        text = str(x)
+        code, out, _ = run_cli(capsys, "classify", text, "--format", "json")
+        sys.set_int_max_str_digits(4300)
+        rendered = cli._decimal_str(x)
+        result = cli._classify(x)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0 and rendered == text
+    assert out == json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"

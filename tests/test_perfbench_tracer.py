@@ -1,0 +1,56 @@
+"""The benchmark's tracer must still find every balkit name it wraps.
+
+perfbench/tracer.py replaces balkit functions at the module attributes
+their callers look up. A rename in balkit would make every traced request
+fail, so this runs the traced commands in a child interpreter (the
+wrappers patch modules process-wide).
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import balkit
+from balkit.sequences import pair_bc
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHILD = textwrap.dedent(
+    """
+    import json, sys
+    import tracer
+    from balkit import cli
+    t = tracer.Tracer()
+    tracer.install(t)
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    stats = t.summary()["stats"]
+    sys.stderr.write("RESULT " + json.dumps(
+        {"codes": codes, "pair_bc": stats.get("sequences.pair_bc")}) + "\\n")
+    """
+)
+
+
+def test_traced_commands_run_and_record_doubling():
+    commands = [
+        ["term", "b", "500"],
+        ["term", "B", "100", "--method", "binet"],
+        ["verify", "--max-n", "5", "--jobs", "2"],
+        ["classify", str(pair_bc(300)[1])],
+        ["search", "balancing", "--method", "oracle", "--limit", "1000"],
+    ]
+    src = str(Path(balkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, str(ROOT / "perfbench")])
+    env.pop("BALKIT_MAX_N", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    result = json.loads(proc.stderr.rsplit("RESULT ", 1)[1])
+    assert result["codes"] == [0] * len(commands)
+    calls, total_s, _ = result["pair_bc"]
+    assert calls > 0 and total_s > 0

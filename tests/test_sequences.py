@@ -9,11 +9,13 @@ from balkit.sequences import (
     SequenceKind,
     Term,
     TermSource,
+    index_of,
     pair_bc,
     pair_cobal,
     parse_kind,
     stream,
     term_binet,
+    term_doubling,
     term_recurrence,
 )
 
@@ -103,16 +105,7 @@ def test_doubling_matches_binet_on_long_bit_patterns():
 def test_method_agreement_up_to_300():
     for kind in SequenceKind:
         for n in range(kind.min_index, 301):
-            rec = term_recurrence(kind, n)
-            assert rec == term_binet(kind, n)
-            if kind is B:
-                assert rec == pair_bc(n)[0]
-            elif kind is C:
-                assert rec == pair_bc(n)[1]
-            elif kind is b:
-                assert rec == pair_cobal(n)[0]
-            else:
-                assert rec == pair_cobal(n)[1]
+            assert term_recurrence(kind, n) == term_binet(kind, n) == term_doubling(kind, n)
 
 
 def test_pell_invariants_up_to_500():
@@ -161,6 +154,8 @@ def test_cobalancing_domain_starts_at_1(kind):
     with pytest.raises(DomainError):
         term_binet(kind, 0)
     with pytest.raises(DomainError):
+        term_doubling(kind, 0)
+    with pytest.raises(DomainError):
         pair_cobal(0)
 
 
@@ -168,7 +163,35 @@ def test_negative_indices_rejected():
     with pytest.raises(DomainError):
         term_recurrence(B, -1)
     with pytest.raises(DomainError):
+        term_doubling(C, -1)
+    with pytest.raises(DomainError):
         pair_bc(-2)
+
+
+def test_index_of_inverts_every_term_to_2000():
+    for kind in SequenceKind:
+        terms = stream(kind, kind.min_index, 2000)
+        members = {t.value for t in terms}
+        for t in terms:
+            assert index_of(kind, t.value) == t.n, (kind, t.n)
+            for d in (-3, -2, -1, 1, 2, 3):
+                if t.value + d not in members:
+                    assert index_of(kind, t.value + d) is None, (kind, t.n, d)
+
+
+def test_index_of_zero_and_negative():
+    assert index_of(B, 0) == 0
+    assert index_of(b, 0) == 1
+    assert index_of(C, 0) is None and index_of(c, 0) is None
+    assert all(index_of(kind, -1) is None for kind in SequenceKind)
+
+
+@pytest.mark.parametrize("k", [20000, 10**5 + 3])
+def test_index_of_large_indices(k):
+    for kind in SequenceKind:
+        x = term_doubling(kind, k)
+        assert index_of(kind, x) == k
+        assert index_of(kind, x - 1) is None and index_of(kind, x + 1) is None
 
 
 def test_parse_kind():
