@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -19,6 +18,8 @@ from . import harness, identities, oracle
 from .sequences import (
     DomainError,
     SequenceKind,
+    decimal_digits,
+    decimal_str,
     index_of,
     pair_bc,
     parse_kind,
@@ -29,77 +30,6 @@ from .sequences import (
 )
 
 _AUTO_DOUBLING_ABOVE = 64
-
-_LOG10_2 = math.log10(2)
-
-
-def _decimal_digits(x: int) -> int:
-    """Exact decimal digit count without converting x to a string."""
-    if x == 0:
-        return 1
-    x = abs(x)
-    est = int((x.bit_length() - 1) * _LOG10_2)  # never overshoots log10(x)
-    while 10 ** (est + 1) <= x:
-        est += 1
-    return est + 1
-
-
-# Values up to this many bits are rendered by str(). Above it, CPython's
-# quadratic int -> str (before 3.12) loses to the Decimal conversion below,
-# import of decimal included (crossover measured near 2^15 bits with
-# CPython 3.11 on x86-64).
-_STR_MAX_BITS = 1 << 15
-_LEAF_BITS = 1024  # at or below this, Decimal(int) converts directly
-
-
-def _decimal_str(x: int) -> str:
-    """str(x), in subquadratic time for large x.
-
-    Every decimal value the CLI prints goes through here. A large x is split
-    recursively at powers of two, x = hi * 2**h + lo, and rebuilt as a
-    decimal.Decimal, whose libmpdec multiply is subquadratic. The context is
-    unbounded and traps Inexact and Rounded, so the result is exact or the
-    conversion raises.
-
-    str() also refuses values above the process-wide int/str digit limit
-    (4300 digits by default; main lifts it), so it is used only while
-    bits <= 3 * limit: a decimal digit carries log2(10) > 3 bits.
-    """
-    bits = x.bit_length()
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if bits <= _STR_MAX_BITS and (limit == 0 or bits <= 3 * limit):
-        return str(x)
-    import decimal
-
-    dec = decimal.Decimal
-    powers: dict = {}
-
-    def pow2(w: int):
-        p = powers.get(w)
-        if p is None:
-            if w <= _LEAF_BITS:
-                p = dec(1 << w)
-            elif w - 1 in powers:
-                p = 2 * powers[w - 1]
-            else:
-                p = pow2(w >> 1) * pow2(w - (w >> 1))
-            powers[w] = p
-        return p
-
-    def convert(v: int, w: int):  # |v| < 2**w; the split is exact for either sign
-        if w <= _LEAF_BITS:
-            return dec(v)
-        h = w >> 1
-        hi = v >> h
-        return convert(v - (hi << h), h) + convert(hi, w - h) * pow2(h)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        ctx.traps[decimal.Rounded] = True
-        return str(convert(x, bits))
 
 
 def _term_value(kind: SequenceKind, n: int, method: str) -> int:
@@ -122,9 +52,9 @@ def _cmd_term(args: argparse.Namespace) -> int:
     kind = parse_kind(args.kind)
     value = _term_value(kind, args.n, args.method)
     if args.format == "json":
-        _print_json({"kind": kind.value, "n": args.n, "value": _decimal_str(value)})
+        _print_json({"kind": kind.value, "n": args.n, "value": decimal_str(value)})
     elif args.format == "plain":
-        sys.stdout.write(_decimal_str(value) + "\n")
+        sys.stdout.write(decimal_str(value) + "\n")
     else:
         raise DomainError("term supports plain or json output")
     return 0
@@ -139,15 +69,15 @@ def _cmd_seq(args: argparse.Namespace) -> int:
                 "kind": kind.value,
                 "start": args.start,
                 "stop": args.stop,
-                "values": [_decimal_str(t.value) for t in terms],
+                "values": [decimal_str(t.value) for t in terms],
             }
         )
     elif args.format == "csv":
-        rows = ["n,value"] + ["%d,%s" % (t.n, _decimal_str(t.value)) for t in terms]
+        rows = ["n,value"] + ["%d,%s" % (t.n, decimal_str(t.value)) for t in terms]
         sys.stdout.write("\n".join(rows) + "\n")
     else:
         for t in terms:
-            sys.stdout.write(_decimal_str(t.value) + "\n")
+            sys.stdout.write(decimal_str(t.value) + "\n")
     return 0
 
 
@@ -168,44 +98,34 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _classify(x: int) -> dict:
-    out: dict = {"value": _decimal_str(x)}
+    out: dict = {"value": decimal_str(x)}
+    # One square root per family: a witness decides membership and gives r.
+    for kind, witness, role in (
+        (SequenceKind.BALANCING, oracle.balancer_of, "balancer"),
+        (SequenceKind.COBALANCING, oracle.cobalancer_of, "cobalancer"),
+    ):
+        try:
+            w = witness(x)
+        except DomainError:
+            out[kind.value] = {"member": False}
+            continue
+        out[kind.value] = {"member": True, "index": index_of(kind, x), role: decimal_str(w.r)}
 
-    if oracle.is_balancing(x):
-        w = oracle.balancer_of(x)
-        idx = index_of(SequenceKind.BALANCING, x)
-        out["balancing"] = {"member": True, "index": idx, "balancer": _decimal_str(w.r)}
-    else:
-        out["balancing"] = {"member": False}
-
-    if oracle.is_cobalancing(x):
-        w = oracle.cobalancer_of(x)
-        idx = index_of(SequenceKind.COBALANCING, x)
-        out["cobalancing"] = {"member": True, "index": idx, "cobalancer": _decimal_str(w.r)}
-    else:
-        out["cobalancing"] = {"member": False}
-
-    # x = C(k) iff x is odd and (x^2 - 1)/8 is the square of a balancing
+    # x = C(k) iff x is odd and t = (x^2 - 1)/8 is the square of a balancing
     # number (or of 0, giving the 0th term); the square root is then B(k).
+    # x = c(k) iff x is odd and t = b*(b+1) for a cobalancing b.
     lucas_b: Optional[int] = None
+    lucas_c: Optional[int] = None
     if x >= 1 and x % 2 == 1:
         t = (x * x - 1) // 8
         y = oracle.isqrt(t)
         if y * y == t:
             lucas_b = index_of(SequenceKind.BALANCING, y)
-    out["lucas-balancing"] = (
-        {"member": True, "index": lucas_b} if lucas_b is not None else {"member": False}
-    )
-
-    # x = c(k) iff x is odd and (x^2 - 1)/8 = b*(b+1) for a cobalancing b.
-    lucas_c: Optional[int] = None
-    if x >= 1 and x % 2 == 1:
-        t = (x * x - 1) // 8
         b = (oracle.isqrt(4 * t + 1) - 1) // 2
         if b * (b + 1) == t:
             lucas_c = index_of(SequenceKind.COBALANCING, b)
-    out["lucas-cobalancing"] = (
-        {"member": True, "index": lucas_c} if lucas_c is not None else {"member": False}
-    )
+    for key, idx in (("lucas-balancing", lucas_b), ("lucas-cobalancing", lucas_c)):
+        out[key] = {"member": False} if idx is None else {"member": True, "index": idx}
     return out
 
 
@@ -257,16 +177,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
         _print_json(
             {
                 "family": family.value,
-                "limit": _decimal_str(args.limit),
+                "limit": decimal_str(args.limit),
                 "method": args.method,
-                "members": [_decimal_str(v) for v in members],
+                "members": [decimal_str(v) for v in members],
             }
         )
     elif args.format == "csv":
-        sys.stdout.write("\n".join(["value"] + [_decimal_str(v) for v in members]) + "\n")
+        sys.stdout.write("\n".join(["value"] + [decimal_str(v) for v in members]) + "\n")
     else:
         for v in members:
-            sys.stdout.write(_decimal_str(v) + "\n")
+            sys.stdout.write(decimal_str(v) + "\n")
     return 0
 
 
@@ -291,7 +211,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             value, companion = pair_bc(args.n)
         elapsed = time.perf_counter() - started
         values[m] = value
-        sys.stdout.write("%s,%.6f,%d\n" % (m, elapsed, _decimal_digits(value)))
+        sys.stdout.write("%s,%.6f,%d\n" % (m, elapsed, decimal_digits(value)))
 
     if companion is not None:
         # Self-check the doubling result against the Pell relation.

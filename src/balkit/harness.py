@@ -22,6 +22,7 @@ from .sequences import (
     DomainError,
     SequenceKind,
     TermSource,
+    decimal_str,
     stream,
     term_binet,
     term_doubling,
@@ -260,8 +261,8 @@ def _json_obj(report: VerificationReport) -> dict:
                     {
                         "n": f.n,
                         "m": f.m,
-                        "lhs": str(f.lhs),
-                        "rhs": str(f.rhs),
+                        "lhs": decimal_str(f.lhs),
+                        "rhs": decimal_str(f.rhs),
                     }
                     for f in r.failures
                 ],
@@ -278,7 +279,8 @@ def _csv_rows(report: VerificationReport) -> list[str]:
             m = "" if c.m is None else str(c.m)
             rows.append(
                 "%s,%d,%s,%s,%s,%s"
-                % (c.ident, c.n, m, c.lhs, c.rhs, "true" if c.holds else "false")
+                % (c.ident, c.n, m, decimal_str(c.lhs), decimal_str(c.rhs),
+                   "true" if c.holds else "false")
             )
     return rows
 
@@ -292,7 +294,8 @@ def _plain_lines(report: VerificationReport) -> list[str]:
         )
         for f in r.failures:
             m = "-" if f.m is None else str(f.m)
-            lines.append("  fail n=%d m=%s lhs=%s rhs=%s" % (f.n, m, f.lhs, f.rhs))
+            lines.append("  fail n=%d m=%s lhs=%s rhs=%s"
+                         % (f.n, m, decimal_str(f.lhs), decimal_str(f.rhs)))
     lines.append("overall=%s" % ("pass" if report.passed else "fail"))
     return lines
 

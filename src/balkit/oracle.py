@@ -7,13 +7,15 @@ nonnegative x is cobalancing when 1 + 2 + ... + x = (x+1) + ... + (x+r),
 equivalently when 8*x**2 + 8*x + 1 is a perfect square (0 is accepted as
 the first member).
 
-Everything here works by perfect-square tests and explicit summation
-witnesses, never by recurrences or closed forms, so these routines can act
-as a slow independent check on the sequences module.
+Everything here works by perfect-square tests (one math.isqrt call each)
+and explicit summation witnesses, never by recurrences or closed forms, so
+these routines can act as an independent check on the sequences module.
+The search is a naive scan that tests every candidate in turn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .sequences import DomainError, SequenceKind
@@ -45,34 +47,26 @@ class BalancerWitness:
             )
 
 
-def isqrt(x: int) -> int:
-    """Floor square root by integer-only Newton iteration.
+class _NotMember(DomainError):
+    # Formatted only when shown: classify catches one for every non-member,
+    # and rendering a huge x costs time and trips the int/str digit limit.
+    def __str__(self) -> str:
+        return "%d is not a %s number" % self.args
 
-    Starts from a power of two just above sqrt(x) (via the bit length) and
-    iterates x -> (x + n//x)//2, which decreases monotonically once above
-    the root; a final correction enforces the defining inequality
-    result**2 <= x < (result+1)**2.
+
+def isqrt(x: int) -> int:
+    """Floor square root: the r with r**2 <= x < (r+1)**2.
+
+    math.isqrt with a DomainError for negative x. The square tests below
+    call math.isqrt directly, so a scanned candidate costs one C call.
     """
     if x < 0:
         raise DomainError("square root of negative number %d" % x)
-    if x < 2:
-        return x
-    r = 1 << (x.bit_length() + 1) // 2
-    while True:
-        nxt = (r + x // r) // 2
-        if nxt >= r:
-            break
-        r = nxt
-    while r * r > x:  # at most one step; kept as a loop for safety
-        r -= 1
-    return r
+    return math.isqrt(x)
 
 
 def _is_square(x: int) -> bool:
-    if x < 0:
-        return False
-    r = isqrt(x)
-    return r * r == x
+    return x >= 0 and math.isqrt(x) ** 2 == x
 
 
 def is_balancing(x: int) -> bool:
@@ -93,13 +87,15 @@ def is_triangular(x: int) -> bool:
 def balancer_of(x: int) -> BalancerWitness:
     """Witness for a balancing number: r with 1+...+(x-1) = (x+1)+...+(x+r).
 
-    Summing both sides gives r = (-(2x+1) + sqrt(8x^2+1)) / 2. Because that
-    formula is derived, the witness re-checks the sum equality with the
-    closed forms x(x-1)/2 and r*x + r(r+1)/2 and fails loudly on mismatch.
+    Summing both sides gives r = (-(2x+1) + sqrt(8x^2+1)) / 2. The one
+    square root both decides membership and gives r. Because the formula is
+    derived, the witness re-checks the sum equality with the closed forms
+    x(x-1)/2 and r*x + r(r+1)/2 and fails loudly on mismatch.
     """
-    if not is_balancing(x):
-        raise DomainError("%d is not a balancing number" % x)
-    root = isqrt(8 * x * x + 1)
+    target = 8 * x * x + 1
+    root = math.isqrt(target)
+    if x < 1 or root * root != target:
+        raise _NotMember(x, "balancing")
     r = (-(2 * x + 1) + root) // 2
     return BalancerWitness(
         n=x,
@@ -111,9 +107,10 @@ def balancer_of(x: int) -> BalancerWitness:
 
 def cobalancer_of(x: int) -> BalancerWitness:
     """Witness for a cobalancing number: r with 1+...+x = (x+1)+...+(x+r)."""
-    if not is_cobalancing(x):
-        raise DomainError("%d is not a cobalancing number" % x)
-    root = isqrt(8 * x * x + 8 * x + 1)
+    target = 8 * x * x + 8 * x + 1  # >= 1 for every integer x
+    root = math.isqrt(target)
+    if x < 0 or root * root != target:
+        raise _NotMember(x, "cobalancing")
     r = (-(2 * x + 1) + root) // 2
     return BalancerWitness(
         n=x,

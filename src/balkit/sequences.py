@@ -9,12 +9,14 @@ are errors, not extrapolations.
 Every term can be produced by linear recurrence iteration, by an exact
 closed form in Z[sqrt(2)], or by logarithmic-time fast doubling. The three
 routes are algebraically equal, and the verification harness checks that
-this implementation keeps them equal.
+this implementation keeps them equal. decimal_str renders the (possibly
+huge) values for the CLI and the harness reports.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -295,3 +297,80 @@ class TermSource:
             while len(bs) < i:
                 bs.append(6 * bs[-1] - bs[-2] + 2)
                 cs.append(6 * cs[-1] - cs[-2])
+
+
+_LOG10_2 = math.log10(2)
+
+
+def decimal_digits(x: int) -> int:
+    """Exact decimal digit count without converting x to a string."""
+    if x == 0:
+        return 1
+    x = abs(x)
+    est = int((x.bit_length() - 1) * _LOG10_2)  # never overshoots log10(x)
+    while 10 ** (est + 1) <= x:
+        est += 1
+    return est + 1
+
+
+# Values up to this many bits are rendered by str(). Above it, CPython's
+# quadratic int -> str (before 3.12) loses to the Decimal conversion below,
+# import of decimal included (crossover measured near 2^15 bits with
+# CPython 3.11 on x86-64).
+_STR_MAX_BITS = 1 << 15
+_LEAF_BITS = 1024  # at or below this, Decimal(int) converts directly
+# No int/str digit limit applies below str_digits_check_threshold (640)
+# digits, so str() takes values up to 3 bits per digit of it unchecked.
+_ALWAYS_STR_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 0)
+
+
+def decimal_str(x: int) -> str:
+    """str(x), in subquadratic time for large x.
+
+    Every decimal value the CLI prints and the harness reports serialize
+    goes through here. A large x is split recursively at powers of two,
+    x = hi * 2**h + lo, and rebuilt as a decimal.Decimal, whose libmpdec
+    multiply is subquadratic. The context is unbounded and traps Inexact and
+    Rounded, so the result is exact or the conversion raises.
+
+    str() also refuses values above the process-wide int/str digit limit
+    (4300 digits by default; cli.main lifts it), so it is used only while
+    bits <= 3 * limit: a decimal digit carries log2(10) > 3 bits.
+    """
+    bits = x.bit_length()
+    if bits <= _ALWAYS_STR_BITS:
+        return str(x)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if bits <= _STR_MAX_BITS and (limit == 0 or bits <= 3 * limit):
+        return str(x)
+    import decimal
+
+    dec = decimal.Decimal
+    powers: dict = {}
+
+    def pow2(w: int):
+        p = powers.get(w)
+        if p is None:
+            if w <= _LEAF_BITS:
+                p = dec(1 << w)
+            elif w - 1 in powers:
+                p = 2 * powers[w - 1]
+            else:
+                p = pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def convert(v: int, w: int):  # |v| < 2**w; the split is exact for either sign
+        if w <= _LEAF_BITS:
+            return dec(v)
+        h = w >> 1
+        hi = v >> h
+        return convert(v - (hi << h), h) + convert(hi, w - h) * pow2(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        ctx.traps[decimal.Rounded] = True
+        return str(convert(x, bits))

@@ -1,12 +1,14 @@
 """Command-line contract: commands, formats, exit codes, stream separation."""
 
 import json
+import math
 import random
 import sys
+import types
 
 import pytest
 
-from balkit import cli
+from balkit import cli, oracle, sequences
 from balkit.sequences import SequenceKind, pair_bc, pair_cobal, parse_kind, stream
 
 
@@ -199,6 +201,26 @@ def test_classify_indices_match_linear_scan(capsys, monkeypatch, x):
     assert out.count("yes") >= 1
 
 
+@pytest.mark.parametrize(
+    "x",
+    [pair_bc(700)[0], pair_bc(701)[0], pair_bc(700)[0] + 1, pair_bc(700)[0] + 2],
+    ids=["B700", "B701", "B700+1", "B700+2"],
+)
+def test_classify_takes_one_square_root_per_family(monkeypatch, x):
+    roots = []
+
+    def counting_isqrt(v):
+        roots.append(v)
+        return math.isqrt(v)
+
+    monkeypatch.setattr(oracle, "math", types.SimpleNamespace(isqrt=counting_isqrt))
+    result = cli._classify(x)
+    assert result["balancing"]["member"] == (x in (pair_bc(700)[0], pair_bc(701)[0]))
+    # One root each for balancing and cobalancing; the two Lucas families
+    # take one each only for odd x (an even x is no C or c term).
+    assert len(roots) == (4 if x % 2 else 2)
+
+
 def test_classify_malformed_exit_2(capsys):
     code, out, err = run_cli(capsys, "classify", "six")
     assert code == 2 and out == "" and err
@@ -271,7 +293,7 @@ def test_stderr_only_carries_diagnostics(capsys):
 
 # -- decimal rendering -------------------------------------------------------
 
-T = cli._STR_MAX_BITS
+T = sequences._STR_MAX_BITS
 
 
 @pytest.fixture
@@ -300,18 +322,19 @@ def _render_cases():
 
 def test_decimal_str_equals_str(no_int_str_limit):
     for x in _render_cases():
-        assert cli._decimal_str(x) == str(x), x.bit_length()
-        assert cli._decimal_str(-x) == str(-x), x.bit_length()
+        assert sequences.decimal_str(x) == str(x), x.bit_length()
+        assert sequences.decimal_str(-x) == str(-x), x.bit_length()
     x = random.Random(4).getrandbits(10**6) | 1 << (10**6 - 1)
-    assert cli._decimal_str(x) == str(x)
+    assert sequences.decimal_str(x) == str(x)
 
 
 def test_decimal_str_split_route_on_small_values(monkeypatch, no_int_str_limit):
     # With no str() fast path and tiny leaves, even small values take the split.
-    monkeypatch.setattr(cli, "_STR_MAX_BITS", 0)
-    monkeypatch.setattr(cli, "_LEAF_BITS", 8)
+    monkeypatch.setattr(sequences, "_ALWAYS_STR_BITS", 0)
+    monkeypatch.setattr(sequences, "_STR_MAX_BITS", 0)
+    monkeypatch.setattr(sequences, "_LEAF_BITS", 8)
     for x in _render_cases()[:40] + list(range(300)):
-        assert cli._decimal_str(x) == str(x)
+        assert sequences.decimal_str(x) == str(x)
 
 
 def test_term_above_render_threshold_matches_str(capsys):
@@ -351,7 +374,7 @@ def test_library_render_ignores_int_str_digit_limit(capsys):
         text = str(x)
         code, out, _ = run_cli(capsys, "classify", text, "--format", "json")
         sys.set_int_max_str_digits(4300)
-        rendered = cli._decimal_str(x)
+        rendered = sequences.decimal_str(x)
         result = cli._classify(x)
     finally:
         sys.set_int_max_str_digits(old)

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
 from balkit import harness, identities
 from balkit.harness import (
+    FORMATS,
     IdentityRecord,
     VerificationReport,
     compare_methods,
@@ -15,7 +17,7 @@ from balkit.harness import (
     run_suite,
 )
 from balkit.identities import EvalResult, UnknownIdentityError
-from balkit.sequences import DomainError
+from balkit.sequences import DomainError, pair_bc
 
 
 def corrupt_c_diff_half():
@@ -155,6 +157,26 @@ def test_emit_report_failure_json_renders_decimal_strings():
     obj = json.loads(emit_report(report, "json"))
     (fail,) = obj["identities"][0]["failures"]
     assert fail == {"n": 2, "m": None, "lhs": str(big), "rhs": str(big + 1)}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_emit_report_ignores_int_str_digit_limit():
+    # cli.main lifts the process-wide limit; a library caller may not have.
+    big = pair_bc(7000)[0]  # 5,359 digits: over the default 4300
+    case = EvalResult("B_ADD", 7000, 1, big, big + 1, False)
+    report = VerificationReport("identity-catalog", 7000)
+    report.records = [IdentityRecord("B_ADD", 1, 0, 0, [case], [case])]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        limited = [emit_report(report, fmt) for fmt in FORMATS]
+        sys.set_int_max_str_digits(0)
+        lifted = [emit_report(report, fmt) for fmt in FORMATS]
+        text = str(big).encode()
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert limited == lifted
+    assert all(text in out for out in lifted)
 
 
 def test_emit_report_serialization_is_deterministic():

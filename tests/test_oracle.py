@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from balkit.oracle import (
     BalancerWitness,
+    _is_square,
     balancer_of,
     cobalancer_of,
     is_balancing,
@@ -137,3 +138,44 @@ def test_square_root_roundtrip_defines_companions():
     small_c = {t.n: t.value for t in stream(SequenceKind.LUCAS_COBALANCING, 1, 500)}
     for n in range(1, 501):
         assert isqrt(8 * small_b[n] ** 2 + 8 * small_b[n] + 1) == small_c[n]
+
+
+def _sum_equation_walk(limit, cobalancing):
+    """Members <= limit from the defining sum equation, with no square root.
+
+    left is 1+...+(x-1) (1+...+x for cobalancing) and right is
+    (x+1)+...+(x+r). The least r with right >= left never decreases as x
+    grows, so one two-pointer pass over x and r finds every solution.
+    """
+    members = []
+    left = right = r = 0
+    for x in range(0 if cobalancing else 1, limit + 1):
+        while right < left:
+            r += 1
+            right += x + r
+        if right == left:
+            members.append(x)
+        left += x + 1 if cobalancing else x  # the next x's left side
+        right += r  # each of the r right-hand terms moves up by one
+    return members
+
+
+def test_scan_agrees_with_sum_equation_walk():
+    assert _sum_equation_walk(3000, False) == search_family(SequenceKind.BALANCING, 3000)
+    assert _sum_equation_walk(3000, True) == search_family(SequenceKind.COBALANCING, 3000)
+    assert _sum_equation_walk(3000, False) == [1, 6, 35, 204, 1189]
+    assert _sum_equation_walk(3000, True) == [0, 2, 14, 84, 492, 2870]
+
+
+def test_is_square_on_sequence_values():
+    # The C(k)^2 - 1 check starts at k = 1: C(0)^2 - 1 = 0 is a square.
+    for t in stream(SequenceKind.LUCAS_BALANCING, 0, 4000):
+        sq = t.value * t.value
+        assert _is_square(sq)
+        assert not _is_square(sq + 1)
+        assert t.n == 0 or not _is_square(sq - 1)
+    for t in stream(SequenceKind.BALANCING, 0, 4000):
+        assert _is_square(8 * t.value ** 2 + 1)
+    for t in stream(SequenceKind.COBALANCING, 1, 4000):
+        assert _is_square(8 * t.value ** 2 + 8 * t.value + 1)
+    assert not _is_square(-1)

@@ -28,7 +28,7 @@ CHILD = textwrap.dedent(
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
     stats = t.summary()["stats"]
     sys.stderr.write("RESULT " + json.dumps(
-        {"codes": codes, "pair_bc": stats.get("sequences.pair_bc")}) + "\\n")
+        {"codes": codes, "stats": stats}) + "\\n")
     """
 )
 
@@ -39,6 +39,7 @@ def test_traced_commands_run_and_record_doubling():
         ["term", "B", "100", "--method", "binet"],
         ["verify", "--max-n", "5", "--jobs", "2"],
         ["classify", str(pair_bc(300)[1])],
+        ["classify", str(pair_bc(300)[0])],
         ["search", "balancing", "--method", "oracle", "--limit", "1000"],
     ]
     src = str(Path(balkit.__file__).resolve().parent.parent)
@@ -52,5 +53,7 @@ def test_traced_commands_run_and_record_doubling():
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = json.loads(proc.stderr.rsplit("RESULT ", 1)[1])
     assert result["codes"] == [0] * len(commands)
-    calls, total_s, _ = result["pair_bc"]
-    assert calls > 0 and total_s > 0
+    # The oracle spans feed the lookup workload's per-layer metrics.
+    for name in ("sequences.pair_bc", "oracle.search_family", "oracle.witness"):
+        calls, total_s, _ = result["stats"][name]
+        assert calls > 0 and total_s > 0, name
