@@ -1,8 +1,9 @@
 """Catalog of equational and congruence statements over the four sequences.
 
-Identities are data, not code paths: each entry bundles a domain predicate
-and exact left/right evaluators, and one generic routine evaluates any of
-them at given indices. Adding an entry means adding a table row.
+Identities are data, not code paths: each entry bundles its domain, given
+as index ranges, and exact left/right evaluators, and one generic routine
+evaluates any of them at given indices. Adding an entry means adding a
+table row.
 
 Equational entries compare two unbounded integers for equality. Congruence
 entries compare residues: the left evaluator returns the actual residue of
@@ -18,7 +19,9 @@ from typing import Callable, Optional
 from .sequences import DomainError, TermSource
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
-DomainPredicate = Callable[[int, Optional[int]], bool]
+# Binary entries: (n, hi) -> the m in 0..hi with (n, m) in the domain.
+# Unary entries: (hi) -> the n in 0..hi in the domain.
+DomainRange = Callable[..., range]
 
 EQUATION = "equation"
 CONGRUENCE = "congruence"
@@ -33,10 +36,11 @@ class IdentityDescriptor:
     """One verifiable statement about the sequences.
 
     ident is the stable id used by the CLI and report formats. statement and
-    domain_desc are display strings; domain, lhs and rhs are the executable
-    forms. modulus is set on congruence entries only. note records a known
-    discrepancy between this entry's implemented reading and an alternative
-    printed form, where one exists.
+    domain_desc are display strings; indices, lhs and rhs are the executable
+    forms, and domain(n, m) is the membership test read off indices. modulus
+    is set on congruence entries only. note records a known discrepancy
+    between this entry's implemented reading and an alternative printed
+    form, where one exists.
     """
 
     ident: str
@@ -44,11 +48,17 @@ class IdentityDescriptor:
     kind: str
     statement: str
     domain_desc: str
-    domain: DomainPredicate = field(repr=False)
+    indices: DomainRange = field(repr=False)
     lhs: Evaluator = field(repr=False)
     rhs: Evaluator = field(repr=False)
     modulus: Optional[int] = None
     note: Optional[str] = None
+
+    def domain(self, n: int, m: Optional[int]) -> bool:
+        # Any hi that reaches the tested index gives the same answer.
+        if self.arity == 1:
+            return n in self.indices(max(n, 0))
+        return m in self.indices(n, max(n, m, 0))
 
 
 @dataclass(frozen=True)
@@ -68,36 +78,36 @@ class EvalResult:
     holds: bool
 
 
-def _pair(n: int, m: Optional[int]) -> bool:
-    return n >= 0 and m >= 0
+def _pair(n: int, hi: int) -> range:
+    return range(hi + 1 if n >= 0 else 0)
 
 
-def _ordered(n: int, m: Optional[int]) -> bool:
-    return 0 <= m <= n
+def _ordered(n: int, hi: int) -> range:
+    return range(min(n, hi) + 1)
 
 
-def _ordered_parity(n: int, m: Optional[int]) -> bool:
-    return 0 <= m <= n and (n - m) % 2 == 0
+def _ordered_parity(n: int, hi: int) -> range:
+    return range(n % 2, min(n, hi) + 1, 2)
 
 
-def _ordered1(n: int, m: Optional[int]) -> bool:
-    return 1 <= m <= n
+def _ordered1(n: int, hi: int) -> range:
+    return range(1, min(n, hi) + 1)
 
 
-def _strict1(n: int, m: Optional[int]) -> bool:
-    return m >= 1 and n > m
+def _strict1(n: int, hi: int) -> range:
+    return range(1, min(n, hi + 1))
 
 
-def _swapped1(n: int, m: Optional[int]) -> bool:
-    return 1 <= n <= m
+def _swapped1(n: int, hi: int) -> range:
+    return range(n, hi + 1) if n >= 1 else range(0)
 
 
-def _n0(n: int, m: Optional[int]) -> bool:
-    return n >= 0
+def _n0(hi: int) -> range:
+    return range(hi + 1)
 
 
-def _n1(n: int, m: Optional[int]) -> bool:
-    return n >= 1
+def _n1(hi: int) -> range:
+    return range(1, hi + 1)
 
 
 _CATALOG: list[IdentityDescriptor] = [
@@ -441,7 +451,7 @@ def _check_arity(desc: IdentityDescriptor, m: Optional[int]) -> None:
 
 
 def domain_check(ident: str, n: int, m: Optional[int] = None) -> bool:
-    """True iff (n, m) satisfies the identity's domain predicate."""
+    """True iff (n, m) lies in the identity's domain."""
     desc = lookup(ident)
     _check_arity(desc, m)
     return desc.domain(n, m)

@@ -67,6 +67,46 @@ def test_every_grid_cell_is_accounted():
         assert rec.checked + rec.skipped == total
 
 
+# The domain predicates as the catalog used them before domains became
+# ranges, keyed by each entry's printed domain, as references for the walk.
+REFERENCE_DOMAINS = {
+    "n >= 0, m >= 0": lambda n, m: n >= 0 and m >= 0,
+    "n >= m >= 0": lambda n, m: 0 <= m <= n,
+    "n >= m >= 0, n and m of the same parity": lambda n, m: 0 <= m <= n and (n - m) % 2 == 0,
+    "n >= m >= 1": lambda n, m: 1 <= m <= n,
+    "n > m >= 1": lambda n, m: m >= 1 and n > m,
+    "1 <= n <= m": lambda n, m: 1 <= n <= m,
+    "n >= 0": lambda n, m: n >= 0,
+    "n >= 1": lambda n, m: n >= 1,
+}
+
+
+def test_run_identity_walks_exactly_the_domain_in_grid_order():
+    for desc in identities.list_identities():
+        ref = REFERENCE_DOMAINS[desc.domain_desc]
+        for max_n in range(1, 31):
+            seen = []
+            walked = dataclasses.replace(
+                desc, lhs=lambda t, n, m: seen.append((n, m)) or 0, rhs=lambda t, n, m: 0
+            )
+            rec = harness._run_identity(walked, max_n, None, False)
+            ms = [None] if desc.arity == 1 else range(max_n + 1)
+            expected = [(n, m) for n in range(max_n + 1) for m in ms if ref(n, m)]
+            assert seen == expected, (desc.ident, max_n)
+            assert rec.checked == len(expected)
+            assert rec.skipped == (max_n + 1) ** desc.arity - len(expected)
+
+
+def test_domain_check_matches_reference_predicates():
+    span = range(-3, 13)
+    for desc in identities.list_identities():
+        ref = REFERENCE_DOMAINS[desc.domain_desc]
+        for n in span:
+            for m in ([None] if desc.arity == 1 else span):
+                got = identities.domain_check(desc.ident, n, m)
+                assert got is ref(n, m), (desc.ident, n, m)
+
+
 def test_run_suite_rejects_bad_arguments():
     with pytest.raises(DomainError):
         run_suite(0)

@@ -53,7 +53,10 @@ def test_traced_commands_run_and_record_doubling():
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = json.loads(proc.stderr.rsplit("RESULT ", 1)[1])
     assert result["codes"] == [0] * len(commands)
-    # The oracle spans feed the lookup workload's per-layer metrics.
-    for name in ("sequences.pair_bc", "oracle.search_family", "oracle.witness"):
+    # The oracle spans feed the lookup workload's per-layer metrics, the
+    # harness and evaluator spans the verify workload's; the per-identity
+    # span is installed only if harness._run_identity exists.
+    for name in ("sequences.pair_bc", "oracle.search_family", "oracle.witness",
+                 "harness.run_suite", "harness.identity", "identities.eval"):
         calls, total_s, _ = result["stats"][name]
         assert calls > 0 and total_s > 0, name
