@@ -427,9 +427,6 @@ _BY_ID = {d.ident: d for d in _CATALOG}
 if len(_BY_ID) != len(_CATALOG):
     raise AssertionError("identity ids must be unique")
 
-# Shared default cache for one-off evaluations; harness runs build their own.
-_DEFAULT_TERMS = TermSource()
-
 
 def list_identities() -> list[IdentityDescriptor]:
     """All catalog entries in stable order (equations first, then congruences)."""
@@ -467,6 +464,8 @@ def evaluate(
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
+    Without terms, a fresh TermSource serves this call alone and is freed
+    when it returns; pass one to share cached terms between calls.
     """
     desc = lookup(ident)
     _check_arity(desc, m)
@@ -475,7 +474,7 @@ def evaluate(
             "(n=%s, m=%s) is outside the domain of %s (%s)"
             % (n, m, ident, desc.domain_desc)
         )
-    src = terms if terms is not None else _DEFAULT_TERMS
+    src = terms if terms is not None else TermSource()
     lhs = desc.lhs(src, n, m)
     rhs = desc.rhs(src, n, m)
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -236,14 +235,12 @@ def stream(kind: SequenceKind, start: int, stop: int) -> list[Term]:
 class TermSource:
     """List-cached terms of all four sequences for repeated exact lookups.
 
-    The caches grow by ascending recurrence passes. Growth is serialized by
-    a lock and appends only, so a source may be shared between threads: once
-    a prefix is filled, its readers need no synchronization, and callers
-    that share a source should prefill() the range they will touch first.
+    The caches grow by ascending recurrence passes and only append, so every
+    index read once stays valid. A source is not synchronized: give each
+    thread its own, and prefill() the range a run will touch up front.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._B = [0, 1]
         self._C = [1, 3]
         self._b = [0, 2]  # position j holds b(j+1)
@@ -285,18 +282,16 @@ class TermSource:
         return self._c[i - 1]
 
     def _grow_bc(self, i: int) -> None:
-        with self._lock:
-            bs, cs = self._B, self._C
-            while len(bs) <= i:
-                bs.append(6 * bs[-1] - bs[-2])
-                cs.append(6 * cs[-1] - cs[-2])
+        bs, cs = self._B, self._C
+        while len(bs) <= i:
+            bs.append(6 * bs[-1] - bs[-2])
+            cs.append(6 * cs[-1] - cs[-2])
 
     def _grow_cobal(self, i: int) -> None:
-        with self._lock:
-            bs, cs = self._b, self._c
-            while len(bs) < i:
-                bs.append(6 * bs[-1] - bs[-2] + 2)
-                cs.append(6 * cs[-1] - cs[-2])
+        bs, cs = self._b, self._c
+        while len(bs) < i:
+            bs.append(6 * bs[-1] - bs[-2] + 2)
+            cs.append(6 * cs[-1] - cs[-2])
 
 
 _LOG10_2 = math.log10(2)

@@ -1,5 +1,7 @@
 """Command-line contract: commands, formats, exit codes, stream separation."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -7,6 +9,8 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balkit import cli, oracle, sequences
 from balkit.sequences import SequenceKind, pair_bc, pair_cobal, parse_kind, stream
@@ -380,3 +384,52 @@ def test_library_render_ignores_int_str_digit_limit(capsys):
         sys.set_int_max_str_digits(old)
     assert code == 0 and rendered == text
     assert out == json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# Small argv for term, seq, classify and search: valid and bad kinds,
+# negative and non-integer indices, bad options and missing arguments.
+_KIND = st.sampled_from(["B", "C", "b", "c", "balancing", "Lucas-Cobalancing", "d", ""])
+_FAMILY = st.sampled_from(["balancing", "cobalancing", "lucas-balancing", "B", "x"])
+_NUMBER = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.sampled_from(["1.5", "abc", "", "-", "1e3", "0x10", " 7", "--"]),
+)
+_OPTIONS = st.lists(
+    st.sampled_from([
+        ["--format", "plain"], ["--format", "json"], ["--format", "csv"], ["--format", "xml"],
+        ["--method", "auto"], ["--method", "binet"], ["--method", "doubling"],
+        ["--method", "oracle"], ["--method", "generator"], ["--method", "none"],
+        ["--verbose"], ["--jobs", "0"], ["--bogus"],
+    ]),
+    max_size=2,
+).map(lambda pairs: [token for pair in pairs for token in pair])
+
+
+def _argv(command, positional):
+    return st.tuples(positional, _OPTIONS).map(lambda t: [command, *t[0], *t[1]])
+
+
+_ARGV = st.one_of(
+    _argv("term", st.tuples(_KIND, _NUMBER)),
+    _argv("seq", st.tuples(_KIND, _NUMBER, _NUMBER)),
+    _argv("classify", st.tuples(_NUMBER)),
+    _argv("search", st.tuples(_FAMILY, st.just("--limit"), st.one_of(
+        st.integers(min_value=-3, max_value=2000).map(str), _NUMBER))),
+    st.lists(st.one_of(_KIND, _NUMBER), max_size=3).map(lambda rest: ["search", *rest]),
+    st.lists(st.one_of(_KIND, _NUMBER), max_size=3).map(lambda rest: ["term", *rest]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_cli_contract_on_generated_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

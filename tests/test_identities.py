@@ -1,5 +1,8 @@
 """Catalog structure, domain handling and exact evaluation of identities."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from balkit.identities import (
@@ -160,3 +163,18 @@ def test_cobalancing_sum_swapped_reading_is_documented_and_correct():
 
 def test_default_term_source_is_used_when_none_given():
     assert evaluate("B_ADD", 40, 17).holds
+
+
+def test_one_off_evaluate_keeps_no_terms_cached():
+    # Growing B and C by recurrence to index 3000 takes about 3 MB; a call
+    # without terms= must free its cache when it returns.
+    evaluate("B_ADD", 2, 0)  # first-call allocations outside the measure
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert evaluate("B_ADD", 3000, 0).holds
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000

@@ -7,8 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balkit.oracle import (
+    _PERIOD,
+    _SIEVE_MODULI,
     BalancerWitness,
+    _admissible,
     _is_square,
+    _square_residues,
     balancer_of,
     cobalancer_of,
     is_balancing,
@@ -179,3 +183,44 @@ def test_is_square_on_sequence_values():
     for t in stream(SequenceKind.COBALANCING, 1, 4000):
         assert _is_square(8 * t.value ** 2 + 8 * t.value + 1)
     assert not _is_square(-1)
+
+
+# The residue sieve in front of the scan's square test. a is the linear
+# coefficient of the scanned polynomial 8*x**2 + a*x + 1.
+_SIEVED = ((SequenceKind.BALANCING, 0, is_balancing), (SequenceKind.COBALANCING, 8, is_cobalancing))
+
+
+def test_square_residue_sets_are_brute_force():
+    assert _PERIOD == math.lcm(*_SIEVE_MODULI) == 45045
+    for p in _SIEVE_MODULI:
+        assert _square_residues(p) == {k * k % p for k in range(p)}
+    # Counted by the Chinese remainder theorem: 63 = 9*7, 65 = 5*13.
+    assert [len(_square_residues(p)) for p in _SIEVE_MODULI] == [4 * 4, 3 * 7, 6]
+
+
+@pytest.mark.parametrize("family,a,member", _SIEVED)
+def test_sieve_admits_exactly_the_square_residue_classes(family, a, member):
+    # Every x mod the period is checked, so a square, which is a square
+    # residue mod each p, can never be rejected.
+    mask = _admissible(a)
+    assert len(mask) == _PERIOD
+    residues = [{k * k % p for k in range(p)} for p in _SIEVE_MODULI]
+    for x in range(_PERIOD):
+        f = 8 * x * x + a * x + 1
+        expected = all(f % p in r for p, r in zip(_SIEVE_MODULI, residues))
+        assert mask[x] == expected, x
+    # Only 2205 (balancing) or 3024 (cobalancing) classes reach math.isqrt.
+    assert sum(mask) == {0: 2205, 8: 3024}[a]
+
+
+@pytest.mark.parametrize("family,a,member", _SIEVED)
+def test_sieve_admits_large_members(family, a, member):
+    for t in stream(family, 1, 300):
+        assert member(t.value) and _admissible(a)[t.value % _PERIOD]
+
+
+@pytest.mark.parametrize("family,a,member", _SIEVED)
+@pytest.mark.parametrize("limit", [0, 1, 2, _PERIOD - 1, _PERIOD, _PERIOD + 1, 2 * _PERIOD + 7])
+def test_search_family_equals_plain_scan_at_block_edges(family, a, member, limit):
+    start = 1 if family is SequenceKind.BALANCING else 0
+    assert search_family(family, limit) == [x for x in range(start, limit + 1) if member(x)]
