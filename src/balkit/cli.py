@@ -8,16 +8,18 @@ domain errors. Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from typing import Optional
 
-from . import harness, identities, oracle
+# Only the modules every command needs load here: verify and the
+# generator search import harness (and with it identities) when they run.
+from . import oracle
 from .sequences import (
     DomainError,
     SequenceKind,
+    UnknownIdentityError,
     decimal_digits,
     decimal_str,
     index_of,
@@ -45,6 +47,8 @@ def _term_value(kind: SequenceKind, n: int, method: str) -> int:
 
 
 def _print_json(obj) -> None:
+    import json
+
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -88,6 +92,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_n = min(max_n, int(cap))
     if args.jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % args.jobs)
+    from . import harness
+
     report = harness.run_suite(
         max_n,
         ids=args.id,
@@ -172,6 +178,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.method == "oracle":
         members = oracle.search_family(family, args.limit)
     else:
+        from . import harness
+
         members = harness.generator_prefix(family, args.limit)
     if args.format == "json":
         _print_json(
@@ -320,9 +328,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)  # terms can run to hundreds of thousands of digits
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.12 can hand a positional an empty list when
+    # "--" is repeated (`term B -- --`); no option here takes a list that way.
+    empty = [name for name, value in vars(args).items() if value == []]
+    if empty:
+        parser.error("argument %s: expected one argument" % empty[0])
     try:
         return args.func(args)
-    except (DomainError, identities.UnknownIdentityError, ValueError) as exc:
+    except (DomainError, UnknownIdentityError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .sequences import DomainError, TermSource
+from .sequences import DomainError, TermSource, UnknownIdentityError
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
 # Binary entries: (n, hi) -> the m in 0..hi with (n, m) in the domain.
@@ -25,10 +25,6 @@ DomainRange = Callable[..., range]
 
 EQUATION = "equation"
 CONGRUENCE = "congruence"
-
-
-class UnknownIdentityError(LookupError):
-    """Requested identity id is not in the catalog."""
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,30 @@ balancing-family sequences be evaluated without any floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class QuadInt:
     """Element a + b*sqrt(2) of Z[sqrt(2)].
 
     The (a, b) representation is canonical: two elements are equal iff both
-    components are equal, which the generated dataclass equality provides.
+    components are equal.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return "QuadInt(a=%r, b=%r)" % (self.a, self.b)
 
     def __add__(self, other: QuadInt) -> QuadInt:
         return QuadInt(self.a + other.a, self.b + other.b)
@@ -39,16 +50,19 @@ class QuadInt:
         )
 
     def __pow__(self, k: int) -> QuadInt:
+        # Left to right over the bits of k: square with three products,
+        # (a + b*s)^2 = (a^2 + 2b^2) + 2ab*s, and on a set bit multiply by
+        # self. For a small base such as a Pell unit that multiply is linear
+        # time, so each bit costs about one big squaring.
         if k < 0:
             raise ValueError("exponent must be nonnegative, got %d" % k)
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        x, y = self.a, self.b
+        a, b = 1, 0
+        for i in range(k.bit_length() - 1, -1, -1):
+            a, b = a * a + 2 * b * b, 2 * a * b
+            if (k >> i) & 1:
+                a, b = a * x + 2 * b * y, a * y + b * x
+        return QuadInt(a, b)
 
     def conj(self) -> QuadInt:
         """Conjugate a + b*sqrt(2) -> a - b*sqrt(2); a ring homomorphism."""

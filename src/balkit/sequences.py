@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -26,6 +25,14 @@ from .quadring import ALPHA1, LAMBDA1, qpow
 
 class DomainError(ValueError):
     """An index or argument outside the defined domain of a sequence."""
+
+
+class UnknownIdentityError(LookupError):
+    """Requested identity id is not in the catalog.
+
+    Defined here rather than in identities so that the CLI can catch it
+    without loading the catalog; identities re-exports it.
+    """
 
 
 class SequenceKind(Enum):
@@ -79,13 +86,26 @@ def parse_kind(text: str) -> SequenceKind:
     )
 
 
-@dataclass(frozen=True)
 class Term:
     """One sequence member: (kind, index, exact value)."""
 
-    kind: SequenceKind
-    n: int
-    value: int
+    __slots__ = ("kind", "n", "value")
+
+    def __init__(self, kind: SequenceKind, n: int, value: int) -> None:
+        self.kind = kind
+        self.n = n
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.n, self.value) == (other.kind, other.n, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n, self.value))
+
+    def __repr__(self) -> str:
+        return "Term(kind=%r, n=%r, value=%r)" % (self.kind, self.n, self.value)
 
 
 def _check_index(kind: SequenceKind, n: int) -> None:

@@ -1,15 +1,19 @@
 """Command-line contract: commands, formats, exit codes, stream separation."""
 
+import ast
 import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balkit import cli, oracle, sequences
@@ -249,6 +253,21 @@ def test_search_bad_family_exit_2(capsys):
     assert code == 2 and "family" in err
 
 
+def test_search_oracle_refuses_limit_above_cap(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned above the cap")
+
+    monkeypatch.setattr(oracle, "_scan", no_scan)
+    limit = str(oracle.SEARCH_LIMIT_MAX + 1)
+    code, out, err = run_cli(capsys, "search", "balancing", "--method", "oracle",
+                             "--limit", limit)
+    assert (code, out) == (2, "")
+    assert err == "error: oracle search limit must be <= 1000000000, got %s\n" % limit
+    # The generator takes O(log limit) steps and has no cap.
+    code, out, err = run_cli(capsys, "search", "balancing", "--limit", limit)
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "271669860"
+
+
 def test_search_methods_agree(capsys):
     _, via_oracle, _ = run_cli(capsys, "search", "cobalancing", "--limit", "5000",
                                "--method", "oracle")
@@ -386,8 +405,52 @@ def test_library_render_ignores_int_str_digit_limit(capsys):
     assert out == json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# Small argv for term, seq, classify and search: valid and bad kinds,
-# negative and non-integer indices, bad options and missing arguments.
+# -- start-up -----------------------------------------------------------------
+
+IMPORT_GUARD_CHILD = textwrap.dedent(
+    """
+    import io, sys
+    before = set(sys.modules)
+    from balkit import cli
+    real_stdout, sys.stdout = sys.stdout, io.StringIO()
+    codes = [cli.main(argv) for argv in COMMANDS]
+    loaded = sorted(set(sys.modules) - before)
+    codes.append(cli.main(["verify", "--max-n", "2"]))
+    sys.stdout = real_stdout
+    print(repr({"codes": codes, "loaded": loaded,
+                "harness_after_verify": "balkit.harness" in sys.modules}))
+    """
+)
+
+
+def test_lean_commands_import_only_what_they_need():
+    # Compared with a snapshot, not by absolute membership: the interpreter's
+    # site hooks may preload modules such as typing or threading.
+    commands = [
+        ["classify", "7"],
+        ["term", "B", "5"],
+        ["term", "C", "300", "--method", "binet"],
+        ["seq", "B", "0", "5"],
+        ["search", "balancing", "--method", "oracle", "--limit", "100"],
+    ]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("BALKIT_MAX_N", None)
+    code = "COMMANDS = %r\n%s" % (commands, IMPORT_GUARD_CHILD)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    result = ast.literal_eval(proc.stdout)
+    assert result["codes"] == [0] * (len(commands) + 1)
+    heavy = {"dataclasses", "inspect", "json", "balkit.harness", "balkit.identities"}
+    assert heavy.isdisjoint(result["loaded"]), sorted(heavy & set(result["loaded"]))
+    assert "balkit.sequences" in result["loaded"]
+    assert result["harness_after_verify"]
+
+
+# Small argv for term, seq, classify, search, verify and bench: valid and bad
+# kinds, negative and non-integer indices, bad options and missing arguments.
 _KIND = st.sampled_from(["B", "C", "b", "c", "balancing", "Lucas-Cobalancing", "d", ""])
 _FAMILY = st.sampled_from(["balancing", "cobalancing", "lucas-balancing", "B", "x"])
 _NUMBER = st.one_of(
@@ -409,6 +472,24 @@ def _argv(command, positional):
     return st.tuples(positional, _OPTIONS).map(lambda t: [command, *t[0], *t[1]])
 
 
+def _verify_argv(t):
+    max_n, ident, jobs, fmt, verbose = t
+    return (["verify", "--max-n", str(max_n)] + (["--id", ident] if ident else [])
+            + ["--jobs", str(jobs), "--format", fmt] + (["--verbose"] if verbose else []))
+
+
+_VERIFY = st.tuples(
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from([None, "B_ADD", "MOD16_C", "NOPE"]),
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from(["plain", "json", "csv"]),
+    st.booleans(),
+).map(_verify_argv)
+_BENCH = st.tuples(
+    st.integers(min_value=-2, max_value=40),
+    st.sampled_from(["recurrence,doubling", "doubling", "recurrence", "", "x", "doubling,fft"]),
+).map(lambda t: ["bench", "--n", str(t[0]), "--methods", t[1]])
+
 _ARGV = st.one_of(
     _argv("term", st.tuples(_KIND, _NUMBER)),
     _argv("seq", st.tuples(_KIND, _NUMBER, _NUMBER)),
@@ -417,11 +498,17 @@ _ARGV = st.one_of(
         st.integers(min_value=-3, max_value=2000).map(str), _NUMBER))),
     st.lists(st.one_of(_KIND, _NUMBER), max_size=3).map(lambda rest: ["search", *rest]),
     st.lists(st.one_of(_KIND, _NUMBER), max_size=3).map(lambda rest: ["term", *rest]),
+    _VERIFY,
+    _BENCH,
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ARGV)
+@example(["verify", "--max-n", "2", "--id", "NOPE"])
+@example(["bench", "--n", "40", "--methods", "recurrence,doubling"])
+@example(["term", "B", "--", "--"])  # argparse before 3.12 passes n as []
+@example(["seq", "B", "1", "--", "--"])
 def test_cli_contract_on_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -433,3 +520,5 @@ def test_cli_contract_on_generated_argv(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert out.getvalue() == "", argv
+    if "unknown identity" in err.getvalue():
+        assert (code, err.getvalue()) == (2, "error: unknown identity id(s): NOPE\n"), argv

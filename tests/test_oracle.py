@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balkit import oracle
 from balkit.oracle import (
     _PERIOD,
     _SIEVE_MODULI,
@@ -224,3 +225,20 @@ def test_sieve_admits_large_members(family, a, member):
 def test_search_family_equals_plain_scan_at_block_edges(family, a, member, limit):
     start = 1 if family is SequenceKind.BALANCING else 0
     assert search_family(family, limit) == [x for x in range(start, limit + 1) if member(x)]
+
+
+@pytest.mark.parametrize("family", [SequenceKind.BALANCING, SequenceKind.COBALANCING])
+def test_search_family_refuses_limit_above_cap(monkeypatch, family):
+    scanned = []
+
+    def record_scan(a, start, limit):
+        scanned.append(limit)
+        return []
+
+    monkeypatch.setattr(oracle, "_scan", record_scan)
+    with pytest.raises(DomainError, match="limit must be <= 1000000000"):
+        search_family(family, oracle.SEARCH_LIMIT_MAX + 1)
+    assert scanned == []
+    # The cap itself is accepted (the stub stands in for the 20 s scan).
+    assert search_family(family, oracle.SEARCH_LIMIT_MAX) == []
+    assert scanned == [oracle.SEARCH_LIMIT_MAX]

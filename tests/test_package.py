@@ -1,0 +1,77 @@
+"""The package surface: lazily resolved exports and the plain value classes.
+
+QuadInt, Term and BalancerWitness are __slots__ classes. Their equality,
+hashing, keyword construction and repr must behave as the frozen
+dataclasses they replaced did; the repr strings below are the ones those
+dataclasses printed.
+"""
+
+import importlib
+
+import pytest
+
+import balkit
+from balkit import identities
+from balkit.oracle import BalancerWitness
+from balkit.quadring import QuadInt
+from balkit.sequences import SequenceKind, Term
+
+
+def _pair(cls, **fields):
+    """Two equal instances, built positionally and by keyword."""
+    return cls(*fields.values()), cls(**fields)
+
+
+@pytest.mark.parametrize("cls, fields, other", [
+    (QuadInt, {"a": 3, "b": 2}, {"a": 3, "b": -2}),
+    (Term, {"kind": SequenceKind.BALANCING, "n": 3, "value": 35},
+     {"kind": SequenceKind.LUCAS_BALANCING, "n": 3, "value": 35}),
+    (BalancerWitness, {"n": 6, "r": 2, "left_sum": 15, "right_sum": 15},
+     {"n": 35, "r": 14, "left_sum": 595, "right_sum": 595}),
+])
+def test_value_class_equality_and_hash(cls, fields, other):
+    x, y = _pair(cls, **fields)
+    z = cls(**other)
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert x != z and not x == z
+    for field, value in fields.items():
+        assert getattr(y, field) == value
+    # Another type never compares equal, not even the same values as a tuple.
+    as_tuple = tuple(fields.values())
+    assert x != as_tuple and as_tuple != x
+    assert x.__eq__(as_tuple) is NotImplemented
+    assert not hasattr(x, "__dict__")
+
+
+def test_value_class_reprs_are_the_dataclass_reprs():
+    assert repr(QuadInt(3, 2)) == "QuadInt(a=3, b=2)"
+    assert repr(QuadInt(a=-5, b=0)) == "QuadInt(a=-5, b=0)"
+    assert repr(Term(SequenceKind.COBALANCING, 3, 14)) == (
+        "Term(kind=<SequenceKind.COBALANCING: 'cobalancing'>, n=3, value=14)")
+    assert repr(BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)) == (
+        "BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)")
+
+
+def test_every_exported_name_resolves():
+    namespace: dict = {}
+    exec("from balkit import *", namespace)
+    for name in balkit.__all__:
+        value = getattr(balkit, name)
+        assert namespace[name] is value
+        exec("from balkit import %s as imported" % name, namespace)
+        assert namespace["imported"] is value
+        if name != "__version__":
+            assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        balkit.NoSuchName
+    with pytest.raises(ImportError):
+        exec("from balkit import NoSuchName", {})
+
+
+def test_unknown_identity_error_is_one_class():
+    assert identities.UnknownIdentityError is balkit.UnknownIdentityError
+    assert issubclass(balkit.UnknownIdentityError, LookupError)

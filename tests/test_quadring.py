@@ -117,3 +117,23 @@ def test_qpow_spot_checks_against_running_product():
         running = running * LAMBDA1
         if n in (1, 2, 7, 31, 64, 79):
             assert qpow(LAMBDA1, n) == running
+
+
+def _pow_right_to_left(x: QuadInt, k: int) -> QuadInt:
+    """Reference: square the base on every bit from the bottom."""
+    out, base = ONE, x
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+@pytest.mark.parametrize("base", [LAMBDA1, ALPHA1, QuadInt(5, -3)])
+def test_pow_left_to_right_matches_right_to_left(base):
+    exponents = set(range(301))
+    for j in range(13):
+        exponents.update((2**j - 1, 2**j, 2**j + 1))
+    for k in sorted(exponents):
+        assert base ** k == _pow_right_to_left(base, k), k
