@@ -31,19 +31,12 @@ from .sequences import (
     term_recurrence,
 )
 
-_AUTO_DOUBLING_ABOVE = 64
-
-
 def _term_value(kind: SequenceKind, n: int, method: str) -> int:
-    if method == "auto":
-        method = "doubling" if n > _AUTO_DOUBLING_ABOVE else "recurrence"
     if method == "recurrence":
         return term_recurrence(kind, n)
     if method == "binet":
         return term_binet(kind, n)
-    if method == "doubling":
-        return term_doubling(kind, n)
-    raise DomainError("unknown method %r" % method)
+    return term_doubling(kind, n)  # "doubling" and "auto"
 
 
 def _print_json(obj) -> None:
@@ -89,7 +82,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_n
     cap = os.environ.get("BALKIT_MAX_N")
     if cap is not None:
-        max_n = min(max_n, int(cap))
+        try:
+            max_n = min(max_n, int(cap))
+        except ValueError:
+            raise DomainError("BALKIT_MAX_N must be an integer, got %r" % cap)
     if args.jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % args.jobs)
     from . import harness
@@ -199,6 +195,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.format != "plain":
+        raise DomainError("bench supports plain output only")
     if args.n < 1:
         raise DomainError("n must be >= 1, got %d" % args.n)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "recurrence", "binet", "doubling"),
         default="auto",
-        help="evaluation route (auto: doubling for n > %d)" % _AUTO_DOUBLING_ABOVE,
+        help="evaluation route (auto: doubling)",
     )
     p_term.set_defaults(func=_cmd_term)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import islice, takewhile
 from typing import Iterable, Optional, Sequence
 
 from . import identities, oracle
@@ -26,6 +27,7 @@ from .sequences import (
     stream,
     term_binet,
     term_doubling,
+    walk,
 )
 
 FORMATS = ("json", "csv", "plain")
@@ -138,14 +140,6 @@ def run_suite(
     return report
 
 
-_AGREE_IDS = {
-    SequenceKind.BALANCING: "AGREE_B",
-    SequenceKind.LUCAS_BALANCING: "AGREE_C",
-    SequenceKind.COBALANCING: "AGREE_b",
-    SequenceKind.LUCAS_COBALANCING: "AGREE_c",
-}
-
-
 def compare_methods(max_n: int) -> VerificationReport:
     """Assert recurrence, closed form and fast doubling agree term by term.
 
@@ -157,6 +151,7 @@ def compare_methods(max_n: int) -> VerificationReport:
         raise DomainError("max_n must be >= 1, got %d" % max_n)
     report = VerificationReport("method-agreement", max_n)
     for kind in SequenceKind:
+        ident = "AGREE_" + kind.short
         started = time.perf_counter()
         checked = 0
         failures: list[EvalResult] = []
@@ -166,14 +161,10 @@ def compare_methods(max_n: int) -> VerificationReport:
             checked += 1
             if not (term.value == binet == doubled):
                 other = binet if binet != term.value else doubled
-                failures.append(
-                    EvalResult(_AGREE_IDS[kind], term.n, None, term.value, other, False)
-                )
+                failures.append(EvalResult(ident, term.n, None, term.value, other, False))
                 break
         wall_ms = int((time.perf_counter() - started) * 1000)
-        report.records.append(
-            IdentityRecord(_AGREE_IDS[kind], checked, 0, wall_ms, failures)
-        )
+        report.records.append(IdentityRecord(ident, checked, 0, wall_ms, failures))
     return report
 
 
@@ -234,15 +225,10 @@ def oracle_equivalence(limit: int) -> VerificationReport:
 
 def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
     """Sequence values <= limit, from index 1 upward (B(0)=0 is excluded:
-    the family proper starts at 1 for balancing, 0=b(1) for cobalancing)."""
-    out: list[int] = []
-    n = 1
-    while True:
-        value = term_doubling(kind, n)
-        if value > limit:
-            return out
-        out.append(value)
-        n += 1
+    the family proper starts at 1 for balancing, 0=b(1) for cobalancing).
+    The terms increase, so the recurrence walk stops at the first above limit."""
+    terms = islice(walk(kind), 1 - kind.min_index, None)
+    return list(takewhile(lambda value: value <= limit, terms))
 
 
 def _json_obj(report: VerificationReport) -> dict:

@@ -11,6 +11,11 @@ closed form in Z[sqrt(2)], or by logarithmic-time fast doubling. The three
 routes are algebraically equal, and the verification harness checks that
 this implementation keeps them equal. decimal_str renders the (possibly
 huge) values for the CLI and the harness reports.
+
+All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
+seed pair. _KINDS holds each kind's short symbol, min_index, seeds and add,
+and walk() is the one place that steps the recurrence: stream(), the
+TermSource caches and the harness's generator search all read its terms.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .quadring import ALPHA1, LAMBDA1, qpow
 
@@ -44,41 +50,29 @@ class SequenceKind(Enum):
     @property
     def min_index(self) -> int:
         """Smallest defined index: 0 for B and C, 1 for b and c."""
-        if self in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING):
-            return 0
-        return 1
+        return _KINDS[self][1]
 
     @property
     def short(self) -> str:
         """Single-letter conventional symbol (case-significant)."""
-        return _SHORT[self]
+        return _KINDS[self][0]
 
 
-_SHORT = {
-    SequenceKind.BALANCING: "B",
-    SequenceKind.LUCAS_BALANCING: "C",
-    SequenceKind.COBALANCING: "b",
-    SequenceKind.LUCAS_COBALANCING: "c",
-}
-
-_BY_SHORT = {v: k for k, v in _SHORT.items()}
-
-# Seed pair (value at min_index, value at min_index + 1) for each kind.
-_SEEDS = {
-    SequenceKind.BALANCING: (0, 1),
-    SequenceKind.LUCAS_BALANCING: (1, 3),
-    SequenceKind.COBALANCING: (0, 2),
-    SequenceKind.LUCAS_COBALANCING: (1, 7),
+# kind -> (short symbol, min_index, values at min_index and min_index + 1,
+#          add in the recurrence x(n+1) = 6*x(n) - x(n-1) + add)
+_KINDS = {
+    SequenceKind.BALANCING: ("B", 0, (0, 1), 0),
+    SequenceKind.LUCAS_BALANCING: ("C", 0, (1, 3), 0),
+    SequenceKind.COBALANCING: ("b", 1, (0, 2), 2),
+    SequenceKind.LUCAS_COBALANCING: ("c", 1, (1, 7), 0),
 }
 
 
 def parse_kind(text: str) -> SequenceKind:
     """Resolve a kind from its short symbol (case-sensitive) or long name."""
-    if text in _BY_SHORT:
-        return _BY_SHORT[text]
     low = text.lower()
-    for kind in SequenceKind:
-        if low == kind.value:
+    for kind, (short, *_) in _KINDS.items():
+        if text == short or low == kind.value:
             return kind
     raise DomainError(
         "unknown sequence kind %r (use B, C, b, c or balancing, "
@@ -113,11 +107,6 @@ def _check_index(kind: SequenceKind, n: int) -> None:
         raise DomainError(
             "%s is defined for n >= %d, got n=%d" % (kind.value, kind.min_index, n)
         )
-
-
-def _step_add(kind: SequenceKind) -> int:
-    # Only the cobalancing recurrence is inhomogeneous: b(n+1) = 6b(n) - b(n-1) + 2.
-    return 2 if kind is SequenceKind.COBALANCING else 0
 
 
 def term_recurrence(kind: SequenceKind, n: int) -> int:
@@ -235,6 +224,15 @@ def index_of(kind: SequenceKind, x: int) -> Optional[int]:
     return k
 
 
+def walk(kind: SequenceKind) -> Iterator[int]:
+    """kind's terms from index min_index upward, without end, by recurrence
+    from its seed pair in _KINDS."""
+    _, _, (x, y), add = _KINDS[kind]
+    while True:
+        yield x
+        x, y = y, 6 * y - x + add
+
+
 def stream(kind: SequenceKind, start: int, stop: int) -> list[Term]:
     """Consecutive terms start..stop (inclusive) from one recurrence pass."""
     _check_index(kind, start)
@@ -242,76 +240,64 @@ def stream(kind: SequenceKind, start: int, stop: int) -> list[Term]:
     if start > stop:
         raise DomainError("range is descending: start=%d > stop=%d" % (start, stop))
     lo = kind.min_index
-    add = _step_add(kind)
-    x, y = _SEEDS[kind]
-    out: list[Term] = []
-    for idx in range(lo, stop + 1):
-        if idx >= start:
-            out.append(Term(kind, idx, x))
-        x, y = y, 6 * y - x + add
-    return out
+    values = islice(walk(kind), start - lo, stop - lo + 1)
+    return [Term(kind, idx, x) for idx, x in enumerate(values, start)]
 
 
 class TermSource:
     """List-cached terms of all four sequences for repeated exact lookups.
 
-    The caches grow by ascending recurrence passes and only append, so every
-    index read once stays valid. A source is not synchronized: give each
-    thread its own, and prefill() the range a run will touch up front.
+    Each cache grows from its own walk() and only appends, so every index
+    read once stays valid; position j holds the term at min_index + j. A
+    source is not synchronized: give each thread its own, and prefill() the
+    range a run will touch up front.
     """
 
     def __init__(self) -> None:
-        self._B = [0, 1]
-        self._C = [1, 3]
-        self._b = [0, 2]  # position j holds b(j+1)
-        self._c = [1, 7]  # position j holds c(j+1)
+        self._B: list[int] = []
+        self._C: list[int] = []
+        self._b: list[int] = []
+        self._c: list[int] = []
+        self._walks = {kind: walk(kind) for kind in SequenceKind}
+
+    def _grow(self, cache: list[int], kind: SequenceKind, size: int) -> None:
+        if size > len(cache):
+            cache.extend(islice(self._walks[kind], size - len(cache)))
 
     def prefill(self, bc_max: int, cobal_max: int) -> None:
         """Fill B,C up to index bc_max and b,c up to index cobal_max."""
-        if bc_max >= len(self._B):
-            self._grow_bc(bc_max)
-        if cobal_max > len(self._b):
-            self._grow_cobal(cobal_max)
+        self._grow(self._B, SequenceKind.BALANCING, bc_max + 1)
+        self._grow(self._C, SequenceKind.LUCAS_BALANCING, bc_max + 1)
+        self._grow(self._b, SequenceKind.COBALANCING, cobal_max)
+        self._grow(self._c, SequenceKind.LUCAS_COBALANCING, cobal_max)
 
     def B(self, i: int) -> int:
         if i < 0:
             raise DomainError("B is defined for n >= 0, got n=%d" % i)
         if i >= len(self._B):
-            self._grow_bc(i)
+            self._grow(self._B, SequenceKind.BALANCING, i + 1)
         return self._B[i]
 
     def C(self, i: int) -> int:
         if i < 0:
             raise DomainError("C is defined for n >= 0, got n=%d" % i)
         if i >= len(self._C):
-            self._grow_bc(i)
+            self._grow(self._C, SequenceKind.LUCAS_BALANCING, i + 1)
         return self._C[i]
 
     def b(self, i: int) -> int:
         if i < 1:
             raise DomainError("b is defined for n >= 1, got n=%d" % i)
         if i > len(self._b):
-            self._grow_cobal(i)
+            self._grow(self._b, SequenceKind.COBALANCING, i)
         return self._b[i - 1]
 
     def c(self, i: int) -> int:
         if i < 1:
             raise DomainError("c is defined for n >= 1, got n=%d" % i)
         if i > len(self._c):
-            self._grow_cobal(i)
+            self._grow(self._c, SequenceKind.LUCAS_COBALANCING, i)
         return self._c[i - 1]
-
-    def _grow_bc(self, i: int) -> None:
-        bs, cs = self._B, self._C
-        while len(bs) <= i:
-            bs.append(6 * bs[-1] - bs[-2])
-            cs.append(6 * cs[-1] - cs[-2])
-
-    def _grow_cobal(self, i: int) -> None:
-        bs, cs = self._b, self._c
-        while len(bs) < i:
-            bs.append(6 * bs[-1] - bs[-2] + 2)
-            cs.append(6 * cs[-1] - cs[-2])
 
 
 _LOG10_2 = math.log10(2)

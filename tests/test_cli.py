@@ -133,6 +133,12 @@ def test_verify_env_cap(capsys, monkeypatch):
     assert json.loads(out)["max_n"] == 5
 
 
+def test_verify_env_cap_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("BALKIT_MAX_N", "abc")
+    code, out, err = run_cli(capsys, "verify", "--max-n", "5")
+    assert (code, out, err) == (2, "", "error: BALKIT_MAX_N must be an integer, got 'abc'\n")
+
+
 def test_verify_verbose_csv_lists_every_case(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "1", "--id", "B_ADD",
                            "--format", "csv", "--verbose")
@@ -297,6 +303,12 @@ def test_bench_single_method_and_errors(capsys):
     assert code == 2 and "matrix" in err
     code, _, err = run_cli(capsys, "bench", "--n", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bench_refuses_structured_formats(capsys, fmt):
+    code, out, err = run_cli(capsys, "bench", "--n", "5", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: bench supports plain output only\n")
 
 
 def test_bench_trivial_value(capsys):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from balkit import harness, identities
+from balkit import harness, identities, sequences
 from balkit.harness import (
     FORMATS,
     IdentityRecord,
@@ -17,7 +17,7 @@ from balkit.harness import (
     run_suite,
 )
 from balkit.identities import EvalResult, UnknownIdentityError
-from balkit.sequences import DomainError, pair_bc
+from balkit.sequences import DomainError, SequenceKind, pair_bc, stream
 
 
 def corrupt_c_diff_half():
@@ -160,6 +160,21 @@ def test_oracle_equivalence_limit_zero():
     by_id = {r.ident: r for r in report.records}
     assert by_id["BALANCING"].checked == 0  # empty prefix
     assert by_id["COBALANCING"].checked == 2  # the single member 0, plus witness
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_generator_prefix_walks_the_recurrence(monkeypatch, kind):
+    terms = [t.value for t in stream(kind, 1, 4000)]
+    assert terms[-1] > 10**3000
+
+    def no_doubling(*args):
+        raise AssertionError("generator_prefix evaluated a term by fast doubling")
+
+    monkeypatch.setattr(sequences, "pair_bc", no_doubling)
+    monkeypatch.setattr(harness, "term_doubling", no_doubling)
+    member = terms[9]
+    for limit in (0, 1, member - 1, member, member + 1, 10**3000):
+        assert harness.generator_prefix(kind, limit) == [v for v in terms if v <= limit]
 
 
 def test_emit_report_empty_json_shape():

@@ -226,3 +226,33 @@ def test_term_source_domains_and_lazy_growth():
         src.B(-1)
     # No prefill: lookups beyond the current cache extend it transparently.
     assert src.c(12) == _reference(1, 7, 0, 12)[-1]
+
+
+@pytest.mark.parametrize("prefill", [None, (40, 70)])
+def test_term_source_reads_in_any_order(prefill):
+    top = 120
+    expected = {
+        kind.short: {t.n: t.value for t in stream(kind, kind.min_index, top)}
+        for kind in (B, C, b, c)
+    }
+    reads = [(short, n) for short, values in expected.items() for n in values]
+    random.Random(11).shuffle(reads)
+    src = TermSource()
+    if prefill:
+        src.prefill(*prefill)
+    sizes = [0, 0, 0, 0]
+    for step, (short, n) in enumerate(reads):
+        assert getattr(src, short)(n) == expected[short][n], (short, n)
+        if step % 37 == 0:
+            src.prefill(step % 5, step % 3)  # mostly below what is cached
+        grown = [len(src._B), len(src._C), len(src._b), len(src._c)]
+        assert all(g >= s for g, s in zip(grown, sizes)), (short, n)
+        sizes = grown
+    assert sizes == [top + 1, top + 1, top, top]
+
+
+def test_term_source_read_grows_only_its_own_cache():
+    fresh, src = TermSource(), TermSource()
+    assert src.B(50) == term_recurrence(B, 50)
+    assert src.c(30) == term_recurrence(c, 30)
+    assert [len(src._C), len(src._b)] == [len(fresh._C), len(fresh._b)]
