@@ -83,9 +83,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cap = os.environ.get("BALKIT_MAX_N")
     if cap is not None:
         try:
-            max_n = min(max_n, int(cap))
+            cap_n = int(cap)
         except ValueError:
             raise DomainError("BALKIT_MAX_N must be an integer, got %r" % cap)
+        if cap_n < 1:
+            raise DomainError("BALKIT_MAX_N must be >= 1, got %d" % cap_n)
+        max_n = min(max_n, cap_n)
     if args.jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % args.jobs)
     from . import harness
@@ -242,18 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="plain",
         help="output format (default: plain)",
     )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="accepted for compatibility; verification runs in one thread (default: 1)",
-    )
-    common.add_argument(
-        "--verbose",
-        action="store_true",
-        help="with --format csv, emit one row per evaluated case",
-    )
 
     parser = argparse.ArgumentParser(
         prog="balkit",
@@ -291,6 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="IDENT",
         help="restrict to this identity id (repeatable; default: all)",
+    )
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="accepted for compatibility; verification runs in one thread (default: 1)",
+    )
+    p_verify.add_argument(
+        "--verbose",
+        action="store_true",
+        help="with --format csv, emit one row per evaluated case",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -1,26 +1,27 @@
 """Catalog of equational and congruence statements over the four sequences.
 
-Identities are data, not code paths: each entry bundles its domain, given
-as index ranges, and exact left/right evaluators, and one generic routine
-evaluates any of them at given indices. Adding an entry means adding a
-table row.
+Identities are data, not code paths: an entry is its printed statement plus
+its printed domain. The exact left/right evaluators are compiled from the
+statement when this module is imported, and the domain's arity and index
+ranges come from one table of domains, so what is printed is what gets
+checked. One generic routine evaluates any entry at given indices. Adding
+an entry means adding a table row.
 
-Equational entries compare two unbounded integers for equality. Congruence
-entries compare residues: the left evaluator returns the actual residue of
-the quantity modulo the entry's modulus, the right evaluator the expected
-residue (negative expectations are normalized into 0..modulus-1).
+Equational entries ("L = R") compare two unbounded integers for equality.
+Congruence entries ("L == R (mod k)") compare residues: the left evaluator
+returns the actual residue of L modulo k, the right evaluator the expected
+residue (negative expectations are normalized into 0..k-1).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .sequences import DomainError, TermSource, UnknownIdentityError
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
-# Binary entries: (n, hi) -> the m in 0..hi with (n, m) in the domain.
-# Unary entries: (hi) -> the n in 0..hi in the domain.
 DomainRange = Callable[..., range]
 
 EQUATION = "equation"
@@ -32,11 +33,13 @@ class IdentityDescriptor:
     """One verifiable statement about the sequences.
 
     ident is the stable id used by the CLI and report formats. statement and
-    domain_desc are display strings; indices, lhs and rhs are the executable
-    forms, and domain(n, m) is the membership test read off indices. modulus
-    is set on congruence entries only. note records a known discrepancy
-    between this entry's implemented reading and an alternative printed
-    form, where one exists.
+    domain_desc are the printed forms an entry is written as; every other
+    field is derived from them. lhs and rhs are compiled from statement,
+    arity and indices are looked up from domain_desc, and domain(n, m) is
+    the membership test read off indices. kind and modulus come from the
+    statement's form; modulus is set on congruence entries only. note
+    records a known discrepancy between this entry's implemented reading
+    and an alternative printed form, where one exists.
     """
 
     ident: str
@@ -74,235 +77,104 @@ class EvalResult:
     holds: bool
 
 
-def _pair(n: int, hi: int) -> range:
-    return range(hi + 1 if n >= 0 else 0)
+_PARITY = "n >= m >= 0, n and m of the same parity"
+
+# Printed domain -> (arity, in-domain range). Binary entries take (n, hi)
+# and give the m in 0..hi with (n, m) in the domain; unary entries take (hi)
+# and give the n in 0..hi in the domain.
+_DOMAINS: dict[str, tuple[int, DomainRange]] = {
+    "n >= 0, m >= 0": (2, lambda n, hi: range(hi + 1 if n >= 0 else 0)),
+    "n >= m >= 0": (2, lambda n, hi: range(min(n, hi) + 1)),
+    _PARITY: (2, lambda n, hi: range(n % 2, min(n, hi) + 1, 2)),
+    "n >= m >= 1": (2, lambda n, hi: range(1, min(n, hi) + 1)),
+    "n > m >= 1": (2, lambda n, hi: range(1, min(n, hi + 1))),
+    "1 <= n <= m": (2, lambda n, hi: range(n, hi + 1) if n >= 1 else range(0)),
+    "n >= 0": (1, lambda hi: range(hi + 1)),
+    "n >= 1": (1, lambda hi: range(1, hi + 1)),
+}
+
+_CONGRUENCE_FORM = re.compile(r"(.+) == (.+) \(mod ([1-9][0-9]*)\)")
+# A side alternates operands and the binary operators + - * /. An operand is
+# one atom (an integer, n, m, or an integer times n or m written as 2n) after
+# any run of "(", "-", "B(", "C(", "b(" and "c(" and before any run of ")";
+# compile() then checks that the parentheses pair up.
+_OPERAND = r"(?:[-(]|[BCbc]\()*(?:[0-9]+[nm]?|[nm])\)*"
+_SIDE = re.compile(r"{0}(?: *[-+*/] *{0})*".format(_OPERAND))
 
 
-def _ordered(n: int, hi: int) -> range:
-    return range(min(n, hi) + 1)
+def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
+    """Compile one printed side into lambda t, n, m over a TermSource t.
+
+    2n becomes 2*n, (n-m)/2 becomes (n-m)//2 and B(i) becomes t.B(i); a
+    congruence side is reduced modulo its modulus. A side outside the
+    grammar raises ValueError. The lambda sees no builtins.
+    """
+    if _SIDE.fullmatch(side):
+        src = re.sub(r"([0-9])([nm])", r"\1*\2", side).replace("/", "//")
+        src = re.sub(r"([BCbc])\(", r"t.\1(", src)
+        if modulus is not None:
+            src = "(%s) %% %d" % (src, modulus)
+        try:
+            code = compile("lambda t, n, m: " + src, "<identity %s>" % ident, "eval")
+        except SyntaxError:
+            pass
+        else:
+            return eval(code, {"__builtins__": {}})
+    raise ValueError("%s: %r is outside the statement grammar" % (ident, side))
 
 
-def _ordered_parity(n: int, hi: int) -> range:
-    return range(n % 2, min(n, hi) + 1, 2)
-
-
-def _ordered1(n: int, hi: int) -> range:
-    return range(1, min(n, hi) + 1)
-
-
-def _strict1(n: int, hi: int) -> range:
-    return range(1, min(n, hi + 1))
-
-
-def _swapped1(n: int, hi: int) -> range:
-    return range(n, hi + 1) if n >= 1 else range(0)
-
-
-def _n0(hi: int) -> range:
-    return range(hi + 1)
-
-
-def _n1(hi: int) -> range:
-    return range(1, hi + 1)
+def _entry(
+    ident: str, statement: str, domain: str, note: Optional[str] = None
+) -> IdentityDescriptor:
+    """Build a catalog entry from its printed statement and printed domain."""
+    arity, indices = _DOMAINS[domain]
+    congruence = _CONGRUENCE_FORM.fullmatch(statement)
+    if congruence:
+        lhs, rhs, k = congruence.groups()
+        kind, modulus = CONGRUENCE, int(k)
+    else:
+        sides = statement.split(" = ")
+        if len(sides) != 2:
+            raise ValueError(
+                "%s: %r is neither 'L = R' nor 'L == R (mod k)'" % (ident, statement))
+        (lhs, rhs), kind, modulus = sides, EQUATION, None
+    return IdentityDescriptor(
+        ident, arity, kind, statement, domain, indices,
+        _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus), modulus, note,
+    )
 
 
 _CATALOG: list[IdentityDescriptor] = [
     # --- addition laws and their consequences for B and C -------------------
-    IdentityDescriptor(
-        "B_ADD", 2, EQUATION,
-        "B(n+m) = B(n)*C(m) + B(m)*C(n)",
-        "n >= 0, m >= 0",
-        _pair,
-        lambda t, n, m: t.B(n + m),
-        lambda t, n, m: t.B(n) * t.C(m) + t.B(m) * t.C(n),
-    ),
-    IdentityDescriptor(
-        "B_SUB", 2, EQUATION,
-        "B(n-m) = B(n)*C(m) - B(m)*C(n)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.B(n - m),
-        lambda t, n, m: t.B(n) * t.C(m) - t.B(m) * t.C(n),
-    ),
-    IdentityDescriptor(
-        "B_DIFF_HALF", 2, EQUATION,
-        "B(n) - B(m) = 2*B((n-m)/2)*C((n+m)/2)",
-        "n >= m >= 0, n and m of the same parity",
-        _ordered_parity,
-        lambda t, n, m: t.B(n) - t.B(m),
-        lambda t, n, m: 2 * t.B((n - m) // 2) * t.C((n + m) // 2),
-    ),
-    IdentityDescriptor(
-        "B_DIFF_EVEN", 2, EQUATION,
-        "B(2n) - B(2m) = 2*B(n-m)*C(n+m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.B(2 * n) - t.B(2 * m),
-        lambda t, n, m: 2 * t.B(n - m) * t.C(n + m),
-    ),
-    IdentityDescriptor(
-        "B_2N_MINUS6", 1, EQUATION,
-        "B(2n) - 6 = 2*B(n-1)*C(n+1)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: t.B(2 * n) - 6,
-        lambda t, n, m: 2 * t.B(n - 1) * t.C(n + 1),
-    ),
-    IdentityDescriptor(
-        "B_2N_SPLIT", 2, EQUATION,
-        "B(2n) = 2*(B(n-m)*C(n+m) + B(m)*C(m))",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.B(2 * n),
-        lambda t, n, m: 2 * (t.B(n - m) * t.C(n + m) + t.B(m) * t.C(m)),
-    ),
-    IdentityDescriptor(
-        "B_SUM_HALF", 2, EQUATION,
-        "B(n) + B(m) = 2*B((n+m)/2)*C((n-m)/2)",
-        "n >= m >= 0, n and m of the same parity",
-        _ordered_parity,
-        lambda t, n, m: t.B(n) + t.B(m),
-        lambda t, n, m: 2 * t.B((n + m) // 2) * t.C((n - m) // 2),
-    ),
-    IdentityDescriptor(
-        "B_SUM_EVEN", 2, EQUATION,
-        "B(2n) + B(2m) = 2*B(n+m)*C(n-m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.B(2 * n) + t.B(2 * m),
-        lambda t, n, m: 2 * t.B(n + m) * t.C(n - m),
-    ),
-    IdentityDescriptor(
-        "B_SHIFT_ADD", 2, EQUATION,
-        "B(n-m)*C(n) + B(n)*C(n-m) = B(2n-m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.B(n - m) * t.C(n) + t.B(n) * t.C(n - m),
-        lambda t, n, m: t.B(2 * n - m),
-    ),
-    IdentityDescriptor(
-        "B_SHIFT_SUB", 2, EQUATION,
-        "B(n)*C(n-m) - B(n-m)*C(n) = B(m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.B(n) * t.C(n - m) - t.B(n - m) * t.C(n),
-        lambda t, n, m: t.B(m),
-    ),
+    _entry("B_ADD", "B(n+m) = B(n)*C(m) + B(m)*C(n)", "n >= 0, m >= 0"),
+    _entry("B_SUB", "B(n-m) = B(n)*C(m) - B(m)*C(n)", "n >= m >= 0"),
+    _entry("B_DIFF_HALF", "B(n) - B(m) = 2*B((n-m)/2)*C((n+m)/2)", _PARITY),
+    _entry("B_DIFF_EVEN", "B(2n) - B(2m) = 2*B(n-m)*C(n+m)", "n >= m >= 0"),
+    _entry("B_2N_MINUS6", "B(2n) - 6 = 2*B(n-1)*C(n+1)", "n >= 1"),
+    _entry("B_2N_SPLIT", "B(2n) = 2*(B(n-m)*C(n+m) + B(m)*C(m))", "n >= m >= 0"),
+    _entry("B_SUM_HALF", "B(n) + B(m) = 2*B((n+m)/2)*C((n-m)/2)", _PARITY),
+    _entry("B_SUM_EVEN", "B(2n) + B(2m) = 2*B(n+m)*C(n-m)", "n >= m >= 0"),
+    _entry("B_SHIFT_ADD", "B(n-m)*C(n) + B(n)*C(n-m) = B(2n-m)", "n >= m >= 0"),
+    _entry("B_SHIFT_SUB", "B(n)*C(n-m) - B(n-m)*C(n) = B(m)", "n >= m >= 0"),
     # --- half-index and doubled-index laws for C ----------------------------
-    IdentityDescriptor(
-        "C_SUM_HALF", 2, EQUATION,
-        "C(n) + C(m) = 2*C((n+m)/2)*C((n-m)/2)",
-        "n >= m >= 0, n and m of the same parity",
-        _ordered_parity,
-        lambda t, n, m: t.C(n) + t.C(m),
-        lambda t, n, m: 2 * t.C((n + m) // 2) * t.C((n - m) // 2),
-    ),
-    IdentityDescriptor(
-        "C_DIFF_HALF", 2, EQUATION,
-        "C(n) - C(m) = 16*B((n+m)/2)*B((n-m)/2)",
-        "n >= m >= 0, n and m of the same parity",
-        _ordered_parity,
-        lambda t, n, m: t.C(n) - t.C(m),
-        lambda t, n, m: 16 * t.B((n + m) // 2) * t.B((n - m) // 2),
-    ),
-    IdentityDescriptor(
-        "C_SUM_EVEN", 2, EQUATION,
-        "C(2n) + C(2m) = 2*C(n+m)*C(n-m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.C(2 * n) + t.C(2 * m),
-        lambda t, n, m: 2 * t.C(n + m) * t.C(n - m),
-    ),
-    IdentityDescriptor(
-        "C_DIFF_EVEN", 2, EQUATION,
-        "C(2n) - C(2m) = 16*B(n+m)*B(n-m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.C(2 * n) - t.C(2 * m),
-        lambda t, n, m: 16 * t.B(n + m) * t.B(n - m),
-    ),
-    IdentityDescriptor(
-        "C_ADD", 2, EQUATION,
-        "C(n)*C(n-m) + 8*B(n)*B(n-m) = C(2n-m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.C(n) * t.C(n - m) + 8 * t.B(n) * t.B(n - m),
-        lambda t, n, m: t.C(2 * n - m),
-    ),
-    IdentityDescriptor(
-        "C_SUB", 2, EQUATION,
-        "C(n)*C(n-m) - 8*B(n)*B(n-m) = C(m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: t.C(n) * t.C(n - m) - 8 * t.B(n) * t.B(n - m),
-        lambda t, n, m: t.C(m),
-    ),
+    _entry("C_SUM_HALF", "C(n) + C(m) = 2*C((n+m)/2)*C((n-m)/2)", _PARITY),
+    _entry("C_DIFF_HALF", "C(n) - C(m) = 16*B((n+m)/2)*B((n-m)/2)", _PARITY),
+    _entry("C_SUM_EVEN", "C(2n) + C(2m) = 2*C(n+m)*C(n-m)", "n >= m >= 0"),
+    _entry("C_DIFF_EVEN", "C(2n) - C(2m) = 16*B(n+m)*B(n-m)", "n >= m >= 0"),
+    _entry("C_ADD", "C(n)*C(n-m) + 8*B(n)*B(n-m) = C(2n-m)", "n >= m >= 0"),
+    _entry("C_SUB", "C(n)*C(n-m) - 8*B(n)*B(n-m) = C(m)", "n >= m >= 0"),
     # --- mixed weighted products ---------------------------------------------
-    IdentityDescriptor(
-        "CB_MIX_MINUS", 2, EQUATION,
-        "16*(C(n)*C(m) - B(n)*B(m)) = 7*C(n+m) + 9*C(n-m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: 16 * (t.C(n) * t.C(m) - t.B(n) * t.B(m)),
-        lambda t, n, m: 7 * t.C(n + m) + 9 * t.C(n - m),
-    ),
-    IdentityDescriptor(
-        "CB_MIX_PLUS", 2, EQUATION,
-        "16*(C(n)*C(m) + B(n)*B(m)) = 9*C(n+m) + 7*C(n-m)",
-        "n >= m >= 0",
-        _ordered,
-        lambda t, n, m: 16 * (t.C(n) * t.C(m) + t.B(n) * t.B(m)),
-        lambda t, n, m: 9 * t.C(n + m) + 7 * t.C(n - m),
-    ),
+    _entry("CB_MIX_MINUS", "16*(C(n)*C(m) - B(n)*B(m)) = 7*C(n+m) + 9*C(n-m)", "n >= m >= 0"),
+    _entry("CB_MIX_PLUS", "16*(C(n)*C(m) + B(n)*B(m)) = 9*C(n+m) + 7*C(n-m)", "n >= m >= 0"),
     # --- products tying C to the cobalancing pair ----------------------------
-    IdentityDescriptor(
-        "LC_PROD", 2, EQUATION,
-        "C(n+m-1) - C(n-m) = 2*c(n)*c(m)",
-        "n >= m >= 1",
-        _ordered1,
-        lambda t, n, m: t.C(n + m - 1) - t.C(n - m),
-        lambda t, n, m: 2 * t.c(n) * t.c(m),
-    ),
-    IdentityDescriptor(
-        "COB_PROD", 2, EQUATION,
-        "C(n+m-1) + C(n-m) = 16*b(n)*b(m) + 8*(b(n) + b(m)) + 4",
-        "n >= m >= 1",
-        _ordered1,
-        lambda t, n, m: t.C(n + m - 1) + t.C(n - m),
-        lambda t, n, m: 16 * t.b(n) * t.b(m) + 8 * (t.b(n) + t.b(m)) + 4,
-    ),
+    _entry("LC_PROD", "C(n+m-1) - C(n-m) = 2*c(n)*c(m)", "n >= m >= 1"),
+    _entry("COB_PROD", "C(n+m-1) + C(n-m) = 16*b(n)*b(m) + 8*(b(n) + b(m)) + 4", "n >= m >= 1"),
     # --- shift laws for the cobalancing pair ---------------------------------
-    IdentityDescriptor(
-        "B_COB_DIFF_GT", 2, EQUATION,
-        "b(n+m) - b(n-m) = 2*c(n)*B(m)",
-        "n > m >= 1",
-        _strict1,
-        lambda t, n, m: t.b(n + m) - t.b(n - m),
-        lambda t, n, m: 2 * t.c(n) * t.B(m),
-    ),
-    IdentityDescriptor(
-        "B_COB_DIFF_LE", 2, EQUATION,
-        "b(n+m) - b(m-n+1) = 2*c(n)*B(m)",
-        "1 <= n <= m",
-        _swapped1,
-        lambda t, n, m: t.b(n + m) - t.b(m - n + 1),
-        lambda t, n, m: 2 * t.c(n) * t.B(m),
-    ),
-    IdentityDescriptor(
-        "B_COB_SUM_GT", 2, EQUATION,
-        "b(n+m) + b(n-m) = 2*b(n)*C(m) + C(m) - 1",
-        "n > m >= 1",
-        _strict1,
-        lambda t, n, m: t.b(n + m) + t.b(n - m),
-        lambda t, n, m: 2 * t.b(n) * t.C(m) + t.C(m) - 1,
-    ),
-    IdentityDescriptor(
-        "B_COB_SUM_LE", 2, EQUATION,
-        "b(n+m) + b(m-n+1) = 2*b(n)*C(m) + C(m) - 1",
-        "1 <= n <= m",
-        _swapped1,
-        lambda t, n, m: t.b(n + m) + t.b(m - n + 1),
-        lambda t, n, m: 2 * t.b(n) * t.C(m) + t.C(m) - 1,
+    _entry("B_COB_DIFF_GT", "b(n+m) - b(n-m) = 2*c(n)*B(m)", "n > m >= 1"),
+    _entry("B_COB_DIFF_LE", "b(n+m) - b(m-n+1) = 2*c(n)*B(m)", "1 <= n <= m"),
+    _entry("B_COB_SUM_GT", "b(n+m) + b(n-m) = 2*b(n)*C(m) + C(m) - 1", "n > m >= 1"),
+    _entry(
+        "B_COB_SUM_LE", "b(n+m) + b(m-n+1) = 2*b(n)*C(m) + C(m) - 1", "1 <= n <= m",
         note=(
             "This law is sometimes printed with a minus on the left, "
             "b(n+m) - b(m-n+1), but the underlying derivation and direct "
@@ -311,112 +183,19 @@ _CATALOG: list[IdentityDescriptor] = [
             "already at that point."
         ),
     ),
-    IdentityDescriptor(
-        "LC_SUM_GT", 2, EQUATION,
-        "c(n+m) + c(n-m) = 2*c(n)*C(m)",
-        "n > m >= 1",
-        _strict1,
-        lambda t, n, m: t.c(n + m) + t.c(n - m),
-        lambda t, n, m: 2 * t.c(n) * t.C(m),
-    ),
-    IdentityDescriptor(
-        "LC_SUM_LE", 2, EQUATION,
-        "c(n+m) - c(m-n+1) = 2*c(n)*C(m)",
-        "1 <= n <= m",
-        _swapped1,
-        lambda t, n, m: t.c(n + m) - t.c(m - n + 1),
-        lambda t, n, m: 2 * t.c(n) * t.C(m),
-    ),
-    IdentityDescriptor(
-        "C2N_PLUS1", 1, EQUATION,
-        "c(2n) + 1 = 8*(2*b(n) + 1)*B(n)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: t.c(2 * n) + 1,
-        lambda t, n, m: 8 * (2 * t.b(n) + 1) * t.B(n),
-    ),
+    _entry("LC_SUM_GT", "c(n+m) + c(n-m) = 2*c(n)*C(m)", "n > m >= 1"),
+    _entry("LC_SUM_LE", "c(n+m) - c(m-n+1) = 2*c(n)*C(m)", "1 <= n <= m"),
+    _entry("C2N_PLUS1", "c(2n) + 1 = 8*(2*b(n) + 1)*B(n)", "n >= 1"),
     # --- parity and divisibility ----------------------------------------------
-    IdentityDescriptor(
-        "PARITY_B", 1, CONGRUENCE,
-        "B(n) == n (mod 2)",
-        "n >= 0",
-        _n0,
-        lambda t, n, m: t.B(n) % 2,
-        lambda t, n, m: n % 2,
-        modulus=2,
-    ),
-    IdentityDescriptor(
-        "ODD_C", 1, CONGRUENCE,
-        "C(n) == 1 (mod 2)",
-        "n >= 0",
-        _n0,
-        lambda t, n, m: t.C(n) % 2,
-        lambda t, n, m: 1,
-        modulus=2,
-    ),
-    IdentityDescriptor(
-        "MOD16_C", 2, CONGRUENCE,
-        "C(n) - C(m) == 0 (mod 16)",
-        "n >= m >= 0, n and m of the same parity",
-        _ordered_parity,
-        lambda t, n, m: (t.C(n) - t.C(m)) % 16,
-        lambda t, n, m: 0,
-        modulus=16,
-    ),
-    IdentityDescriptor(
-        "MOD4_CSUM", 1, CONGRUENCE,
-        "C(n-1) + C(n) == 0 (mod 4)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: (t.C(n - 1) + t.C(n)) % 4,
-        lambda t, n, m: 0,
-        modulus=4,
-    ),
-    IdentityDescriptor(
-        "EVEN_b", 1, CONGRUENCE,
-        "b(n) == 0 (mod 2)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: t.b(n) % 2,
-        lambda t, n, m: 0,
-        modulus=2,
-    ),
-    IdentityDescriptor(
-        "MOD4_bDIFF", 1, CONGRUENCE,
-        "b(2n+1) - b(2n) == 0 (mod 4)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: (t.b(2 * n + 1) - t.b(2 * n)) % 4,
-        lambda t, n, m: 0,
-        modulus=4,
-    ),
-    IdentityDescriptor(
-        "ODD_c", 1, CONGRUENCE,
-        "c(n) == 1 (mod 2)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: t.c(n) % 2,
-        lambda t, n, m: 1,
-        modulus=2,
-    ),
-    IdentityDescriptor(
-        "MOD8_c", 1, CONGRUENCE,
-        "c(2n) == -1 (mod 8)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: t.c(2 * n) % 8,
-        lambda t, n, m: -1 % 8,
-        modulus=8,
-    ),
-    IdentityDescriptor(
-        "MOD16_c", 1, CONGRUENCE,
-        "c(4n) == -1 (mod 16)",
-        "n >= 1",
-        _n1,
-        lambda t, n, m: t.c(4 * n) % 16,
-        lambda t, n, m: -1 % 16,
-        modulus=16,
-    ),
+    _entry("PARITY_B", "B(n) == n (mod 2)", "n >= 0"),
+    _entry("ODD_C", "C(n) == 1 (mod 2)", "n >= 0"),
+    _entry("MOD16_C", "C(n) - C(m) == 0 (mod 16)", _PARITY),
+    _entry("MOD4_CSUM", "C(n-1) + C(n) == 0 (mod 4)", "n >= 1"),
+    _entry("EVEN_b", "b(n) == 0 (mod 2)", "n >= 1"),
+    _entry("MOD4_bDIFF", "b(2n+1) - b(2n) == 0 (mod 4)", "n >= 1"),
+    _entry("ODD_c", "c(n) == 1 (mod 2)", "n >= 1"),
+    _entry("MOD8_c", "c(2n) == -1 (mod 8)", "n >= 1"),
+    _entry("MOD16_c", "c(4n) == -1 (mod 16)", "n >= 1"),
 ]
 
 _BY_ID = {d.ident: d for d in _CATALOG}

@@ -134,9 +134,28 @@ def test_verify_env_cap(capsys, monkeypatch):
 
 
 def test_verify_env_cap_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("BALKIT_MAX_N", "abc")
-    code, out, err = run_cli(capsys, "verify", "--max-n", "5")
-    assert (code, out, err) == (2, "", "error: BALKIT_MAX_N must be an integer, got 'abc'\n")
+    for cap, message in (
+        ("abc", "error: BALKIT_MAX_N must be an integer, got 'abc'\n"),
+        ("0", "error: BALKIT_MAX_N must be >= 1, got 0\n"),
+        ("-5", "error: BALKIT_MAX_N must be >= 1, got -5\n"),
+    ):
+        monkeypatch.setenv("BALKIT_MAX_N", cap)
+        code, out, err = run_cli(capsys, "verify", "--max-n", "5")
+        assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["term", "B", "5", "--jobs", "0"],
+    ["seq", "B", "0", "2", "--jobs", "-3", "--verbose"],
+    ["classify", "6", "--jobs", "0"],
+    ["search", "balancing", "--limit", "10", "--jobs", "0"],
+    ["bench", "--n", "5", "--jobs", "0", "--verbose"],
+], ids=lambda argv: argv[0])
+def test_jobs_and_verbose_are_verify_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_verbose_csv_lists_every_case(capsys):

@@ -129,6 +129,24 @@ def test_negative_control_corrupted_catalog_fails():
     assert all(f.lhs != f.rhs for f in bad.failures)
 
 
+def test_negative_control_built_from_the_statement_fails_on_the_same_cells():
+    d = identities.lookup("C_DIFF_HALF")
+    rebuilt = identities._entry(d.ident, d.statement.replace("16", "15"), d.domain_desc)
+    from_statement = run_suite(30, catalog=[rebuilt]).records[0]
+    by_hand = {r.ident: r for r in run_suite(30, catalog=corrupt_c_diff_half()).records}
+    assert from_statement.failures
+    assert from_statement.failures == by_hand["C_DIFF_HALF"].failures
+
+
+def test_minus_reading_of_b_cob_sum_le_fails_first_at_1_2():
+    d = identities.lookup("B_COB_SUM_LE")
+    minus = identities._entry(d.ident, d.statement.replace(" + b(", " - b(", 1), d.domain_desc)
+    assert minus.statement == "b(n+m) - b(m-n+1) = 2*b(n)*C(m) + C(m) - 1"
+    failures = run_suite(40, catalog=[minus]).records[0].failures
+    assert (failures[0].n, failures[0].m) == (1, 2)
+    assert run_suite(40, ids=["B_COB_SUM_LE"]).passed
+
+
 def test_compare_methods_passes():
     report = compare_methods(100)
     assert report.passed

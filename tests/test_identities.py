@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from balkit import identities
 from balkit.identities import (
     CONGRUENCE,
     EQUATION,
@@ -159,6 +160,35 @@ def test_cobalancing_sum_swapped_reading_is_documented_and_correct():
     # The minus reading fails already at (n=1, m=2): 14 - 2 != 16.
     minus_lhs = src.b(3) - src.b(2)
     assert minus_lhs != plus.rhs
+
+
+@pytest.mark.parametrize("statement", [
+    "B(n) = D(n)",
+    "B(n) = __import__('os')",
+    "B(n) < C(n)",
+    "B(n) == C(n)",
+    "B(n) = C(n) = B(n)",
+    "C(n) == 1 (mod 0)",
+    "B(n) = t",
+    "B(n) = B",
+    "B(n) = n(m)",
+    "B(n) = B()",
+    "B(n) = B(*n)",
+    "B(n) = B(n)**2",
+    "B(n) = ()",
+    "B(n) = (",
+    "B(n) = B(n))",
+])
+def test_statement_outside_the_grammar_is_refused(statement):
+    with pytest.raises(ValueError):
+        identities._entry("X", statement, "n >= 0")
+
+
+def test_compiled_evaluators_read_only_the_four_sequences():
+    for d in list_identities():
+        for side in (d.lhs, d.rhs):
+            assert set(side.__code__.co_names) <= {"B", "C", "b", "c"}, d.ident
+            assert side.__globals__ == {"__builtins__": {}}, d.ident
 
 
 def test_default_term_source_is_used_when_none_given():

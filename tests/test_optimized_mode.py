@@ -3,7 +3,9 @@
 Under python -O asserts are stripped, so the library's invariant checks
 are explicit raises. A child interpreter started with -O forces each of
 them and expects AssertionError; a static check keeps assert statements
-out of the package.
+out of the package. A second static check keeps eval, exec and compile
+out of the package, except in the builder that compiles the identity
+catalog's statements.
 """
 
 import ast
@@ -69,4 +71,22 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_only_the_catalog_builder_calls_eval_exec_or_compile():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "identities.py":
+            builder = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == "_evaluator")
+            allowed = {id(node) for node in ast.walk(builder)}
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("eval", "exec", "compile") and id(node) not in allowed
+        ]
     assert found == []
