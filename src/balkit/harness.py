@@ -23,6 +23,7 @@ from .sequences import (
     DomainError,
     SequenceKind,
     TermSource,
+    TermTables,
     decimal_str,
     stream,
     term_binet,
@@ -31,6 +32,11 @@ from .sequences import (
 )
 
 FORMATS = ("json", "csv", "plain")
+
+# Largest grid run_suite takes: the sum over the selected entries of
+# (max_n+1)**arity. The full catalog at max_n = 1000 has 2.6e7 cells; its
+# run time grows about as max_n**3, as the operands grow with max_n.
+GRID_CELLS_MAX = 4 * 10**7
 
 
 @dataclass
@@ -71,7 +77,7 @@ def _sort_key(f: EvalResult) -> tuple[int, int]:
 def _run_identity(
     desc: IdentityDescriptor,
     max_n: int,
-    terms: TermSource,
+    tables: TermTables,
     collect_cases: bool,
 ) -> IdentityRecord:
     started = time.perf_counter()
@@ -85,15 +91,20 @@ def _run_identity(
             (n, (None,)) for n in indices(max_n))
     else:
         rows = ((n, indices(n, max_n)) for n in range(max_n + 1))
-    for n, ms in rows:
-        checked += len(ms)
-        for m in ms:
-            lv = lhs(terms, n, m)
-            rv = rhs(terms, n, m)
-            if lv != rv:
-                failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
-            if collect_cases:
-                cases.append(EvalResult(desc.ident, n, m, lv, rv, lv == rv))
+    try:
+        for n, ms in rows:
+            checked += len(ms)
+            for m in ms:
+                lv = lhs(tables, n, m)
+                rv = rhs(tables, n, m)
+                if lv != rv:
+                    failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
+                if collect_cases:
+                    cases.append(EvalResult(desc.ident, n, m, lv, rv, lv == rv))
+    except KeyError as exc:
+        raise DomainError(
+            "%s at (n=%s, m=%s) reads index %s, outside the terms prefilled for max_n=%d"
+            % (desc.ident, n, m, exc.args[0], max_n)) from None
     failures.sort(key=_sort_key)
     skipped = (max_n + 1) ** desc.arity - checked
     wall_ms = int((time.perf_counter() - started) * 1000)
@@ -113,6 +124,11 @@ def run_suite(
     grid counts as skipped. Identities run one after another in one thread,
     in catalog (or ids) order, and each record's failures are sorted by
     (n, m), so the report depends only on the arguments.
+
+    A grid of more than GRID_CELLS_MAX cells is refused with DomainError
+    before any term is computed. The evaluators read exact dict copies of
+    the prefilled terms, so a read outside them raises DomainError naming
+    the entry, the cell and the index, rather than growing or wrapping.
     """
     if max_n < 1:
         raise DomainError("max_n must be >= 1, got %d" % max_n)
@@ -128,15 +144,22 @@ def run_suite(
                 "unknown identity id(s): %s" % ", ".join(missing)
             )
         selected = [by_id[i] for i in ids]
+    cells = sum((max_n + 1) ** d.arity for d in selected)
+    if cells > GRID_CELLS_MAX:
+        raise DomainError(
+            "max_n=%d gives a grid of %d cells, above the limit of %d"
+            % (max_n, cells, GRID_CELLS_MAX))
 
     terms = TermSource()
     # Largest index any catalog entry can touch: 2*max_n + 1 for B/C shifts,
-    # 4*max_n for the quadrupled-index congruence on c. Filled up front, so
-    # the evaluators only read the cache.
+    # 4*max_n for the quadrupled-index congruence on c. Filled up front and
+    # copied into exact dicts, whose subscripts CPython specializes.
     terms.prefill(2 * max_n + 2, 4 * max_n + 2)
+    grown = terms.tables()
+    tables = TermTables(dict(grown.B), dict(grown.C), dict(grown.b), dict(grown.c))
 
     report = VerificationReport("identity-catalog", max_n)
-    report.records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
+    report.records = [_run_identity(d, max_n, tables, collect_cases) for d in selected]
     return report
 
 

@@ -4,8 +4,11 @@ Identities are data, not code paths: an entry is its printed statement plus
 its printed domain. The exact left/right evaluators are compiled from the
 statement when this module is imported, and the domain's arity and index
 ranges come from one table of domains, so what is printed is what gets
-checked. One generic routine evaluates any entry at given indices. Adding
-an entry means adding a table row.
+checked. An evaluator reads its terms by subscript from four tables,
+t.B[i], t.C[i], t.b[i] and t.c[i], and calls nothing: evaluate() hands it
+a TermSource's growing caches, the harness exact dicts of a prefilled
+range. One generic routine evaluates any entry at given indices. Adding an
+entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -19,9 +22,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .sequences import DomainError, TermSource, UnknownIdentityError
+from .sequences import DomainError, TermSource, TermTables, UnknownIdentityError
 
-Evaluator = Callable[[TermSource, int, Optional[int]], int]
+Evaluator = Callable[[TermTables, int, Optional[int]], int]
 DomainRange = Callable[..., range]
 
 EQUATION = "equation"
@@ -102,16 +105,34 @@ _OPERAND = r"(?:[-(]|[BCbc]\()*(?:[0-9]+[nm]?|[nm])\)*"
 _SIDE = re.compile(r"{0}(?: *[-+*/] *{0})*".format(_OPERAND))
 
 
-def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
-    """Compile one printed side into lambda t, n, m over a TermSource t.
+def _subscripts(src: str) -> str:
+    """src with the parentheses of each B( ... ) made brackets, B[ ... ].
 
-    2n becomes 2*n, (n-m)/2 becomes (n-m)//2 and B(i) becomes t.B(i); a
-    congruence side is reduced modulo its modulus. A side outside the
-    grammar raises ValueError. The lambda sees no builtins.
+    Parentheses pair up by nesting; an unpaired ")" is left for compile()
+    to refuse.
+    """
+    out, reads = [], []
+    for prev, ch in zip(" " + src, src):
+        if ch == "(":
+            reads.append(prev in "BCbc")
+            ch = "[" if reads[-1] else ch
+        elif ch == ")" and reads:
+            ch = "]" if reads.pop() else ch
+        out.append(ch)
+    return "".join(out)
+
+
+def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
+    """Compile one printed side into lambda t, n, m over TermTables t.
+
+    2n becomes 2*n, (n-m)/2 becomes (n-m)//2 and B(i) becomes the subscript
+    t.B[i], so evaluating a side calls nothing; a congruence side is reduced
+    modulo its modulus. A side outside the grammar raises ValueError. The
+    lambda sees no builtins.
     """
     if _SIDE.fullmatch(side):
         src = re.sub(r"([0-9])([nm])", r"\1*\2", side).replace("/", "//")
-        src = re.sub(r"([BCbc])\(", r"t.\1(", src)
+        src = re.sub(r"([BCbc])\[", r"t.\1[", _subscripts(src))
         if modulus is not None:
             src = "(%s) %% %d" % (src, modulus)
         try:
@@ -239,8 +260,10 @@ def evaluate(
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    Without terms, a fresh TermSource serves this call alone and is freed
-    when it returns; pass one to share cached terms between calls.
+    The evaluators read the source's growing caches, so a term not yet
+    cached is walked to on demand. Without terms, a fresh TermSource serves
+    this call alone and is freed when it returns; pass one to share cached
+    terms between calls.
     """
     desc = lookup(ident)
     _check_arity(desc, m)
@@ -249,7 +272,7 @@ def evaluate(
             "(n=%s, m=%s) is outside the domain of %s (%s)"
             % (n, m, ident, desc.domain_desc)
         )
-    src = terms if terms is not None else TermSource()
-    lhs = desc.lhs(src, n, m)
-    rhs = desc.rhs(src, n, m)
+    tables = (terms if terms is not None else TermSource()).tables()
+    lhs = desc.lhs(tables, n, m)
+    rhs = desc.rhs(tables, n, m)
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

@@ -244,60 +244,83 @@ def stream(kind: SequenceKind, start: int, stop: int) -> list[Term]:
     return [Term(kind, idx, x) for idx, x in enumerate(values, start)]
 
 
-class TermSource:
-    """List-cached terms of all four sequences for repeated exact lookups.
+class _Terms(dict):
+    """One kind's terms keyed by index, grown from its walk() on a miss.
 
-    Each cache grows from its own walk() and only appends, so every index
-    read once stays valid; position j holds the term at min_index + j. A
-    source is not synchronized: give each thread its own, and prefill() the
-    range a run will touch up front.
+    The keys are always min_index, min_index + 1, ... with no gap, so a
+    read above the top extends the run up to it, and a read below
+    min_index raises DomainError.
+    """
+
+    __slots__ = ("_kind", "_walk")
+
+    def __init__(self, kind: SequenceKind) -> None:
+        super().__init__()
+        self._kind = kind
+        self._walk = enumerate(walk(kind), kind.min_index)
+
+    def fill(self, top: int) -> None:
+        """Hold every index from min_index through top."""
+        missing = top + 1 - self._kind.min_index - len(self)
+        if missing > 0:
+            self.update(islice(self._walk, missing))
+
+    def __missing__(self, i: int) -> int:
+        lo = self._kind.min_index
+        if i < lo:
+            raise DomainError("%s is defined for n >= %d, got n=%d" % (self._kind.short, lo, i))
+        self.fill(i)
+        return self[i]
+
+
+class TermTables:
+    """The four term tables an evaluator reads, as t.B[i], t.C[i], t.b[i], t.c[i]."""
+
+    __slots__ = ("B", "C", "b", "c")
+
+    def __init__(self, B: dict, C: dict, b: dict, c: dict) -> None:
+        self.B, self.C, self.b, self.c = B, C, b, c
+
+
+class TermSource:
+    """Cached terms of all four sequences for repeated exact lookups.
+
+    Each kind's cache is a dict from index to term that grows from its own
+    walk() and never drops an entry. B(i) ... c(i) read one term; tables()
+    hands the four caches to the catalog evaluators, which subscript them
+    directly and grow them on the same terms. A source is not synchronized:
+    give each thread its own, and prefill() the range a run will touch up
+    front.
     """
 
     def __init__(self) -> None:
-        self._B: list[int] = []
-        self._C: list[int] = []
-        self._b: list[int] = []
-        self._c: list[int] = []
-        self._walks = {kind: walk(kind) for kind in SequenceKind}
-
-    def _grow(self, cache: list[int], kind: SequenceKind, size: int) -> None:
-        if size > len(cache):
-            cache.extend(islice(self._walks[kind], size - len(cache)))
+        self._B = _Terms(SequenceKind.BALANCING)
+        self._C = _Terms(SequenceKind.LUCAS_BALANCING)
+        self._b = _Terms(SequenceKind.COBALANCING)
+        self._c = _Terms(SequenceKind.LUCAS_COBALANCING)
 
     def prefill(self, bc_max: int, cobal_max: int) -> None:
         """Fill B,C up to index bc_max and b,c up to index cobal_max."""
-        self._grow(self._B, SequenceKind.BALANCING, bc_max + 1)
-        self._grow(self._C, SequenceKind.LUCAS_BALANCING, bc_max + 1)
-        self._grow(self._b, SequenceKind.COBALANCING, cobal_max)
-        self._grow(self._c, SequenceKind.LUCAS_COBALANCING, cobal_max)
+        self._B.fill(bc_max)
+        self._C.fill(bc_max)
+        self._b.fill(cobal_max)
+        self._c.fill(cobal_max)
+
+    def tables(self) -> TermTables:
+        """The four growing caches, for evaluators that read t.B[i]."""
+        return TermTables(self._B, self._C, self._b, self._c)
 
     def B(self, i: int) -> int:
-        if i < 0:
-            raise DomainError("B is defined for n >= 0, got n=%d" % i)
-        if i >= len(self._B):
-            self._grow(self._B, SequenceKind.BALANCING, i + 1)
         return self._B[i]
 
     def C(self, i: int) -> int:
-        if i < 0:
-            raise DomainError("C is defined for n >= 0, got n=%d" % i)
-        if i >= len(self._C):
-            self._grow(self._C, SequenceKind.LUCAS_BALANCING, i + 1)
         return self._C[i]
 
     def b(self, i: int) -> int:
-        if i < 1:
-            raise DomainError("b is defined for n >= 1, got n=%d" % i)
-        if i > len(self._b):
-            self._grow(self._b, SequenceKind.COBALANCING, i)
-        return self._b[i - 1]
+        return self._b[i]
 
     def c(self, i: int) -> int:
-        if i < 1:
-            raise DomainError("c is defined for n >= 1, got n=%d" % i)
-        if i > len(self._c):
-            self._grow(self._c, SequenceKind.LUCAS_COBALANCING, i)
-        return self._c[i - 1]
+        return self._c[i]
 
 
 _LOG10_2 = math.log10(2)

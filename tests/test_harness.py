@@ -25,9 +25,7 @@ def corrupt_c_diff_half():
     out = []
     for d in identities.list_identities():
         if d.ident == "C_DIFF_HALF":
-            d = dataclasses.replace(
-                d, rhs=lambda t, n, m: 15 * t.B((n + m) // 2) * t.B((n - m) // 2)
-            )
+            d = identities._entry(d.ident, d.statement.replace("16", "15"), d.domain_desc)
         out.append(d)
     return out
 
@@ -130,12 +128,17 @@ def test_negative_control_corrupted_catalog_fails():
 
 
 def test_negative_control_built_from_the_statement_fails_on_the_same_cells():
-    d = identities.lookup("C_DIFF_HALF")
-    rebuilt = identities._entry(d.ident, d.statement.replace("16", "15"), d.domain_desc)
-    from_statement = run_suite(30, catalog=[rebuilt]).records[0]
-    by_hand = {r.ident: r for r in run_suite(30, catalog=corrupt_c_diff_half()).records}
-    assert from_statement.failures
-    assert from_statement.failures == by_hand["C_DIFF_HALF"].failures
+    # The 15 * B * B reading, evaluated by hand through the TermSource methods.
+    src = sequences.TermSource()
+    expected = []
+    for n in range(31):
+        for m in range(n % 2, n + 1, 2):
+            lv, rv = src.C(n) - src.C(m), 15 * src.B((n + m) // 2) * src.B((n - m) // 2)
+            if lv != rv:
+                expected.append(EvalResult("C_DIFF_HALF", n, m, lv, rv, False))
+    by_statement = {r.ident: r for r in run_suite(30, catalog=corrupt_c_diff_half()).records}
+    assert expected
+    assert by_statement["C_DIFF_HALF"].failures == expected
 
 
 def test_minus_reading_of_b_cob_sum_le_fails_first_at_1_2():
@@ -145,6 +148,57 @@ def test_minus_reading_of_b_cob_sum_le_fails_first_at_1_2():
     failures = run_suite(40, catalog=[minus]).records[0].failures
     assert (failures[0].n, failures[0].m) == (1, 2)
     assert run_suite(40, ids=["B_COB_SUM_LE"]).passed
+
+
+@pytest.mark.parametrize("statement, max_n, cell, index", [
+    ("B(n-1) = B(n-1)", 5, "(n=0, m=None)", -1),  # must not wrap to the last term
+    ("B(5n) = B(5n)", 5, "(n=3, m=None)", 15),  # above the 2*max_n+2 prefill
+])
+def test_out_of_table_read_names_entry_cell_and_index(statement, max_n, cell, index):
+    entry = identities._entry("X", statement, "n >= 0")
+    with pytest.raises(DomainError) as info:
+        run_suite(max_n, catalog=[entry])
+    message = str(info.value)
+    assert message.startswith("X at %s reads index %d," % (cell, index)), message
+
+
+class Prefilled(Exception):
+    pass
+
+
+@pytest.fixture
+def no_prefill(monkeypatch):
+    def prefill(self, bc_max, cobal_max):
+        raise Prefilled
+
+    monkeypatch.setattr(sequences.TermSource, "prefill", prefill)
+
+
+def test_grid_above_the_cell_cap_is_refused_before_prefill(no_prefill, capsys):
+    from balkit import cli
+
+    full = identities.list_identities()
+    cells = lambda max_n: sum((max_n + 1) ** d.arity for d in full)
+    top = max(n for n in range(1, 2000) if cells(n) <= harness.GRID_CELLS_MAX)
+    with pytest.raises(Prefilled):
+        run_suite(top)
+    for max_n in (top + 1, 5000):
+        with pytest.raises(DomainError, match="above the limit"):
+            run_suite(max_n)
+    assert cli.main(["verify", "--max-n", "5000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "above the limit of 40000000" in err
+
+
+@pytest.mark.parametrize("max_n, ids", [
+    (1000, None),  # the full catalog
+    (1000, ["PARITY_B", "ODD_C", "MOD16_C", "MOD4_CSUM", "EVEN_b",
+            "MOD4_bDIFF", "ODD_c", "MOD8_c", "MOD16_c"]),  # C6
+    (600, [d.ident for d in identities.list_identities()[:4]]),  # a benchmark subset
+])
+def test_grids_under_the_cell_cap_are_run(no_prefill, max_n, ids):
+    with pytest.raises(Prefilled):
+        run_suite(max_n, ids=ids)
 
 
 def test_compare_methods_passes():

@@ -1,5 +1,6 @@
 """Catalog structure, domain handling and exact evaluation of identities."""
 
+import dis
 import gc
 import tracemalloc
 
@@ -189,6 +190,32 @@ def test_compiled_evaluators_read_only_the_four_sequences():
         for side in (d.lhs, d.rhs):
             assert set(side.__code__.co_names) <= {"B", "C", "b", "c"}, d.ident
             assert side.__globals__ == {"__builtins__": {}}, d.ident
+
+
+def test_compiled_evaluators_subscript_t_and_call_nothing():
+    for d in list_identities():
+        for side in (d.lhs, d.rhs):
+            code = list(dis.get_instructions(side))
+            assert not [i.opname for i in code if i.opname.startswith(("CALL", "PRECALL"))], d.ident
+            for prev, ins in zip(code, code[1:]):
+                if ins.opname == "LOAD_ATTR":
+                    assert (prev.opname, prev.argval) == ("LOAD_FAST", "t"), d.ident
+                    assert ins.argval in {"B", "C", "b", "c"}, d.ident
+            assert not [i for i in code if i.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF")]
+
+
+def test_evaluate_grows_a_shared_source_on_demand(monkeypatch):
+    src = TermSource()
+    assert evaluate("B_ADD", 40, 17, terms=src).holds
+    assert (len(src._B), len(src._C)) == (58, 41)  # B up to n+m, C up to n
+    assert evaluate("C2N_PLUS1", 30, terms=src).holds
+    assert (len(src._B), len(src._b), len(src._c)) == (58, 30, 60)
+    # Reads below min_index raise, on either side: B(-1) at n = 0, b(0) at n = 1.
+    below = identities._entry("X", "B(n-1) = b(n-1)", "n >= 0")
+    monkeypatch.setitem(identities._BY_ID, "X", below)
+    for n in (0, 1):
+        with pytest.raises(DomainError, match="defined for n >= %d, got n=%d" % (n, n - 1)):
+            evaluate("X", n, terms=src)
 
 
 def test_default_term_source_is_used_when_none_given():
