@@ -17,11 +17,17 @@ from typing import Optional
 # generator search import harness (and with it identities) when they run.
 from . import oracle
 from .sequences import (
+    _ALWAYS_STR_BITS,
+    _LOG2_LAMBDA,
+    _STR_MAX_BITS,
     DomainError,
     SequenceKind,
     UnknownIdentityError,
+    check_range,
     decimal_digits,
     decimal_str,
+    digits_bound,
+    exact_context,
     index_of,
     pair_bc,
     parse_kind,
@@ -30,6 +36,40 @@ from .sequences import (
     term_doubling,
     term_recurrence,
 )
+
+# term and seq refuse, before any arithmetic, a request whose terms have
+# more than PRINT_DIGITS_MAX digits by digits_bound: 100 MB of output, about
+# B(1.3e8) or seq B 0 16160. There the doubling term takes about 16 s and
+# 400 MB (B(6e7) takes 6.7 s and 172 MB), and seq B 0 16160 takes 0.7 s and
+# 350 MB as json. The slower term routes are capped by index near a minute's
+# work: recurrence is quadratic (B(2e5) takes 3.5 s) and binet grows about
+# as n**1.6 (B(4e6) takes 4.7 s). Measured on a 2-core x86-64 host with
+# CPython 3.11.
+PRINT_DIGITS_MAX = 10**8
+TERM_N_MAX = {"recurrence": 5 * 10**5, "binet": 10**7}
+
+
+def _check_size(kind: SequenceKind, start: int, stop: int, method: str = "") -> None:
+    check_range(kind, start, stop)
+    digits = digits_bound(start, stop)
+    if digits > PRINT_DIGITS_MAX:
+        span = "%d" % start if start == stop else "%d..%d" % (start, stop)
+        raise DomainError(
+            "%s(%s) has up to %d digits, above the limit of %d"
+            % (kind.short, span, digits, PRINT_DIGITS_MAX))
+    cap = TERM_N_MAX.get(method)
+    if cap is not None and stop > cap:
+        raise DomainError("term --method %s takes n <= %d, got n=%d" % (method, cap, stop))
+
+
+def _past(n: int, bits: int) -> bool:
+    """Whether the term at index n has an estimated bit length above bits.
+
+    Past _STR_MAX_BITS (term) or _ALWAYS_STR_BITS (seq), computing in
+    Decimal and printing with str() costs less than str() of the int.
+    """
+    return n * _LOG2_LAMBDA > bits
+
 
 def _term_value(kind: SequenceKind, n: int, method: str) -> int:
     if method == "recurrence":
@@ -47,11 +87,16 @@ def _print_json(obj) -> None:
 
 def _cmd_term(args: argparse.Namespace) -> int:
     kind = parse_kind(args.kind)
-    value = _term_value(kind, args.n, args.method)
+    _check_size(kind, args.n, args.n, args.method)
+    if args.method in ("auto", "doubling") and _past(args.n, _STR_MAX_BITS):
+        with exact_context() as ctx:
+            text = str(term_doubling(kind, args.n, ctx.create_decimal(1)))
+    else:
+        text = decimal_str(_term_value(kind, args.n, args.method))
     if args.format == "json":
-        _print_json({"kind": kind.value, "n": args.n, "value": decimal_str(value)})
+        _print_json({"kind": kind.value, "n": args.n, "value": text})
     elif args.format == "plain":
-        sys.stdout.write(decimal_str(value) + "\n")
+        sys.stdout.write(text + "\n")
     else:
         raise DomainError("term supports plain or json output")
     return 0
@@ -59,22 +104,29 @@ def _cmd_term(args: argparse.Namespace) -> int:
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     kind = parse_kind(args.kind)
-    terms = stream(kind, args.start, args.stop)
+    _check_size(kind, args.start, args.stop)
+    if _past(args.stop, _ALWAYS_STR_BITS):
+        with exact_context() as ctx:
+            terms = stream(kind, args.start, args.stop, ctx.create_decimal(1))
+        render = str
+    else:
+        terms = stream(kind, args.start, args.stop)
+        render = decimal_str
     if args.format == "json":
         _print_json(
             {
                 "kind": kind.value,
                 "start": args.start,
                 "stop": args.stop,
-                "values": [decimal_str(t.value) for t in terms],
+                "values": [render(t.value) for t in terms],
             }
         )
     elif args.format == "csv":
-        rows = ["n,value"] + ["%d,%s" % (t.n, decimal_str(t.value)) for t in terms]
+        rows = ["n,value"] + ["%d,%s" % (t.n, render(t.value)) for t in terms]
         sys.stdout.write("\n".join(rows) + "\n")
     else:
         for t in terms:
-            sys.stdout.write(decimal_str(t.value) + "\n")
+            sys.stdout.write(render(t.value) + "\n")
     return 0
 
 

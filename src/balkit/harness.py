@@ -12,6 +12,7 @@ would break byte-level reproducibility.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from itertools import islice, takewhile
@@ -150,13 +151,18 @@ def run_suite(
             "max_n=%d gives a grid of %d cells, above the limit of %d"
             % (max_n, cells, GRID_CELLS_MAX))
 
+    # Only the kinds the selected statements read are filled; the other
+    # tables stay empty, so a stray read still stops the run by name.
+    reads = set(re.findall(r"([BCbc])\(", " ".join(d.statement for d in selected)))
     terms = TermSource()
     # Largest index any catalog entry can touch: 2*max_n + 1 for B/C shifts,
     # 4*max_n for the quadrupled-index congruence on c. Filled up front and
-    # copied into exact dicts, whose subscripts CPython specializes.
-    terms.prefill(2 * max_n + 2, 4 * max_n + 2)
+    # copied into exact dicts, whose subscripts CPython specializes. A top
+    # of -1 fills nothing.
+    terms.prefill(2 * max_n + 2 if reads & set("BC") else -1,
+                  4 * max_n + 2 if reads & set("bc") else -1)
     grown = terms.tables()
-    tables = TermTables(dict(grown.B), dict(grown.C), dict(grown.b), dict(grown.c))
+    tables = TermTables(*(dict(getattr(grown, k)) if k in reads else {} for k in "BCbc"))
 
     report = VerificationReport("identity-catalog", max_n)
     report.records = [_run_identity(d, max_n, tables, collect_cases) for d in selected]

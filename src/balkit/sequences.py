@@ -12,6 +12,16 @@ routes are algebraically equal, and the verification harness checks that
 this implementation keeps them equal. decimal_str renders the (possibly
 huge) values for the CLI and the harness reports.
 
+Fast doubling (_pair_bc) and the recurrence (walk, stream) compute in the
+number type of their seed, 1 or Decimal(1). The int route serves the
+library, TermSource, the harness and classify. The CLI's term (by
+doubling) and seq compute large values as exact Decimals under
+exact_context() and print them with str(), which is linear, where str() of
+an int is quadratic before CPython 3.12: term once the term's estimated
+bit length passes _STR_MAX_BITS (index 12886), seq once its last term's
+passes _ALWAYS_STR_BITS (index 755). Smaller requests stay on int and never
+import decimal.
+
 All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
 seed pair. _KINDS holds each kind's short symbol, min_index, seeds and add,
 and walk() is the one place that steps the recurrence: stream(), the
@@ -81,11 +91,15 @@ def parse_kind(text: str) -> SequenceKind:
 
 
 class Term:
-    """One sequence member: (kind, index, exact value)."""
+    """One sequence member: (kind, index, exact value).
+
+    The value is an int, or an exact Decimal when stream() was seeded with
+    Decimal(1).
+    """
 
     __slots__ = ("kind", "n", "value")
 
-    def __init__(self, kind: SequenceKind, n: int, value: int) -> None:
+    def __init__(self, kind: SequenceKind, n: int, value) -> None:
         self.kind = kind
         self.n = n
         self.value = value
@@ -107,6 +121,24 @@ def _check_index(kind: SequenceKind, n: int) -> None:
         raise DomainError(
             "%s is defined for n >= %d, got n=%d" % (kind.value, kind.min_index, n)
         )
+
+
+def check_range(kind: SequenceKind, start: int, stop: int) -> None:
+    """Raise DomainError unless start..stop is an ascending range of kind's indices."""
+    _check_index(kind, start)
+    _check_index(kind, stop)
+    if start > stop:
+        raise DomainError("range is descending: start=%d > stop=%d" % (start, stop))
+
+
+def _check_exact(one) -> None:
+    """Refuse a Decimal seed outside a context that traps Inexact, where
+    decimal's default 28-digit precision would round terms silently."""
+    if one.__class__ is not int:
+        import decimal
+
+        if not decimal.getcontext().traps[decimal.Inexact]:
+            raise DomainError("Decimal terms must be computed under exact_context()")
 
 
 def term_recurrence(kind: SequenceKind, n: int) -> int:
@@ -144,8 +176,8 @@ def term_binet(kind: SequenceKind, n: int) -> int:
     return (u.b - 1) // 2
 
 
-def pair_bc(n: int) -> tuple[int, int]:
-    """(B(n), C(n)) by fast doubling, two big products per bit of n.
+def _pair_bc(n: int, one):
+    """(B(n), C(n)) by fast doubling, in the number type of one.
 
     Scans the bits of n from the top, carrying only (B(k), C(k)). Each bit
     doubles the index with
@@ -158,9 +190,7 @@ def pair_bc(n: int) -> tuple[int, int]:
     products, B*C and C**2, where carrying the pairs at k and k+1 would cost
     eight (Takahashi's fast-doubling scheme, Inf. Proc. Letters 75, 2000).
     """
-    if n < 0:
-        raise DomainError("index must be nonnegative, got %d" % n)
-    bn, cn = 0, 1  # index k = 0
+    bn, cn = 0 * one, one  # index k = 0
     for i in range(n.bit_length() - 1, -1, -1):
         bn, cn = 2 * bn * cn, 2 * cn * cn - 1
         if (n >> i) & 1:
@@ -168,31 +198,48 @@ def pair_bc(n: int) -> tuple[int, int]:
     return bn, cn
 
 
-def pair_cobal(n: int) -> tuple[int, int]:
-    """(b(n), c(n)) for n >= 1, derived from (B(n), C(n)) in O(log n).
+def pair_bc(n: int) -> tuple[int, int]:
+    """(B(n), C(n)) as ints by fast doubling, two big products per bit of n."""
+    if n < 0:
+        raise DomainError("index must be nonnegative, got %d" % n)
+    return _pair_bc(n, 1)
+
+
+def _cobal(big_b, big_c):
+    """(b(n), c(n)) from (B(n), C(n)), n >= 1, in their number type.
 
     The linear bridge b(n) = (C(n) - 2*B(n) - 1)/2 and c(n) = 4*B(n) - C(n)
     follows from the closed forms via (1+sqrt(2))**2 = 3+2*sqrt(2); it is
     cross-checked against the recurrence route in the test suite before
     being trusted here.
     """
-    if n < 1:
-        raise DomainError("cobalancing pair is defined for n >= 1, got n=%d" % n)
-    big_b, big_c = pair_bc(n)
     diff = big_c - 2 * big_b - 1
     if diff % 2:
         raise AssertionError("C(n) - 2*B(n) - 1 must be even")
     return (diff // 2, 4 * big_b - big_c)
 
 
-def term_doubling(kind: SequenceKind, n: int) -> int:
-    """n-th term by fast doubling: kind's member of pair_bc(n) or pair_cobal(n)."""
+def pair_cobal(n: int) -> tuple[int, int]:
+    """(b(n), c(n)) for n >= 1, derived from pair_bc(n) in O(log n)."""
+    if n < 1:
+        raise DomainError("cobalancing pair is defined for n >= 1, got n=%d" % n)
+    return _cobal(*pair_bc(n))
+
+
+def term_doubling(kind: SequenceKind, n: int, one=1):
+    """n-th term by fast doubling: kind's member of (B(n), C(n)) or its bridge.
+
+    With one=1 the term is an int from pair_bc(n). With one=Decimal(1) it is
+    an exact Decimal, computed by the same kernel under exact_context().
+    """
     _check_index(kind, n)
+    _check_exact(one)
+    big_b, big_c = pair_bc(n) if one.__class__ is int else _pair_bc(n, one)
     if kind is SequenceKind.BALANCING:
-        return pair_bc(n)[0]
+        return big_b
     if kind is SequenceKind.LUCAS_BALANCING:
-        return pair_bc(n)[1]
-    pair = pair_cobal(n)
+        return big_c
+    pair = _cobal(big_b, big_c)
     return pair[0] if kind is SequenceKind.COBALANCING else pair[1]
 
 
@@ -224,23 +271,23 @@ def index_of(kind: SequenceKind, x: int) -> Optional[int]:
     return k
 
 
-def walk(kind: SequenceKind) -> Iterator[int]:
+def walk(kind: SequenceKind, one=1) -> Iterator:
     """kind's terms from index min_index upward, without end, by recurrence
-    from its seed pair in _KINDS."""
+    from its seed pair in _KINDS, in the number type of one (1 or Decimal(1))."""
     _, _, (x, y), add = _KINDS[kind]
+    x, y = x * one, y * one
     while True:
         yield x
         x, y = y, 6 * y - x + add
 
 
-def stream(kind: SequenceKind, start: int, stop: int) -> list[Term]:
-    """Consecutive terms start..stop (inclusive) from one recurrence pass."""
-    _check_index(kind, start)
-    _check_index(kind, stop)
-    if start > stop:
-        raise DomainError("range is descending: start=%d > stop=%d" % (start, stop))
+def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list[Term]:
+    """Consecutive terms start..stop (inclusive) from one recurrence pass,
+    as ints, or with one=Decimal(1) as exact Decimals under exact_context()."""
+    check_range(kind, start, stop)
+    _check_exact(one)
     lo = kind.min_index
-    values = islice(walk(kind), start - lo, stop - lo + 1)
+    values = islice(walk(kind, one), start - lo, stop - lo + 1)
     return [Term(kind, idx, x) for idx, x in enumerate(values, start)]
 
 
@@ -337,6 +384,17 @@ def decimal_digits(x: int) -> int:
     return est + 1
 
 
+def digits_bound(start: int, stop: int) -> int:
+    """Upper bound on the decimal digits of the terms start..stop of any kind.
+
+    Every term at index k is at most C(k) < (3+2*sqrt(2))**k, so it has at
+    most k*log10(3+2*sqrt(2)) + 1 digits, and 0.7656 > log10(3+2*sqrt(2)).
+    Integer arithmetic, so any size of index is safe to pass.
+    """
+    count = stop - start + 1
+    return (start + stop) * count * 3828 // 10000 + count
+
+
 # Values up to this many bits are rendered by str(). Above it, CPython's
 # quadratic int -> str (before 3.12) loses to the Decimal conversion below,
 # import of decimal included (crossover measured near 2^15 bits with
@@ -348,14 +406,29 @@ _LEAF_BITS = 1024  # at or below this, Decimal(int) converts directly
 _ALWAYS_STR_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 
+def exact_context():
+    """A decimal.localcontext in which integer arithmetic is exact or raises.
+
+    Precision and exponent range are unbounded and Inexact and Rounded are
+    trapped. decimal_str and the CLI's Decimal terms compute under it;
+    entering it returns the context, whose create_decimal(1) seeds them.
+    """
+    import decimal
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = True
+    ctx.traps[decimal.Rounded] = True
+    return decimal.localcontext(ctx)
+
+
 def decimal_str(x: int) -> str:
     """str(x), in subquadratic time for large x.
 
-    Every decimal value the CLI prints and the harness reports serialize
-    goes through here. A large x is split recursively at powers of two,
+    Every int the CLI prints and the harness reports serialize goes through
+    here. A large x is split recursively at powers of two,
     x = hi * 2**h + lo, and rebuilt as a decimal.Decimal, whose libmpdec
-    multiply is subquadratic. The context is unbounded and traps Inexact and
-    Rounded, so the result is exact or the conversion raises.
+    multiply is subquadratic, under exact_context(), so the result is exact
+    or the conversion raises.
 
     str() also refuses values above the process-wide int/str digit limit
     (4300 digits by default; cli.main lifts it), so it is used only while
@@ -391,10 +464,5 @@ def decimal_str(x: int) -> str:
         hi = v >> h
         return convert(v - (hi << h), h) + convert(hi, w - h) * pow2(h)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        ctx.traps[decimal.Rounded] = True
+    with exact_context():
         return str(convert(x, bits))

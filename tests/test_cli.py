@@ -463,6 +463,9 @@ def test_lean_commands_import_only_what_they_need():
         ["term", "C", "300", "--method", "binet"],
         ["seq", "B", "0", "5"],
         ["search", "balancing", "--method", "oracle", "--limit", "100"],
+        # Just below the sizes from which term and seq compute in Decimal.
+        ["term", "c", "12885"],
+        ["seq", "C", "0", "754"],
     ]
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -474,7 +477,7 @@ def test_lean_commands_import_only_what_they_need():
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = ast.literal_eval(proc.stdout)
     assert result["codes"] == [0] * (len(commands) + 1)
-    heavy = {"dataclasses", "inspect", "json", "balkit.harness", "balkit.identities"}
+    heavy = {"dataclasses", "decimal", "inspect", "json", "balkit.harness", "balkit.identities"}
     assert heavy.isdisjoint(result["loaded"]), sorted(heavy & set(result["loaded"]))
     assert "balkit.sequences" in result["loaded"]
     assert result["harness_after_verify"]

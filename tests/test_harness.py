@@ -162,6 +162,44 @@ def test_out_of_table_read_names_entry_cell_and_index(statement, max_n, cell, in
     assert message.startswith("X at %s reads index %d," % (cell, index)), message
 
 
+@pytest.mark.parametrize("ids, filled", [
+    (["PARITY_B"], "B"),
+    (["B_ADD", "C_SUB", "CB_MIX_PLUS"], "BC"),
+    (["EVEN_b", "MOD16_c"], "bc"),
+    (["LC_PROD", "PARITY_B"], "BCc"),
+    (None, "BCbc"),
+])
+def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypatch):
+    prefills, seen = [], []
+
+    class Source(sequences.TermSource):
+        def prefill(self, bc_max, cobal_max):
+            prefills.append((bc_max, cobal_max))
+            super().prefill(bc_max, cobal_max)
+
+    def run_identity(desc, max_n, tables, collect_cases):
+        seen.append({k: len(getattr(tables, k)) for k in "BCbc"})
+        return real(desc, max_n, tables, collect_cases)
+
+    real = harness._run_identity
+    monkeypatch.setattr(harness, "TermSource", Source)
+    monkeypatch.setattr(harness, "_run_identity", run_identity)
+    assert run_suite(600, ids=ids).passed
+    assert prefills == [(1202 if set(filled) & set("BC") else -1,
+                         2402 if set(filled) & set("bc") else -1)]
+    sizes = {"B": 1203, "C": 1203, "b": 2402, "c": 2402}
+    assert seen[0] == {k: sizes[k] if k in filled else 0 for k in "BCbc"}
+
+
+def test_a_read_of_an_unprefilled_kind_names_entry_cell_and_index():
+    d = identities.lookup("PARITY_B")
+    stray = dataclasses.replace(d, lhs=lambda t, n, m: t.C[n] % 2)  # its statement reads only B
+    with pytest.raises(DomainError) as info:
+        run_suite(5, catalog=[stray])
+    assert str(info.value) == (
+        "PARITY_B at (n=0, m=None) reads index 0, outside the terms prefilled for max_n=5")
+
+
 class Prefilled(Exception):
     pass
 

@@ -2,7 +2,9 @@
 
 Under python -O asserts are stripped, so the library's invariant checks
 are explicit raises. A child interpreter started with -O forces each of
-them and expects AssertionError; a static check keeps assert statements
+them and expects AssertionError, on the int and the Decimal route of fast
+doubling; another runs term and seq past their Decimal thresholds and must
+print what this process prints. A static check keeps assert statements
 out of the package. A second static check keeps eval, exec and compile
 out of the package, except in the builder that compiles the identity
 catalog's statements.
@@ -17,6 +19,7 @@ import textwrap
 from pathlib import Path
 
 import balkit
+from balkit import cli
 
 PACKAGE = Path(balkit.__file__).resolve().parent
 
@@ -45,6 +48,31 @@ CHILD = textwrap.dedent(
         lambda: sequences.term_binet(SequenceKind.COBALANCING, 3))
     sequences.pair_bc = lambda n: (0, 0)  # C - 2B - 1 = -1 is odd
     out["pair_cobal_parity"] = raises(lambda: sequences.pair_cobal(3))
+    with sequences.exact_context() as ctx:  # the same bridge on the Decimal route
+        sequences._pair_bc = lambda n, one: (0 * one, 0 * one)
+        out["decimal_cobal_parity"] = raises(lambda: sequences.term_doubling(
+            SequenceKind.COBALANCING, 3, ctx.create_decimal(1)))
+    print(json.dumps(out))
+    """
+)
+
+# Above their thresholds (index 12886 and 755) term and seq compute in
+# Decimal; the printed text must not depend on -O either.
+ROUTE_COMMANDS = [
+    ["term", kind, n] for kind in ("B", "C", "b", "c") for n in ("12885", "12886", "12887")
+] + [["seq", kind, "750", "760", "--format", fmt]
+     for kind in ("B", "c") for fmt in ("plain", "json", "csv")]
+
+ROUTE_CHILD = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from balkit import cli
+    out = {"optimize": sys.flags.optimize, "runs": []}
+    for argv in json.loads(sys.argv[1]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        out["runs"].append([code, buf.getvalue()])
     print(json.dumps(out))
     """
 )
@@ -61,7 +89,22 @@ def test_invariant_raises_fire_under_python_O():
     assert proc.returncode == 0, proc.stderr[-3000:]
     out = json.loads(proc.stdout)
     assert out.pop("optimize") == 1
-    assert out == dict.fromkeys(out, True) and len(out) == 5, out
+    assert out == dict.fromkeys(out, True) and len(out) == 6, out
+
+
+def test_decimal_route_prints_the_same_under_python_O(capsys):
+    env = dict(os.environ)
+    src = str(PACKAGE.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", ROUTE_CHILD, json.dumps(ROUTE_COMMANDS)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    for argv, run in zip(ROUTE_COMMANDS, out["runs"]):
+        assert run == [cli.main(argv), capsys.readouterr().out], argv
 
 
 def test_package_has_no_assert_statements():

@@ -41,6 +41,12 @@ def test_traced_commands_run_and_record_doubling():
         ["classify", str(pair_bc(300)[1])],
         ["classify", str(pair_bc(300)[0])],
         ["search", "balancing", "--method", "oracle", "--limit", "1000"],
+        # Past their thresholds term and seq compute in Decimal, which must
+        # not pass through the traced sequences.pair_bc (its hook reads
+        # int.bit_length()).
+        ["term", "B", "20000"],
+        ["term", "c", "20000"],
+        ["seq", "B", "5000", "5100", "--format", "json"],
     ]
     src = str(Path(balkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
