@@ -47,6 +47,11 @@ from .sequences import (
 # CPython 3.11.
 PRINT_DIGITS_MAX = 10**8
 TERM_N_MAX = {"recurrence": 5 * 10**5, "binet": 10**7}
+# bench refuses n above its method's cap before timing anything. Its
+# recurrence shares term's; its int doubling grows about as n**1.6, and at
+# n = 10**7 takes 17 s, and the whole run with its digit count and Pell check
+# about 50 s (same host).
+BENCH_N_MAX = {"recurrence": TERM_N_MAX["recurrence"], "doubling": 10**7}
 
 
 def _check_size(kind: SequenceKind, start: int, stop: int, method: str = "") -> None:
@@ -86,6 +91,8 @@ def _print_json(obj) -> None:
 
 
 def _cmd_term(args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        raise DomainError("term supports plain or json output")
     kind = parse_kind(args.kind)
     _check_size(kind, args.n, args.n, args.method)
     if args.method in ("auto", "doubling") and _past(args.n, _STR_MAX_BITS):
@@ -95,10 +102,8 @@ def _cmd_term(args: argparse.Namespace) -> int:
         text = decimal_str(_term_value(kind, args.n, args.method))
     if args.format == "json":
         _print_json({"kind": kind.value, "n": args.n, "value": text})
-    elif args.format == "plain":
-        sys.stdout.write(text + "\n")
     else:
-        raise DomainError("term supports plain or json output")
+        sys.stdout.write(text + "\n")
     return 0
 
 
@@ -187,6 +192,8 @@ def _classify(x: int) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        raise DomainError("classify supports plain or json output")
     try:
         x = int(args.value)
     except ValueError:
@@ -196,7 +203,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     result = _classify(x)
     if args.format == "json":
         _print_json(result)
-    elif args.format == "plain":
+    else:
         for key in ("balancing", "cobalancing", "lucas-balancing", "lucas-cobalancing"):
             info = result[key]
             if not info["member"]:
@@ -212,8 +219,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 )
             else:
                 sys.stdout.write("%s: yes (index %d)\n" % (key, info["index"]))
-    else:
-        raise DomainError("classify supports plain or json output")
     return 0
 
 
@@ -229,6 +234,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.method == "oracle":
         members = oracle.search_family(family, args.limit)
     else:
+        # Both walks gain two bits or more per index: with add >= 0 and the
+        # terms increasing, x(k+1) = 6*x(k) - x(k-1) + add >= 5*x(k). So from
+        # B(1) = 1 and b(2) = 2, B(k) >= 2**(2k-2) and b(k) >= 2**(2k-3) for
+        # k >= 2, and a member <= limit < 2**L, L = limit.bit_length(), has
+        # 2k-3 < L, that is k <= L//2 + 1. The output is capped as seq's is.
+        _check_size(family, 1, args.limit.bit_length() // 2 + 1)
         from . import harness
 
         members = harness.generator_prefix(family, args.limit)
@@ -256,8 +267,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise DomainError("n must be >= 1, got %d" % args.n)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in ("recurrence", "doubling"):
+        if m not in BENCH_N_MAX:
             raise DomainError("unknown bench method %r (use recurrence, doubling)" % m)
+        if args.n > BENCH_N_MAX[m]:
+            raise DomainError("bench --methods %s takes n <= %d, got n=%d"
+                              % (m, BENCH_N_MAX[m], args.n))
     if not methods:
         raise DomainError("no bench methods selected")
 

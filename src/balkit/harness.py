@@ -24,7 +24,6 @@ from .sequences import (
     DomainError,
     SequenceKind,
     TermSource,
-    TermTables,
     decimal_str,
     stream,
     term_binet,
@@ -78,7 +77,7 @@ def _sort_key(f: EvalResult) -> tuple[int, int]:
 def _run_identity(
     desc: IdentityDescriptor,
     max_n: int,
-    tables: TermTables,
+    terms: TermSource,
     collect_cases: bool,
 ) -> IdentityRecord:
     started = time.perf_counter()
@@ -96,8 +95,8 @@ def _run_identity(
         for n, ms in rows:
             checked += len(ms)
             for m in ms:
-                lv = lhs(tables, n, m)
-                rv = rhs(tables, n, m)
+                lv = lhs(terms, n, m)
+                rv = rhs(terms, n, m)
                 if lv != rv:
                     failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
                 if collect_cases:
@@ -156,16 +155,17 @@ def run_suite(
     reads = set(re.findall(r"([BCbc])\(", " ".join(d.statement for d in selected)))
     terms = TermSource()
     # Largest index any catalog entry can touch: 2*max_n + 1 for B/C shifts,
-    # 4*max_n for the quadrupled-index congruence on c. Filled up front and
-    # copied into exact dicts, whose subscripts CPython specializes. A top
-    # of -1 fills nothing.
+    # 4*max_n for the quadrupled-index congruence on c. Filled up front, then
+    # each table is swapped in place for an exact dict copy, whose subscripts
+    # CPython specializes and which no longer grows on a miss. A top of -1
+    # fills nothing.
     terms.prefill(2 * max_n + 2 if reads & set("BC") else -1,
                   4 * max_n + 2 if reads & set("bc") else -1)
-    grown = terms.tables()
-    tables = TermTables(*(dict(getattr(grown, k)) if k in reads else {} for k in "BCbc"))
+    for k in "BCbc":
+        setattr(terms, k, dict(getattr(terms, k)) if k in reads else {})
 
     report = VerificationReport("identity-catalog", max_n)
-    report.records = [_run_identity(d, max_n, tables, collect_cases) for d in selected]
+    report.records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
     return report
 
 

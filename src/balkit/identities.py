@@ -4,11 +4,12 @@ Identities are data, not code paths: an entry is its printed statement plus
 its printed domain. The exact left/right evaluators are compiled from the
 statement when this module is imported, and the domain's arity and index
 ranges come from one table of domains, so what is printed is what gets
-checked. An evaluator reads its terms by subscript from four tables,
-t.B[i], t.C[i], t.b[i] and t.c[i], and calls nothing: evaluate() hands it
-a TermSource's growing caches, the harness exact dicts of a prefilled
-range. One generic routine evaluates any entry at given indices. Adding an
-entry means adding a table row.
+checked. An evaluator reads its terms by subscript from the four tables
+of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i], and calls nothing:
+evaluate() hands it a source whose tables grow on demand, the harness one
+whose tables are exact dicts of a prefilled range. One generic routine
+evaluates any entry at given indices. Adding an entry means adding a table
+row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -22,9 +23,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .sequences import DomainError, TermSource, TermTables, UnknownIdentityError
+from .sequences import DomainError, TermSource, UnknownIdentityError
 
-Evaluator = Callable[[TermTables, int, Optional[int]], int]
+Evaluator = Callable[[TermSource, int, Optional[int]], int]
 DomainRange = Callable[..., range]
 
 EQUATION = "equation"
@@ -123,7 +124,7 @@ def _subscripts(src: str) -> str:
 
 
 def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
-    """Compile one printed side into lambda t, n, m over TermTables t.
+    """Compile one printed side into lambda t, n, m over a TermSource t.
 
     2n becomes 2*n, (n-m)/2 becomes (n-m)//2 and B(i) becomes the subscript
     t.B[i], so evaluating a side calls nothing; a congruence side is reduced
@@ -260,8 +261,8 @@ def evaluate(
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    The evaluators read the source's growing caches, so a term not yet
-    cached is walked to on demand. Without terms, a fresh TermSource serves
+    The evaluators read the source's growing tables, so a term not yet
+    held is walked to on demand. Without terms, a fresh TermSource serves
     this call alone and is freed when it returns; pass one to share cached
     terms between calls.
     """
@@ -272,7 +273,8 @@ def evaluate(
             "(n=%s, m=%s) is outside the domain of %s (%s)"
             % (n, m, ident, desc.domain_desc)
         )
-    tables = (terms if terms is not None else TermSource()).tables()
-    lhs = desc.lhs(tables, n, m)
-    rhs = desc.rhs(tables, n, m)
+    if terms is None:
+        terms = TermSource()
+    lhs = desc.lhs(terms, n, m)
+    rhs = desc.rhs(terms, n, m)
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

@@ -25,7 +25,7 @@ import decimal.
 All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
 seed pair. _KINDS holds each kind's short symbol, min_index, seeds and add,
 and walk() is the one place that steps the recurrence: stream(), the
-TermSource caches and the harness's generator search all read its terms.
+TermSource tables and the harness's generator search all read its terms.
 """
 
 from __future__ import annotations
@@ -200,8 +200,7 @@ def _pair_bc(n: int, one):
 
 def pair_bc(n: int) -> tuple[int, int]:
     """(B(n), C(n)) as ints by fast doubling, two big products per bit of n."""
-    if n < 0:
-        raise DomainError("index must be nonnegative, got %d" % n)
+    _check_index(SequenceKind.BALANCING, n)
     return _pair_bc(n, 1)
 
 
@@ -221,8 +220,7 @@ def _cobal(big_b, big_c):
 
 def pair_cobal(n: int) -> tuple[int, int]:
     """(b(n), c(n)) for n >= 1, derived from pair_bc(n) in O(log n)."""
-    if n < 1:
-        raise DomainError("cobalancing pair is defined for n >= 1, got n=%d" % n)
+    _check_index(SequenceKind.COBALANCING, n)
     return _cobal(*pair_bc(n))
 
 
@@ -313,61 +311,34 @@ class _Terms(dict):
             self.update(islice(self._walk, missing))
 
     def __missing__(self, i: int) -> int:
-        lo = self._kind.min_index
-        if i < lo:
-            raise DomainError("%s is defined for n >= %d, got n=%d" % (self._kind.short, lo, i))
+        _check_index(self._kind, i)
         self.fill(i)
         return self[i]
 
 
-class TermTables:
-    """The four term tables an evaluator reads, as t.B[i], t.C[i], t.b[i], t.c[i]."""
+class TermSource:
+    """The four term tables the catalog evaluators read, as t.B[i], t.C[i],
+    t.b[i] and t.c[i].
+
+    Each table is a _Terms dict from index to term that grows from its
+    kind's walk() on a miss and never drops an entry; a caller may swap a
+    table for a plain dict, as the harness does with exact copies. A source
+    is not synchronized: give each thread its own, and prefill() the range
+    a run will touch up front.
+    """
 
     __slots__ = ("B", "C", "b", "c")
 
-    def __init__(self, B: dict, C: dict, b: dict, c: dict) -> None:
-        self.B, self.C, self.b, self.c = B, C, b, c
-
-
-class TermSource:
-    """Cached terms of all four sequences for repeated exact lookups.
-
-    Each kind's cache is a dict from index to term that grows from its own
-    walk() and never drops an entry. B(i) ... c(i) read one term; tables()
-    hands the four caches to the catalog evaluators, which subscript them
-    directly and grow them on the same terms. A source is not synchronized:
-    give each thread its own, and prefill() the range a run will touch up
-    front.
-    """
-
     def __init__(self) -> None:
-        self._B = _Terms(SequenceKind.BALANCING)
-        self._C = _Terms(SequenceKind.LUCAS_BALANCING)
-        self._b = _Terms(SequenceKind.COBALANCING)
-        self._c = _Terms(SequenceKind.LUCAS_COBALANCING)
+        # SequenceKind lists B, C, b, c in this order.
+        self.B, self.C, self.b, self.c = (_Terms(kind) for kind in SequenceKind)
 
     def prefill(self, bc_max: int, cobal_max: int) -> None:
         """Fill B,C up to index bc_max and b,c up to index cobal_max."""
-        self._B.fill(bc_max)
-        self._C.fill(bc_max)
-        self._b.fill(cobal_max)
-        self._c.fill(cobal_max)
-
-    def tables(self) -> TermTables:
-        """The four growing caches, for evaluators that read t.B[i]."""
-        return TermTables(self._B, self._C, self._b, self._c)
-
-    def B(self, i: int) -> int:
-        return self._B[i]
-
-    def C(self, i: int) -> int:
-        return self._C[i]
-
-    def b(self, i: int) -> int:
-        return self._b[i]
-
-    def c(self, i: int) -> int:
-        return self._c[i]
+        self.B.fill(bc_max)
+        self.C.fill(bc_max)
+        self.b.fill(cobal_max)
+        self.c.fill(cobal_max)
 
 
 _LOG10_2 = math.log10(2)

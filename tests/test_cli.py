@@ -288,9 +288,83 @@ def test_search_oracle_refuses_limit_above_cap(capsys, monkeypatch):
                              "--limit", limit)
     assert (code, out) == (2, "")
     assert err == "error: oracle search limit must be <= 1000000000, got %s\n" % limit
-    # The generator takes O(log limit) steps and has no cap.
+    # The generator walks O(log limit) terms; its cap is far above this.
     code, out, err = run_cli(capsys, "search", "balancing", "--limit", limit)
     assert (code, err) == (0, "") and out.splitlines()[-1] == "271669860"
+
+
+class Computed(Exception):
+    pass
+
+
+def computed(*args):
+    raise Computed
+
+
+@pytest.mark.parametrize("argv", [
+    ["term", "B", "200000", "--method", "recurrence"],
+    ["term", "c", "20000"],
+    ["classify", str(pair_bc(1000)[0])],
+    ["classify", "6"],
+])
+def test_unsupported_format_is_refused_before_arithmetic(argv, capsys, monkeypatch):
+    for name in ("term_doubling", "term_recurrence", "_classify"):
+        monkeypatch.setattr(cli, name, computed)
+    with pytest.raises(Computed):
+        cli.main(argv)
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out, err) == (2, "", "error: %s supports plain or json output\n" % argv[0])
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.COBALANCING])
+def test_generator_search_index_bound_holds_at_every_member(kind):
+    from balkit import harness
+
+    for limit in sorted({v + d for v in (t.value for t in stream(kind, 1, 400)) for d in (-1, 0)}):
+        if limit >= 0:
+            # Members start at index 1, so the count is the last member's index.
+            assert len(harness.generator_prefix(kind, limit)) <= limit.bit_length() // 2 + 1
+
+
+def test_generator_search_is_capped_as_seq_is(capsys, monkeypatch):
+    from balkit import harness
+
+    monkeypatch.setattr(harness, "walk", computed)
+    top = max(k for k in range(16000, 16400)
+              if sequences.digits_bound(1, k) <= cli.PRINT_DIGITS_MAX)
+    # A limit of bit length 2*top - 1 bounds the index by top, one more bit by top + 1.
+    edge = 2 ** (2 * top - 1)
+    for family, short in (("balancing", "B"), ("cobalancing", "b")):
+        with pytest.raises(Computed):
+            cli.main(["search", family, "--limit", str(edge - 1)])
+        for limit in (edge, 10**14000):
+            code, out, err = run_cli(capsys, "search", family, "--limit", str(limit))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: %s(1..%d) has up to " % (short, limit.bit_length() // 2 + 1))
+            assert err.endswith("digits, above the limit of 100000000\n")
+
+
+@pytest.mark.parametrize("method, cap", sorted(cli.BENCH_N_MAX.items()))
+def test_bench_n_is_capped_per_method_before_timing(method, cap, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "term_recurrence", computed)
+    monkeypatch.setattr(cli, "pair_bc", computed)
+    with pytest.raises(Computed):
+        cli.main(["bench", "--n", str(cap), "--methods", method])
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "bench", "--n", str(cap + 1), "--methods", method)
+    assert (code, out) == (2, "")
+    assert err == "error: bench --methods %s takes n <= %d, got n=%d\n" % (method, cap, cap + 1)
+
+
+def test_bench_caps(capsys, monkeypatch):
+    assert cli.BENCH_N_MAX == {"recurrence": cli.TERM_N_MAX["recurrence"], "doubling": 10**7}
+    monkeypatch.setattr(cli, "term_recurrence", computed)
+    monkeypatch.setattr(cli, "pair_bc", computed)
+    # Between the two caps only the recurrence refuses.
+    n = str(cli.BENCH_N_MAX["recurrence"] + 1)
+    assert run_cli(capsys, "bench", "--n", n)[:2] == (2, "")
+    with pytest.raises(Computed):
+        cli.main(["bench", "--n", n, "--methods", "doubling"])
 
 
 def test_search_methods_agree(capsys):

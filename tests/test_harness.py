@@ -128,12 +128,12 @@ def test_negative_control_corrupted_catalog_fails():
 
 
 def test_negative_control_built_from_the_statement_fails_on_the_same_cells():
-    # The 15 * B * B reading, evaluated by hand through the TermSource methods.
+    # The 15 * B * B reading, evaluated by hand from the TermSource tables.
     src = sequences.TermSource()
     expected = []
     for n in range(31):
         for m in range(n % 2, n + 1, 2):
-            lv, rv = src.C(n) - src.C(m), 15 * src.B((n + m) // 2) * src.B((n - m) // 2)
+            lv, rv = src.C[n] - src.C[m], 15 * src.B[(n + m) // 2] * src.B[(n - m) // 2]
             if lv != rv:
                 expected.append(EvalResult("C_DIFF_HALF", n, m, lv, rv, False))
     by_statement = {r.ident: r for r in run_suite(30, catalog=corrupt_c_diff_half()).records}
@@ -177,9 +177,13 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
             prefills.append((bc_max, cobal_max))
             super().prefill(bc_max, cobal_max)
 
-    def run_identity(desc, max_n, tables, collect_cases):
-        seen.append({k: len(getattr(tables, k)) for k in "BCbc"})
-        return real(desc, max_n, tables, collect_cases)
+    def run_identity(desc, max_n, terms, collect_cases):
+        # The source prefilled above, each table swapped for an exact dict.
+        assert type(terms) is Source
+        tables = {k: getattr(terms, k) for k in "BCbc"}
+        assert all(type(t) is dict for t in tables.values()), desc.ident
+        seen.append({k: len(t) for k, t in tables.items()})
+        return real(desc, max_n, terms, collect_cases)
 
     real = harness._run_identity
     monkeypatch.setattr(harness, "TermSource", Source)

@@ -93,7 +93,7 @@ def test_evaluate_b_sub_at_m_zero_is_identity_on_b():
     src = TermSource()
     for n in (0, 1, 2, 7, 30):
         r = evaluate("B_SUB", n, 0, terms=src)
-        assert r.holds and r.lhs == src.B(n)
+        assert r.holds and r.lhs == src.B[n]
 
 
 def test_evaluate_refuses_out_of_domain():
@@ -141,8 +141,8 @@ def test_consistency_triangle_c_add_plus_c_sub():
         for m in range(n + 1):
             add = evaluate("C_ADD", n, m, terms=src)
             sub = evaluate("C_SUB", n, m, terms=src)
-            assert add.lhs + sub.lhs == 2 * src.C(n) * src.C(n - m)
-            assert add.rhs + sub.rhs == src.C(2 * n - m) + src.C(m)
+            assert add.lhs + sub.lhs == 2 * src.C[n] * src.C[n - m]
+            assert add.rhs + sub.rhs == src.C[2 * n - m] + src.C[m]
 
 
 def test_congruence_residues_are_normalized():
@@ -159,7 +159,7 @@ def test_cobalancing_sum_swapped_reading_is_documented_and_correct():
     plus = evaluate("B_COB_SUM_LE", 1, 2, terms=src)
     assert plus.holds and plus.lhs == 16
     # The minus reading fails already at (n=1, m=2): 14 - 2 != 16.
-    minus_lhs = src.b(3) - src.b(2)
+    minus_lhs = src.b[3] - src.b[2]
     assert minus_lhs != plus.rhs
 
 
@@ -207,9 +207,9 @@ def test_compiled_evaluators_subscript_t_and_call_nothing():
 def test_evaluate_grows_a_shared_source_on_demand(monkeypatch):
     src = TermSource()
     assert evaluate("B_ADD", 40, 17, terms=src).holds
-    assert (len(src._B), len(src._C)) == (58, 41)  # B up to n+m, C up to n
+    assert (len(src.B), len(src.C)) == (58, 41)  # B up to n+m, C up to n
     assert evaluate("C2N_PLUS1", 30, terms=src).holds
-    assert (len(src._B), len(src._b), len(src._c)) == (58, 30, 60)
+    assert (len(src.B), len(src.b), len(src.c)) == (58, 30, 60)
     # Reads below min_index raise, on either side: B(-1) at n = 0, b(0) at n = 1.
     below = identities._entry("X", "B(n-1) = b(n-1)", "n >= 0")
     monkeypatch.setitem(identities._BY_ID, "X", below)

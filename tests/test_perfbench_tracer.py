@@ -38,6 +38,9 @@ def test_traced_commands_run_and_record_doubling():
         ["term", "b", "500"],
         ["term", "B", "100", "--method", "binet"],
         ["verify", "--max-n", "5", "--jobs", "2"],
+        # Reads only b and c: the tables swapped in place for exact dicts
+        # are set on the tracer's TermSource subclass.
+        ["verify", "--max-n", "5", "--id", "EVEN_b", "--id", "MOD16_c"],
         ["classify", str(pair_bc(300)[1])],
         ["classify", str(pair_bc(300)[0])],
         ["search", "balancing", "--method", "oracle", "--limit", "1000"],

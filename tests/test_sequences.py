@@ -211,21 +211,32 @@ def test_term_source_matches_recurrence():
     src = TermSource()
     src.prefill(64, 64)
     for n in range(0, 65):
-        assert src.B(n) == term_recurrence(B, n)
-        assert src.C(n) == term_recurrence(C, n)
+        assert src.B[n] == term_recurrence(B, n)
+        assert src.C[n] == term_recurrence(C, n)
     for n in range(1, 65):
-        assert src.b(n) == term_recurrence(b, n)
-        assert src.c(n) == term_recurrence(c, n)
+        assert src.b[n] == term_recurrence(b, n)
+        assert src.c[n] == term_recurrence(c, n)
+
+
+def test_one_index_check_words_every_refusal():
+    expected = {B: "balancing is defined for n >= 0, got n=-2",
+                b: "cobalancing is defined for n >= 1, got n=0"}
+    src = TermSource()
+    for read, kind in ((lambda: pair_bc(-2), B), (lambda: src.B[-2], B),
+                       (lambda: pair_cobal(0), b), (lambda: src.b[0], b)):
+        with pytest.raises(DomainError) as info:
+            read()
+        assert str(info.value) == expected[kind]
 
 
 def test_term_source_domains_and_lazy_growth():
     src = TermSource()
     with pytest.raises(DomainError):
-        src.b(0)
+        src.b[0]
     with pytest.raises(DomainError):
-        src.B(-1)
+        src.B[-1]
     # No prefill: lookups beyond the current cache extend it transparently.
-    assert src.c(12) == _reference(1, 7, 0, 12)[-1]
+    assert src.c[12] == _reference(1, 7, 0, 12)[-1]
 
 
 @pytest.mark.parametrize("prefill", [None, (40, 70)])
@@ -242,10 +253,10 @@ def test_term_source_reads_in_any_order(prefill):
         src.prefill(*prefill)
     sizes = [0, 0, 0, 0]
     for step, (short, n) in enumerate(reads):
-        assert getattr(src, short)(n) == expected[short][n], (short, n)
+        assert getattr(src, short)[n] == expected[short][n], (short, n)
         if step % 37 == 0:
             src.prefill(step % 5, step % 3)  # mostly below what is cached
-        grown = [len(src._B), len(src._C), len(src._b), len(src._c)]
+        grown = [len(src.B), len(src.C), len(src.b), len(src.c)]
         assert all(g >= s for g, s in zip(grown, sizes)), (short, n)
         sizes = grown
     assert sizes == [top + 1, top + 1, top, top]
@@ -253,6 +264,6 @@ def test_term_source_reads_in_any_order(prefill):
 
 def test_term_source_read_grows_only_its_own_cache():
     fresh, src = TermSource(), TermSource()
-    assert src.B(50) == term_recurrence(B, 50)
-    assert src.c(30) == term_recurrence(c, 30)
-    assert [len(src._C), len(src._b)] == [len(fresh._C), len(fresh._b)]
+    assert src.B[50] == term_recurrence(B, 50)
+    assert src.c[30] == term_recurrence(c, 30)
+    assert [len(src.C), len(src.b)] == [len(fresh.C), len(fresh.b)]
