@@ -2,7 +2,9 @@
 
 Exit codes are part of the contract: 0 for success (or an all-pass
 verification), 1 when a verification run found failures, 2 for usage or
-domain errors. Data goes to stdout, diagnostics to stderr.
+domain errors, 141 (128 + SIGPIPE) when the reader of stdout closed it
+early. Data goes to stdout, diagnostics to stderr. Long outputs (seq,
+search, verify reports) are written a value, row or record at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 # Only the modules every command needs load here: verify and the
 # generator search import harness (and with it identities) when they run.
@@ -40,11 +42,11 @@ from .sequences import (
 # term and seq refuse, before any arithmetic, a request whose terms have
 # more than PRINT_DIGITS_MAX digits by digits_bound: 100 MB of output, about
 # B(1.3e8) or seq B 0 16160. There the doubling term takes about 16 s and
-# 400 MB (B(6e7) takes 6.7 s and 172 MB), and seq B 0 16160 takes 0.7 s and
-# 350 MB as json. The slower term routes are capped by index near a minute's
-# work: recurrence is quadratic (B(2e5) takes 3.5 s) and binet grows about
-# as n**1.6 (B(4e6) takes 4.7 s). Measured on a 2-core x86-64 host with
-# CPython 3.11.
+# 400 MB (B(6e7) takes 6.7 s and 172 MB), and seq B 0 16160 takes 0.3 s and
+# 58 MB in plain, json and csv alike, as it writes one value at a time. The
+# slower term routes are capped by index near a minute's work: recurrence is
+# quadratic (B(2e5) takes 3.5 s) and binet grows about as n**1.6 (B(4e6)
+# takes 4.7 s). Measured on a 2-core x86-64 host with CPython 3.11.
 PRINT_DIGITS_MAX = 10**8
 TERM_N_MAX = {"recurrence": 5 * 10**5, "binet": 10**7}
 # bench refuses n above its method's cap before timing anything. Its
@@ -90,6 +92,20 @@ def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _write_json_strings(head: str, values: Iterable[str], tail: str) -> None:
+    """Write head, a JSON array of the strings in values, then tail, one
+    value per write, so a long list is never held whole as text. Callers
+    pass decimals and fixed names, which JSON quotes as they are, and
+    order the keys of head and tail as json.dumps(sort_keys=True) would."""
+    write = sys.stdout.write
+    write(head + "[")
+    sep = '"'
+    for v in values:
+        write(sep + v + '"')
+        sep = ',"'
+    write("]" + tail)
+
+
 def _cmd_term(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise DomainError("term supports plain or json output")
@@ -118,17 +134,15 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         terms = stream(kind, args.start, args.stop)
         render = decimal_str
     if args.format == "json":
-        _print_json(
-            {
-                "kind": kind.value,
-                "start": args.start,
-                "stop": args.stop,
-                "values": [render(t.value) for t in terms],
-            }
+        _write_json_strings(
+            '{"kind":"%s","start":%d,"stop":%d,"values":' % (kind.value, args.start, args.stop),
+            (render(t.value) for t in terms),
+            "}\n",
         )
     elif args.format == "csv":
-        rows = ["n,value"] + ["%d,%s" % (t.n, render(t.value)) for t in terms]
-        sys.stdout.write("\n".join(rows) + "\n")
+        sys.stdout.write("n,value\n")
+        for t in terms:
+            sys.stdout.write("%d,%s\n" % (t.n, render(t.value)))
     else:
         for t in terms:
             sys.stdout.write(render(t.value) + "\n")
@@ -155,7 +169,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ids=args.id,
         collect_cases=args.verbose and args.format == "csv",
     )
-    sys.stdout.write(harness.emit_report(report, args.format).decode("utf-8"))
+    for piece in harness.report_lines(report, args.format):
+        sys.stdout.write(piece)
     return 0 if report.passed else 1
 
 
@@ -244,16 +259,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
         members = harness.generator_prefix(family, args.limit)
     if args.format == "json":
-        _print_json(
-            {
-                "family": family.value,
-                "limit": decimal_str(args.limit),
-                "method": args.method,
-                "members": [decimal_str(v) for v in members],
-            }
+        _write_json_strings(
+            '{"family":"%s","limit":"%s","members":' % (family.value, decimal_str(args.limit)),
+            map(decimal_str, members),
+            ',"method":"%s"}\n' % args.method,
         )
     elif args.format == "csv":
-        sys.stdout.write("\n".join(["value"] + [decimal_str(v) for v in members]) + "\n")
+        sys.stdout.write("value\n")
+        for v in members:
+            sys.stdout.write(decimal_str(v) + "\n")
     else:
         for v in members:
             sys.stdout.write(decimal_str(v) + "\n")
@@ -401,7 +415,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     if empty:
         parser.error("argument %s: expected one argument" % empty[0])
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a reader gone by now is caught too
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`balkit seq B 0 5000 | head -1`). Point
+        # stdout at devnull, so the flush at exit cannot fail again, and exit
+        # quietly with the status of a process killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DomainError, UnknownIdentityError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -16,7 +16,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from itertools import islice, takewhile
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import identities, oracle
 from .identities import EvalResult, IdentityDescriptor
@@ -100,7 +100,10 @@ def _run_identity(
                 if lv != rv:
                     failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
                 if collect_cases:
-                    cases.append(EvalResult(desc.ident, n, m, lv, rv, lv == rv))
+                    # A case that holds keeps one int for both sides, which
+                    # halves the operands a verbose run holds.
+                    cases.append(failures[-1] if lv != rv
+                                 else EvalResult(desc.ident, n, m, lv, lv, True))
     except KeyError as exc:
         raise DomainError(
             "%s at (n=%s, m=%s) reads index %s, outside the terms prefilled for max_n=%d"
@@ -260,68 +263,53 @@ def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
     return list(takewhile(lambda value: value <= limit, terms))
 
 
-def _json_obj(report: VerificationReport) -> dict:
-    return {
-        "suite": report.suite,
-        "max_n": report.max_n,
-        "pass": report.passed,
-        "identities": [
-            {
+def report_lines(report: VerificationReport, fmt: str) -> Iterator[str]:
+    """Serialize a report a piece at a time: a header, one piece per
+    record (json, plain) or per row (csv), then a footer. Joined, the
+    pieces are the canonical text; an unknown format raises ValueError
+    before anything is yielded."""
+    if fmt not in FORMATS:
+        raise ValueError("unsupported report format %r (use json, csv or plain)" % fmt)
+    if fmt == "json":
+        # The keys sorted put "identities" first, so the records stream
+        # inside it and the other keys follow.
+        yield '{"identities":['
+        for i, r in enumerate(report.records):
+            record = {
                 "id": r.ident,
                 "checked": r.checked,
                 "skipped": r.skipped,
                 # Zeroed in canonical output; measured time stays on the record.
                 "wall_ms": 0,
                 "failures": [
-                    {
-                        "n": f.n,
-                        "m": f.m,
-                        "lhs": decimal_str(f.lhs),
-                        "rhs": decimal_str(f.rhs),
-                    }
+                    {"n": f.n, "m": f.m, "lhs": decimal_str(f.lhs), "rhs": decimal_str(f.rhs)}
                     for f in r.failures
                 ],
             }
-            for r in report.records
-        ],
-    }
-
-
-def _csv_rows(report: VerificationReport) -> list[str]:
-    rows = ["id,n,m,lhs,rhs,holds"]
-    for r in report.records:
-        for c in r.cases or r.failures:
-            m = "" if c.m is None else str(c.m)
-            rows.append(
-                "%s,%d,%s,%s,%s,%s"
-                % (c.ident, c.n, m, decimal_str(c.lhs), decimal_str(c.rhs),
-                   "true" if c.holds else "false")
-            )
-    return rows
-
-
-def _plain_lines(report: VerificationReport) -> list[str]:
-    lines = ["suite=%s max_n=%d" % (report.suite, report.max_n)]
-    for r in report.records:
-        lines.append(
-            "%s checked=%d skipped=%d failures=%d"
-            % (r.ident, r.checked, r.skipped, len(r.failures))
-        )
-        for f in r.failures:
-            m = "-" if f.m is None else str(f.m)
-            lines.append("  fail n=%d m=%s lhs=%s rhs=%s"
-                         % (f.n, m, decimal_str(f.lhs), decimal_str(f.rhs)))
-    lines.append("overall=%s" % ("pass" if report.passed else "fail"))
-    return lines
+            yield ("," if i else "") + json.dumps(record, sort_keys=True, separators=(",", ":"))
+        yield '],"max_n":%s,"pass":%s,"suite":%s}\n' % (
+            json.dumps(report.max_n), json.dumps(report.passed), json.dumps(report.suite))
+    elif fmt == "csv":
+        yield "id,n,m,lhs,rhs,holds\n"
+        for r in report.records:
+            for c in r.cases or r.failures:
+                m = "" if c.m is None else str(c.m)
+                yield "%s,%d,%s,%s,%s,%s\n" % (
+                    c.ident, c.n, m, decimal_str(c.lhs), decimal_str(c.rhs),
+                    "true" if c.holds else "false")
+    else:
+        yield "suite=%s max_n=%d\n" % (report.suite, report.max_n)
+        for r in report.records:
+            lines = ["%s checked=%d skipped=%d failures=%d\n"
+                     % (r.ident, r.checked, r.skipped, len(r.failures))]
+            for f in r.failures:
+                m = "-" if f.m is None else str(f.m)
+                lines.append("  fail n=%d m=%s lhs=%s rhs=%s\n"
+                             % (f.n, m, decimal_str(f.lhs), decimal_str(f.rhs)))
+            yield "".join(lines)
+        yield "overall=%s\n" % ("pass" if report.passed else "fail")
 
 
 def emit_report(report: VerificationReport, fmt: str) -> bytes:
     """Serialize a report; identical reports give byte-identical output."""
-    if fmt == "json":
-        text = json.dumps(_json_obj(report), sort_keys=True, separators=(",", ":"))
-        return (text + "\n").encode("utf-8")
-    if fmt == "csv":
-        return ("\n".join(_csv_rows(report)) + "\n").encode("utf-8")
-    if fmt == "plain":
-        return ("\n".join(_plain_lines(report)) + "\n").encode("utf-8")
-    raise ValueError("unsupported report format %r (use json, csv or plain)" % fmt)
+    return "".join(report_lines(report, fmt)).encode("utf-8")

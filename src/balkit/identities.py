@@ -64,7 +64,7 @@ class IdentityDescriptor:
         return m in self.indices(n, max(n, m, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """Outcome of one evaluated case.
 

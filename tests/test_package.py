@@ -1,17 +1,19 @@
 """The package surface: lazily resolved exports and the plain value classes.
 
-QuadInt, Term and BalancerWitness are __slots__ classes. Their equality,
-hashing, keyword construction and repr must behave as the frozen
-dataclasses they replaced did; the repr strings below are the ones those
-dataclasses printed.
+QuadInt, Term and BalancerWitness are __slots__ classes, and EvalResult a
+frozen dataclass with slots. Their equality, hashing, keyword construction
+and repr must behave as the frozen dataclasses without slots did; the repr
+strings below are the ones those dataclasses printed.
 """
 
+import dataclasses
 import importlib
 
 import pytest
 
 import balkit
 from balkit import identities
+from balkit.identities import EvalResult
 from balkit.oracle import BalancerWitness
 from balkit.quadring import QuadInt
 from balkit.sequences import SequenceKind, Term
@@ -28,6 +30,8 @@ def _pair(cls, **fields):
      {"kind": SequenceKind.LUCAS_BALANCING, "n": 3, "value": 35}),
     (BalancerWitness, {"n": 6, "r": 2, "left_sum": 15, "right_sum": 15},
      {"n": 35, "r": 14, "left_sum": 595, "right_sum": 595}),
+    (EvalResult, {"ident": "B_ADD", "n": 2, "m": None, "lhs": 6, "rhs": 6, "holds": True},
+     {"ident": "B_ADD", "n": 2, "m": 0, "lhs": 6, "rhs": 6, "holds": True}),
 ])
 def test_value_class_equality_and_hash(cls, fields, other):
     x, y = _pair(cls, **fields)
@@ -51,6 +55,18 @@ def test_value_class_reprs_are_the_dataclass_reprs():
         "Term(kind=<SequenceKind.COBALANCING: 'cobalancing'>, n=3, value=14)")
     assert repr(BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)) == (
         "BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)")
+    assert repr(EvalResult("MOD16_C", 3, None, 1, 1, True)) == (
+        "EvalResult(ident='MOD16_C', n=3, m=None, lhs=1, rhs=1, holds=True)")
+
+
+def test_eval_result_is_frozen_and_hashes_its_fields():
+    fields = ("C_DIFF_HALF", 4, 2, 1154, 1153, False)
+    x = EvalResult(*fields)
+    # A frozen dataclass with eq hashes the tuple of its fields.
+    assert hash(x) == hash(fields)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.holds = True
+    assert x == EvalResult(*fields)
 
 
 def test_every_exported_name_resolves():
