@@ -15,8 +15,8 @@ import sys
 import time
 from typing import Iterable, Optional
 
-# Only the modules every command needs load here: verify and the
-# generator search import harness (and with it identities) when they run.
+# Only the modules every command needs load here: verify imports harness
+# (and with it identities) when it runs.
 from . import oracle
 from .sequences import (
     _ALWAYS_STR_BITS,
@@ -30,6 +30,7 @@ from .sequences import (
     decimal_str,
     digits_bound,
     exact_context,
+    generator_prefix,
     index_of,
     pair_bc,
     parse_kind,
@@ -255,9 +256,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         # k >= 2, and a member <= limit < 2**L, L = limit.bit_length(), has
         # 2k-3 < L, that is k <= L//2 + 1. The output is capped as seq's is.
         _check_size(family, 1, args.limit.bit_length() // 2 + 1)
-        from . import harness
-
-        members = harness.generator_prefix(family, args.limit)
+        members = generator_prefix(family, args.limit)
     if args.format == "json":
         _write_json_strings(
             '{"family":"%s","limit":"%s","members":' % (family.value, decimal_str(args.limit)),

@@ -6,16 +6,15 @@ skipped, so checked + skipped is the grid size. Results come back as a
 VerificationReport that serializes deterministically: identical inputs give
 byte-identical JSON/CSV. Measured wall times stay on the in-process report
 objects; the canonical serializations zero them out, since emitting timings
-would break byte-level reproducibility.
+would break byte-level reproducibility. A catalog run reads its terms from
+one TermSource prefilled to identities.term_tops() for its entries.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass, field
-from itertools import islice, takewhile
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import identities, oracle
@@ -25,10 +24,10 @@ from .sequences import (
     SequenceKind,
     TermSource,
     decimal_str,
+    generator_prefix,
     stream,
     term_binet,
     term_doubling,
-    walk,
 )
 
 FORMATS = ("json", "csv", "plain")
@@ -105,9 +104,7 @@ def _run_identity(
                     cases.append(failures[-1] if lv != rv
                                  else EvalResult(desc.ident, n, m, lv, lv, True))
     except KeyError as exc:
-        raise DomainError(
-            "%s at (n=%s, m=%s) reads index %s, outside the terms prefilled for max_n=%d"
-            % (desc.ident, n, m, exc.args[0], max_n)) from None
+        raise identities.read_error(desc, n, m, exc.args[0], max_n) from None
     failures.sort(key=_sort_key)
     skipped = (max_n + 1) ** desc.arity - checked
     wall_ms = int((time.perf_counter() - started) * 1000)
@@ -128,10 +125,10 @@ def run_suite(
     in catalog (or ids) order, and each record's failures are sorted by
     (n, m), so the report depends only on the arguments.
 
-    A grid of more than GRID_CELLS_MAX cells is refused with DomainError
-    before any term is computed. The evaluators read exact dict copies of
-    the prefilled terms, so a read outside them raises DomainError naming
-    the entry, the cell and the index, rather than growing or wrapping.
+    A grid of more than GRID_CELLS_MAX cells, or terms above what
+    identities.term_tops() allows, is refused with DomainError before any
+    term is computed. A read outside the prefilled terms raises DomainError
+    naming the entry, the cell and the index, rather than wrapping.
     """
     if max_n < 1:
         raise DomainError("max_n must be >= 1, got %d" % max_n)
@@ -153,19 +150,9 @@ def run_suite(
             "max_n=%d gives a grid of %d cells, above the limit of %d"
             % (max_n, cells, GRID_CELLS_MAX))
 
-    # Only the kinds the selected statements read are filled; the other
-    # tables stay empty, so a stray read still stops the run by name.
-    reads = set(re.findall(r"([BCbc])\(", " ".join(d.statement for d in selected)))
+    tops = identities.term_tops(selected, max_n)
     terms = TermSource()
-    # Largest index any catalog entry can touch: 2*max_n + 1 for B/C shifts,
-    # 4*max_n for the quadrupled-index congruence on c. Filled up front, then
-    # each table is swapped in place for an exact dict copy, whose subscripts
-    # CPython specializes and which no longer grows on a miss. A top of -1
-    # fills nothing.
-    terms.prefill(2 * max_n + 2 if reads & set("BC") else -1,
-                  4 * max_n + 2 if reads & set("bc") else -1)
-    for k in "BCbc":
-        setattr(terms, k, dict(getattr(terms, k)) if k in reads else {})
+    terms.prefill(tops)
 
     report = VerificationReport("identity-catalog", max_n)
     report.records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
@@ -253,14 +240,6 @@ def oracle_equivalence(limit: int) -> VerificationReport:
         _oracle_record("COBALANCING", scanned_c, generated_c, oracle.cobalancer_of)
     )
     return report
-
-
-def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
-    """Sequence values <= limit, from index 1 upward (B(0)=0 is excluded:
-    the family proper starts at 1 for balancing, 0=b(1) for cobalancing).
-    The terms increase, so the recurrence walk stops at the first above limit."""
-    terms = islice(walk(kind), 1 - kind.min_index, None)
-    return list(takewhile(lambda value: value <= limit, terms))
 
 
 def report_lines(report: VerificationReport, fmt: str) -> Iterator[str]:

@@ -4,12 +4,11 @@ Identities are data, not code paths: an entry is its printed statement plus
 its printed domain. The exact left/right evaluators are compiled from the
 statement when this module is imported, and the domain's arity and index
 ranges come from one table of domains, so what is printed is what gets
-checked. An evaluator reads its terms by subscript from the four tables
-of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i], and calls nothing:
-evaluate() hands it a source whose tables grow on demand, the harness one
-whose tables are exact dicts of a prefilled range. One generic routine
-evaluates any entry at given indices. Adding an entry means adding a table
-row.
+checked. An evaluator reads its terms by subscript from the four plain dict
+tables of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i], and calls
+nothing; evaluate() and the harness prefill them to the tops term_tops()
+gives for the kinds their entries read. One generic routine evaluates any
+entry at given indices. Adding an entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -21,9 +20,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .sequences import DomainError, TermSource, UnknownIdentityError
+from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError, digits_bound
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
 DomainRange = Callable[..., range]
@@ -40,8 +39,9 @@ class IdentityDescriptor:
     domain_desc are the printed forms an entry is written as; every other
     field is derived from them. lhs and rhs are compiled from statement,
     arity and indices are looked up from domain_desc, and domain(n, m) is
-    the membership test read off indices. kind and modulus come from the
-    statement's form; modulus is set on congruence entries only. note
+    the membership test read off indices. reads holds the symbols of the
+    kinds the statement reads, in "BCbc" order. kind and modulus come from
+    the statement's form; modulus is set on congruence entries only. note
     records a known discrepancy between this entry's implemented reading
     and an alternative printed form, where one exists.
     """
@@ -54,6 +54,7 @@ class IdentityDescriptor:
     indices: DomainRange = field(repr=False)
     lhs: Evaluator = field(repr=False)
     rhs: Evaluator = field(repr=False)
+    reads: str
     modulus: Optional[int] = None
     note: Optional[str] = None
 
@@ -162,7 +163,8 @@ def _entry(
         (lhs, rhs), kind, modulus = sides, EQUATION, None
     return IdentityDescriptor(
         ident, arity, kind, statement, domain, indices,
-        _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus), modulus, note,
+        _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus),
+        "".join(k for k in "BCbc" if k + "(" in statement), modulus, note,
     )
 
 
@@ -251,6 +253,32 @@ def domain_check(ident: str, n: int, m: Optional[int] = None) -> bool:
     return desc.domain(n, m)
 
 
+# term_tops refuses terms of more than this many digits in all (about 12 MB
+# of ints): the full catalog at max_n 1239, the largest the harness's cell
+# cap allows, has 2.4e7, and PARITY_B alone reaches it near max_n 4400.
+TERM_DIGITS_MAX = 3 * 10**7
+
+
+def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
+    """Top index to prefill per kind the entries read, on the grid 0..max_n:
+    2*max_n + 2 for B and C, 4*max_n + 2 for b and c (c(4n) is read). Raises
+    DomainError if those terms have more than TERM_DIGITS_MAX digits in all."""
+    reads = "".join(d.reads for d in entries)
+    kinds = [k for k in SequenceKind if k.short in reads]
+    tops = {k.short: (2 if k.short in "BC" else 4) * max_n + 2 for k in kinds}
+    digits = sum(digits_bound(k.min_index, tops[k.short]) for k in kinds)
+    if digits > TERM_DIGITS_MAX:
+        raise DomainError("max_n=%d reads terms of up to %d digits in all, above the limit of %d"
+                          % (max_n, digits, TERM_DIGITS_MAX))
+    return tops
+
+
+def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n: int):
+    """The DomainError for an evaluator's read of index outside the prefill."""
+    return DomainError("%s at (n=%s, m=%s) reads index %s, outside the terms prefilled for "
+                       "max_n=%d" % (desc.ident, n, m, index, max_n))
+
+
 def evaluate(
     ident: str,
     n: int,
@@ -261,10 +289,9 @@ def evaluate(
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    The evaluators read the source's growing tables, so a term not yet
-    held is walked to on demand. Without terms, a fresh TermSource serves
-    this call alone and is freed when it returns; pass one to share cached
-    terms between calls.
+    The source is prefilled to term_tops() for max_n = max(n, m). Without
+    terms, a fresh TermSource serves this call alone and is freed when it
+    returns; pass one to share its terms between calls, which extend it.
     """
     desc = lookup(ident)
     _check_arity(desc, m)
@@ -273,8 +300,13 @@ def evaluate(
             "(n=%s, m=%s) is outside the domain of %s (%s)"
             % (n, m, ident, desc.domain_desc)
         )
-    if terms is None:
-        terms = TermSource()
-    lhs = desc.lhs(terms, n, m)
-    rhs = desc.rhs(terms, n, m)
+    max_n = n if m is None else max(n, m)
+    tops = term_tops([desc], max_n)
+    terms = TermSource() if terms is None else terms
+    terms.prefill(tops)
+    try:
+        lhs = desc.lhs(terms, n, m)
+        rhs = desc.rhs(terms, n, m)
+    except KeyError as exc:
+        raise read_error(desc, n, m, exc.args[0], max_n) from None
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

@@ -24,8 +24,10 @@ import decimal.
 
 All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
 seed pair. _KINDS holds each kind's short symbol, min_index, seeds and add,
-and walk() is the one place that steps the recurrence: stream(), the
-TermSource tables and the harness's generator search all read its terms.
+and walk() is the one place that steps the recurrence: stream(),
+generator_prefix() (the generator search) and the TermSource tables all
+read its terms. A TermSource is four plain dicts that prefill() fills from
+walk() up to a top index per kind; nothing grows on a read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Iterator, Optional
 
 from .quadring import ALPHA1, LAMBDA1, qpow
@@ -289,56 +291,35 @@ def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list[Term]:
     return [Term(kind, idx, x) for idx, x in enumerate(values, start)]
 
 
-class _Terms(dict):
-    """One kind's terms keyed by index, grown from its walk() on a miss.
-
-    The keys are always min_index, min_index + 1, ... with no gap, so a
-    read above the top extends the run up to it, and a read below
-    min_index raises DomainError.
-    """
-
-    __slots__ = ("_kind", "_walk")
-
-    def __init__(self, kind: SequenceKind) -> None:
-        super().__init__()
-        self._kind = kind
-        self._walk = enumerate(walk(kind), kind.min_index)
-
-    def fill(self, top: int) -> None:
-        """Hold every index from min_index through top."""
-        missing = top + 1 - self._kind.min_index - len(self)
-        if missing > 0:
-            self.update(islice(self._walk, missing))
-
-    def __missing__(self, i: int) -> int:
-        _check_index(self._kind, i)
-        self.fill(i)
-        return self[i]
+def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
+    """Sequence values <= limit, from index 1 upward (B(0)=0 is excluded:
+    the family proper starts at 1 for balancing, 0=b(1) for cobalancing).
+    The terms increase, so the recurrence walk stops at the first above limit."""
+    terms = islice(walk(kind), 1 - kind.min_index, None)
+    return list(takewhile(lambda value: value <= limit, terms))
 
 
 class TermSource:
     """The four term tables the catalog evaluators read, as t.B[i], t.C[i],
-    t.b[i] and t.c[i].
-
-    Each table is a _Terms dict from index to term that grows from its
-    kind's walk() on a miss and never drops an entry; a caller may swap a
-    table for a plain dict, as the harness does with exact copies. A source
-    is not synchronized: give each thread its own, and prefill() the range
-    a run will touch up front.
+    t.b[i] and t.c[i]: plain dicts from index to term, which only prefill()
+    fills, from min_index up with no gap. A read outside them, below
+    min_index included, is a plain KeyError. Give each thread its own source.
     """
 
-    __slots__ = ("B", "C", "b", "c")
+    __slots__ = ("B", "C", "b", "c", "_walks")
 
     def __init__(self) -> None:
-        # SequenceKind lists B, C, b, c in this order.
-        self.B, self.C, self.b, self.c = (_Terms(kind) for kind in SequenceKind)
+        self.B, self.C, self.b, self.c = {}, {}, {}, {}
+        self._walks = {kind.short: enumerate(walk(kind), kind.min_index) for kind in SequenceKind}
 
-    def prefill(self, bc_max: int, cobal_max: int) -> None:
-        """Fill B,C up to index bc_max and b,c up to index cobal_max."""
-        self.B.fill(bc_max)
-        self.C.fill(bc_max)
-        self.b.fill(cobal_max)
-        self.c.fill(cobal_max)
+    def prefill(self, tops: dict[str, int]) -> None:
+        """Extend each table named in tops (by short symbol) to its top
+        index, resuming its own walk(), so only missing indices are stepped."""
+        for short, top in tops.items():
+            table = getattr(self, short)
+            missing = top + 1 - parse_kind(short).min_index - len(table)
+            if missing > 0:
+                table.update(islice(self._walks[short], missing))
 
 
 _LOG10_2 = math.log10(2)

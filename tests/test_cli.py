@@ -318,18 +318,14 @@ def test_unsupported_format_is_refused_before_arithmetic(argv, capsys, monkeypat
 
 @pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.COBALANCING])
 def test_generator_search_index_bound_holds_at_every_member(kind):
-    from balkit import harness
-
     for limit in sorted({v + d for v in (t.value for t in stream(kind, 1, 400)) for d in (-1, 0)}):
         if limit >= 0:
             # Members start at index 1, so the count is the last member's index.
-            assert len(harness.generator_prefix(kind, limit)) <= limit.bit_length() // 2 + 1
+            assert len(sequences.generator_prefix(kind, limit)) <= limit.bit_length() // 2 + 1
 
 
 def test_generator_search_is_capped_as_seq_is(capsys, monkeypatch):
-    from balkit import harness
-
-    monkeypatch.setattr(harness, "walk", computed)
+    monkeypatch.setattr(sequences, "walk", computed)
     top = max(k for k in range(16000, 16400)
               if sequences.digits_bound(1, k) <= cli.PRINT_DIGITS_MAX)
     # A limit of bit length 2*top - 1 bounds the index by top, one more bit by top + 1.
@@ -537,6 +533,7 @@ def test_lean_commands_import_only_what_they_need():
         ["term", "C", "300", "--method", "binet"],
         ["seq", "B", "0", "5"],
         ["search", "balancing", "--method", "oracle", "--limit", "100"],
+        ["search", "cobalancing", "--limit", "100"],
         # Just below the sizes from which term and seq compute in Decimal.
         ["term", "c", "12885"],
         ["seq", "C", "0", "754"],

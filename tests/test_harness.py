@@ -130,6 +130,7 @@ def test_negative_control_corrupted_catalog_fails():
 def test_negative_control_built_from_the_statement_fails_on_the_same_cells():
     # The 15 * B * B reading, evaluated by hand from the TermSource tables.
     src = sequences.TermSource()
+    src.prefill({"B": 30, "C": 30})
     expected = []
     for n in range(31):
         for m in range(n % 2, n + 1, 2):
@@ -173,12 +174,12 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
     prefills, seen = [], []
 
     class Source(sequences.TermSource):
-        def prefill(self, bc_max, cobal_max):
-            prefills.append((bc_max, cobal_max))
-            super().prefill(bc_max, cobal_max)
+        def prefill(self, tops):
+            prefills.append(dict(tops))
+            super().prefill(tops)
 
     def run_identity(desc, max_n, terms, collect_cases):
-        # The source prefilled above, each table swapped for an exact dict.
+        # The one source prefilled above, whose tables are plain dicts.
         assert type(terms) is Source
         tables = {k: getattr(terms, k) for k in "BCbc"}
         assert all(type(t) is dict for t in tables.values()), desc.ident
@@ -189,8 +190,8 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
     monkeypatch.setattr(harness, "TermSource", Source)
     monkeypatch.setattr(harness, "_run_identity", run_identity)
     assert run_suite(600, ids=ids).passed
-    assert prefills == [(1202 if set(filled) & set("BC") else -1,
-                         2402 if set(filled) & set("bc") else -1)]
+    tops = {"B": 1202, "C": 1202, "b": 2402, "c": 2402}
+    assert prefills == [{k: tops[k] for k in filled}]
     sizes = {"B": 1203, "C": 1203, "b": 2402, "c": 2402}
     assert seen[0] == {k: sizes[k] if k in filled else 0 for k in "BCbc"}
 
@@ -210,7 +211,7 @@ class Prefilled(Exception):
 
 @pytest.fixture
 def no_prefill(monkeypatch):
-    def prefill(self, bc_max, cobal_max):
+    def prefill(self, tops):
         raise Prefilled
 
     monkeypatch.setattr(sequences.TermSource, "prefill", prefill)
@@ -237,10 +238,30 @@ def test_grid_above_the_cell_cap_is_refused_before_prefill(no_prefill, capsys):
     (1000, ["PARITY_B", "ODD_C", "MOD16_C", "MOD4_CSUM", "EVEN_b",
             "MOD4_bDIFF", "ODD_c", "MOD8_c", "MOD16_c"]),  # C6
     (600, [d.ident for d in identities.list_identities()[:4]]),  # a benchmark subset
+    (4400, ["PARITY_B"]),  # just under the digit cap of term_tops
 ])
 def test_grids_under_the_cell_cap_are_run(no_prefill, max_n, ids):
     with pytest.raises(Prefilled):
         run_suite(max_n, ids=ids)
+
+
+@pytest.mark.parametrize("ids, max_n", [
+    (["PARITY_B"], 39999999),  # within the cell cap: 4e7 cells
+    (["PARITY_B"], 4500),
+    (["MOD16_c"], 10**6),
+    (["MOD16_c", "B_ADD"], 2300),
+])
+def test_terms_above_the_digit_cap_are_refused_before_prefill(no_prefill, ids, max_n, capsys):
+    from balkit import cli
+
+    with pytest.raises(DomainError, match="above the limit of %d$" % identities.TERM_DIGITS_MAX):
+        run_suite(max_n, ids=ids)
+    argv = ["verify", "--max-n", str(max_n)]
+    for ident in ids:
+        argv += ["--id", ident]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: max_n=%d reads terms of up to " % max_n)
 
 
 def test_compare_methods_passes():
@@ -285,10 +306,10 @@ def test_generator_prefix_walks_the_recurrence(monkeypatch, kind):
         raise AssertionError("generator_prefix evaluated a term by fast doubling")
 
     monkeypatch.setattr(sequences, "pair_bc", no_doubling)
-    monkeypatch.setattr(harness, "term_doubling", no_doubling)
+    monkeypatch.setattr(sequences, "term_doubling", no_doubling)
     member = terms[9]
     for limit in (0, 1, member - 1, member, member + 1, 10**3000):
-        assert harness.generator_prefix(kind, limit) == [v for v in terms if v <= limit]
+        assert sequences.generator_prefix(kind, limit) == [v for v in terms if v <= limit]
 
 
 def test_emit_report_empty_json_shape():

@@ -10,13 +10,15 @@ from balkit import identities
 from balkit.identities import (
     CONGRUENCE,
     EQUATION,
+    TERM_DIGITS_MAX,
     UnknownIdentityError,
     domain_check,
     evaluate,
     list_identities,
     lookup,
 )
-from balkit.sequences import DomainError, TermSource
+from balkit.harness import run_suite
+from balkit.sequences import DomainError, SequenceKind, TermSource, stream
 
 EXPECTED_IDS = [
     "B_ADD", "B_SUB", "B_DIFF_HALF", "B_DIFF_EVEN", "B_2N_MINUS6",
@@ -109,7 +111,7 @@ def test_evaluate_refuses_out_of_domain():
 
 def test_exhaustive_truth_small_range():
     src = TermSource()
-    src.prefill(100, 180)
+    src.prefill({"B": 100, "C": 100, "b": 180, "c": 180})
     for d in list_identities():
         if d.arity == 1:
             pairs = [(n, None) for n in range(41)]
@@ -126,7 +128,7 @@ def test_exhaustive_truth_small_range():
 
 def test_consistency_triangle_even_laws_specialize_half_laws():
     src = TermSource()
-    src.prefill(440, 4)
+    src.prefill({"B": 440, "C": 440, "b": 4, "c": 4})
     for n in range(101):
         for m in range(n + 1):
             even = evaluate("B_DIFF_EVEN", n, m, terms=src)
@@ -136,7 +138,7 @@ def test_consistency_triangle_even_laws_specialize_half_laws():
 
 def test_consistency_triangle_c_add_plus_c_sub():
     src = TermSource()
-    src.prefill(220, 4)
+    src.prefill({"B": 220, "C": 220, "b": 4, "c": 4})
     for n in range(101):
         for m in range(n + 1):
             add = evaluate("C_ADD", n, m, terms=src)
@@ -204,18 +206,47 @@ def test_compiled_evaluators_subscript_t_and_call_nothing():
             assert not [i for i in code if i.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF")]
 
 
-def test_evaluate_grows_a_shared_source_on_demand(monkeypatch):
+def test_evaluate_grows_a_shared_source_on_demand():
     src = TermSource()
+    sizes = lambda: [len(src.B), len(src.C), len(src.b), len(src.c)]
     assert evaluate("B_ADD", 40, 17, terms=src).holds
-    assert (len(src.B), len(src.C)) == (58, 41)  # B up to n+m, C up to n
+    # The kinds B_ADD reads, to 2*max(n, m) + 2; b and c stay empty.
+    assert sizes() == [83, 83, 0, 0]
     assert evaluate("C2N_PLUS1", 30, terms=src).holds
-    assert (len(src.B), len(src.b), len(src.c)) == (58, 30, 60)
-    # Reads below min_index raise, on either side: B(-1) at n = 0, b(0) at n = 1.
-    below = identities._entry("X", "B(n-1) = b(n-1)", "n >= 0")
-    monkeypatch.setitem(identities._BY_ID, "X", below)
-    for n in (0, 1):
-        with pytest.raises(DomainError, match="defined for n >= %d, got n=%d" % (n, n - 1)):
-            evaluate("X", n, terms=src)
+    # b and c to 4*n + 2 (from index 1); B already reaches 2*n + 2.
+    assert sizes() == [83, 83, 122, 122]
+    assert evaluate("B_SUB", 3, 0, terms=src).holds
+    assert sizes() == [83, 83, 122, 122]  # a smaller call keeps every entry
+    assert src.B == {t.n: t.value for t in stream(SequenceKind.BALANCING, 0, 82)}
+
+
+@pytest.mark.parametrize("statement, domain, n, m, index, max_n", [
+    ("B(n-1) = b(n-1)", "n >= 0", 0, None, -1, 0),  # below min_index on the left
+    ("B(n-1) = b(n-1)", "n >= 0", 1, None, 0, 1),  # and on the right
+    ("B(n) = B(3m)", "1 <= n <= m", 1, 5, 15, 5),  # above 2*max(n, m) + 2
+])
+def test_evaluate_words_an_out_of_table_read_as_the_harness_does(
+        statement, domain, n, m, index, max_n, monkeypatch):
+    entry = identities._entry("X", statement, domain)
+    monkeypatch.setitem(identities._BY_ID, "X", entry)
+    with pytest.raises(DomainError) as info:
+        evaluate("X", n, m)
+    message = "X at (n=%s, m=%s) reads index %d, outside the terms prefilled for max_n=%d"
+    assert str(info.value) == message % (n, m, index, max_n)
+    if m is None:
+        with pytest.raises(DomainError) as info:
+            run_suite(max(n, 1), catalog=[entry])
+        assert str(info.value) == message % (0, None, -1, max(n, 1))
+
+
+def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
+    def prefill(self, tops):
+        raise AssertionError("prefilled")
+
+    monkeypatch.setattr(TermSource, "prefill", prefill)
+    for args in (("PARITY_B", 10**5), ("MOD16_c", 10**6), ("B_ADD", 10**9, 0)):
+        with pytest.raises(DomainError, match="above the limit of %d$" % TERM_DIGITS_MAX):
+            evaluate(*args)
 
 
 def test_default_term_source_is_used_when_none_given():
@@ -223,8 +254,8 @@ def test_default_term_source_is_used_when_none_given():
 
 
 def test_one_off_evaluate_keeps_no_terms_cached():
-    # Growing B and C by recurrence to index 3000 takes about 3 MB; a call
-    # without terms= must free its cache when it returns.
+    # Prefilling B and C to index 6002 takes about 11 MB; a call without
+    # terms= must free them when it returns.
     evaluate("B_ADD", 2, 0)  # first-call allocations outside the measure
     tracemalloc.start()
     try:

@@ -38,12 +38,13 @@ def test_traced_commands_run_and_record_doubling():
         ["term", "b", "500"],
         ["term", "B", "100", "--method", "binet"],
         ["verify", "--max-n", "5", "--jobs", "2"],
-        # Reads only b and c: the tables swapped in place for exact dicts
-        # are set on the tracer's TermSource subclass.
+        # Reads only b and c: the prefilled tables are set on the tracer's
+        # TermSource subclass.
         ["verify", "--max-n", "5", "--id", "EVEN_b", "--id", "MOD16_c"],
         ["classify", str(pair_bc(300)[1])],
         ["classify", str(pair_bc(300)[0])],
         ["search", "balancing", "--method", "oracle", "--limit", "1000"],
+        ["search", "cobalancing", "--limit", "1000"],
         # Past their thresholds term and seq compute in Decimal, which must
         # not pass through the traced sequences.pair_bc (its hook reads
         # int.bit_length()).
@@ -64,8 +65,11 @@ def test_traced_commands_run_and_record_doubling():
     assert result["codes"] == [0] * len(commands)
     # The oracle spans feed the lookup workload's per-layer metrics, the
     # harness and evaluator spans the verify workload's; the per-identity
-    # span is installed only if harness._run_identity exists.
+    # span is installed only if harness._run_identity exists, and the
+    # prefill span only if run_suite builds harness.TermSource and calls its
+    # prefill.
     for name in ("sequences.pair_bc", "oracle.search_family", "oracle.witness",
-                 "harness.run_suite", "harness.identity", "identities.eval"):
+                 "harness.run_suite", "harness.identity", "identities.eval",
+                 "sequences.termsource.prefill"):
         calls, total_s, _ = result["stats"][name]
         assert calls > 0 and total_s > 0, name

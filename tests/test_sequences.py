@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from balkit import sequences
 from balkit.sequences import (
     DomainError,
     SequenceKind,
@@ -209,7 +210,7 @@ def test_parse_kind():
 
 def test_term_source_matches_recurrence():
     src = TermSource()
-    src.prefill(64, 64)
+    src.prefill({"B": 64, "C": 64, "b": 64, "c": 64})
     for n in range(0, 65):
         assert src.B[n] == term_recurrence(B, n)
         assert src.C[n] == term_recurrence(C, n)
@@ -221,26 +222,30 @@ def test_term_source_matches_recurrence():
 def test_one_index_check_words_every_refusal():
     expected = {B: "balancing is defined for n >= 0, got n=-2",
                 b: "cobalancing is defined for n >= 1, got n=0"}
-    src = TermSource()
-    for read, kind in ((lambda: pair_bc(-2), B), (lambda: src.B[-2], B),
-                       (lambda: pair_cobal(0), b), (lambda: src.b[0], b)):
+    for read, kind in ((lambda: pair_bc(-2), B), (lambda: stream(B, -2, 0), B),
+                       (lambda: pair_cobal(0), b), (lambda: term_binet(b, 0), b)):
         with pytest.raises(DomainError) as info:
             read()
         assert str(info.value) == expected[kind]
 
 
-def test_term_source_domains_and_lazy_growth():
+def test_term_source_read_outside_the_filled_range_is_a_key_error():
     src = TermSource()
-    with pytest.raises(DomainError):
-        src.b[0]
-    with pytest.raises(DomainError):
-        src.B[-1]
-    # No prefill: lookups beyond the current cache extend it transparently.
+    with pytest.raises(KeyError):
+        src.c[1]  # nothing is filled until prefill()
+    src.prefill({"B": 5, "c": 12})
     assert src.c[12] == _reference(1, 7, 0, 12)[-1]
+    for table, i in ((src.B, 6), (src.B, -1), (src.c, 13), (src.c, 0), (src.C, 0), (src.b, 1)):
+        with pytest.raises(KeyError):
+            table[i]
+    assert [type(t) for t in (src.B, src.C, src.b, src.c)] == [dict] * 4
+    assert [len(src.B), len(src.C), len(src.b), len(src.c)] == [6, 0, 0, 12]
 
 
 @pytest.mark.parametrize("prefill", [None, (40, 70)])
 def test_term_source_reads_in_any_order(prefill):
+    # prefill() extends a table and never shrinks it, whatever the order of
+    # its tops, and the terms read back in any order.
     top = 120
     expected = {
         kind.short: {t.n: t.value for t in stream(kind, kind.min_index, top)}
@@ -249,21 +254,33 @@ def test_term_source_reads_in_any_order(prefill):
     reads = [(short, n) for short, values in expected.items() for n in values]
     random.Random(11).shuffle(reads)
     src = TermSource()
-    if prefill:
-        src.prefill(*prefill)
-    sizes = [0, 0, 0, 0]
+    if prefill:  # a partial fill first, which the full one extends
+        src.prefill({"B": prefill[0], "C": prefill[0], "b": prefill[1], "c": prefill[1]})
+    src.prefill({short: top for short in "BCbc"})
     for step, (short, n) in enumerate(reads):
         assert getattr(src, short)[n] == expected[short][n], (short, n)
         if step % 37 == 0:
-            src.prefill(step % 5, step % 3)  # mostly below what is cached
-        grown = [len(src.B), len(src.C), len(src.b), len(src.c)]
-        assert all(g >= s for g, s in zip(grown, sizes)), (short, n)
-        sizes = grown
-    assert sizes == [top + 1, top + 1, top, top]
+            src.prefill({"B": step % 5, "C": step % 7, "b": step % 3, "c": 1})
+            assert [len(src.B), len(src.C), len(src.b), len(src.c)] == [top + 1, top + 1, top, top]
+    assert {k: getattr(src, k) for k in "BCbc"} == expected
 
 
-def test_term_source_read_grows_only_its_own_cache():
+def test_a_second_prefill_walks_only_the_missing_indices(monkeypatch):
+    expected = [t.value for t in stream(B, 0, 80)]
+    stepped = []
+    real_walk = sequences.walk
+
+    def counting_walk(kind, one=1):
+        for x in real_walk(kind, one):
+            stepped.append(kind.short)
+            yield x
+
+    monkeypatch.setattr(sequences, "walk", counting_walk)
     fresh, src = TermSource(), TermSource()
-    assert src.B[50] == term_recurrence(B, 50)
-    assert src.c[30] == term_recurrence(c, 30)
-    assert [len(src.C), len(src.b)] == [len(fresh.C), len(fresh.b)]
+    src.prefill({"B": 50, "c": 30})
+    assert (stepped.count("B"), stepped.count("c")) == (51, 30)
+    src.prefill({"B": 80, "c": 10})
+    assert (stepped.count("B"), stepped.count("c")) == (81, 30)
+    assert src.B == dict(enumerate(expected))
+    # Each source fills only its own tables.
+    assert [len(t) for t in (src.C, src.b, fresh.B, fresh.C, fresh.b, fresh.c)] == [0] * 6

@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from balkit import cli, harness, identities
-from balkit.sequences import SequenceKind, parse_kind, stream
+from balkit.sequences import SequenceKind, generator_prefix, parse_kind, stream
 from test_harness import corrupt_c_diff_half
 
 # Longest header or footer around the streamed units, with a unit's comma
@@ -81,7 +81,7 @@ def test_seq_streams_the_canonical_json_and_csv(monkeypatch, kind, start, stop):
 ])
 def test_search_streams_the_canonical_json_and_csv(monkeypatch, family, limit, method):
     kind = SequenceKind(family)
-    members = [str(v) for v in harness.generator_prefix(kind, limit)]
+    members = [str(v) for v in generator_prefix(kind, limit)]
     argv = ["search", family, "--limit", str(limit), "--method", method, "--format"]
     code, pieces = _run(monkeypatch, argv + ["json"])
     assert code == 0
