@@ -19,7 +19,6 @@ _HOME = {
     "IdentityDescriptor": "identities",
     "QuadInt": "quadring",
     "SequenceKind": "sequences",
-    "Term": "sequences",
     "TermSource": "sequences",
     "UnknownIdentityError": "sequences",
 }

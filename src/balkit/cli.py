@@ -129,24 +129,24 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     _check_size(kind, args.start, args.stop)
     if _past(args.stop, _ALWAYS_STR_BITS):
         with exact_context() as ctx:
-            terms = stream(kind, args.start, args.stop, ctx.create_decimal(1))
+            values = stream(kind, args.start, args.stop, ctx.create_decimal(1))
         render = str
     else:
-        terms = stream(kind, args.start, args.stop)
+        values = stream(kind, args.start, args.stop)
         render = decimal_str
     if args.format == "json":
         _write_json_strings(
             '{"kind":"%s","start":%d,"stop":%d,"values":' % (kind.value, args.start, args.stop),
-            (render(t.value) for t in terms),
+            map(render, values),
             "}\n",
         )
     elif args.format == "csv":
         sys.stdout.write("n,value\n")
-        for t in terms:
-            sys.stdout.write("%d,%s\n" % (t.n, render(t.value)))
+        for n, v in enumerate(values, args.start):
+            sys.stdout.write("%d,%s\n" % (n, render(v)))
     else:
-        for t in terms:
-            sys.stdout.write(render(t.value) + "\n")
+        for v in values:
+            sys.stdout.write(render(v) + "\n")
     return 0
 
 

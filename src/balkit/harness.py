@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from . import identities, oracle
 from .identities import EvalResult, IdentityDescriptor
@@ -69,10 +69,6 @@ class VerificationReport:
         return sum(len(r.failures) for r in self.records)
 
 
-def _sort_key(f: EvalResult) -> tuple[int, int]:
-    return (f.n, -1 if f.m is None else f.m)
-
-
 def _run_identity(
     desc: IdentityDescriptor,
     max_n: int,
@@ -84,14 +80,11 @@ def _run_identity(
     failures: list[EvalResult] = []
     cases: list[EvalResult] = []
     indices, lhs, rhs = desc.indices, desc.lhs, desc.rhs
-    # Rows in n order, each with its in-domain m values (None for unary).
-    if desc.arity == 1:
-        rows: Iterable[tuple[int, Sequence[Optional[int]]]] = (
-            (n, (None,)) for n in indices(max_n))
-    else:
-        rows = ((n, indices(n, max_n)) for n in range(max_n + 1))
     try:
-        for n, ms in rows:
+        # Rows in n order, each with its in-domain m values ((None,) or ()
+        # for a unary entry), so the failures come out in (n, m) order.
+        for n in range(max_n + 1):
+            ms = indices(n, max_n)
             checked += len(ms)
             for m in ms:
                 lv = lhs(terms, n, m)
@@ -105,7 +98,6 @@ def _run_identity(
                                  else EvalResult(desc.ident, n, m, lv, lv, True))
     except KeyError as exc:
         raise identities.read_error(desc, n, m, exc.args[0], max_n) from None
-    failures.sort(key=_sort_key)
     skipped = (max_n + 1) ** desc.arity - checked
     wall_ms = int((time.perf_counter() - started) * 1000)
     return IdentityRecord(desc.ident, checked, skipped, wall_ms, failures, cases)
@@ -119,11 +111,12 @@ def run_suite(
 ) -> VerificationReport:
     """Evaluate catalog entries on their domains within the grid 0..max_n.
 
-    Unary entries walk their in-domain n, binary entries the in-domain m of
-    each row n; every other cell of the (max_n+1) or (max_n+1) x (max_n+1)
-    grid counts as skipped. Identities run one after another in one thread,
-    in catalog (or ids) order, and each record's failures are sorted by
-    (n, m), so the report depends only on the arguments.
+    Each entry walks the rows n = 0..max_n and, in each, its in-domain m
+    (None for a unary entry); every other cell of the (max_n+1) or
+    (max_n+1) x (max_n+1) grid counts as skipped. Identities run one after
+    another in one thread, in catalog (or ids) order, and each record's
+    failures come out in (n, m) order, so the report depends only on the
+    arguments.
 
     A grid of more than GRID_CELLS_MAX cells, or terms above what
     identities.term_tops() allows, is refused with DomainError before any
@@ -174,13 +167,13 @@ def compare_methods(max_n: int) -> VerificationReport:
         started = time.perf_counter()
         checked = 0
         failures: list[EvalResult] = []
-        for term in stream(kind, kind.min_index, max_n):
-            binet = term_binet(kind, term.n)
-            doubled = term_doubling(kind, term.n)
+        for n, value in enumerate(stream(kind, kind.min_index, max_n), kind.min_index):
+            binet = term_binet(kind, n)
+            doubled = term_doubling(kind, n)
             checked += 1
-            if not (term.value == binet == doubled):
-                other = binet if binet != term.value else doubled
-                failures.append(EvalResult(ident, term.n, None, term.value, other, False))
+            if not (value == binet == doubled):
+                other = binet if binet != value else doubled
+                failures.append(EvalResult(ident, n, None, value, other, False))
                 break
         wall_ms = int((time.perf_counter() - started) * 1000)
         report.records.append(IdentityRecord(ident, checked, 0, wall_ms, failures))
@@ -213,7 +206,7 @@ def _oracle_record(
             continue
         if w.left_sum != w.right_sum or w.r < 0:
             failures.append(EvalResult(ident, member, None, w.left_sum, w.right_sum, False))
-    failures.sort(key=_sort_key)
+    failures.sort(key=lambda f: f.n)
     wall_ms = int((time.perf_counter() - started) * 1000)
     return IdentityRecord(ident, checked, 0, wall_ms, failures)
 

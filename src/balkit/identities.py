@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError, digits_bound
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
-DomainRange = Callable[..., range]
+DomainRange = Callable[[int, int], Sequence[Optional[int]]]
 
 EQUATION = "equation"
 CONGRUENCE = "congruence"
@@ -60,9 +60,7 @@ class IdentityDescriptor:
 
     def domain(self, n: int, m: Optional[int]) -> bool:
         # Any hi that reaches the tested index gives the same answer.
-        if self.arity == 1:
-            return n in self.indices(max(n, 0))
-        return m in self.indices(n, max(n, m, 0))
+        return m in self.indices(n, max(n, m or 0, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,9 +82,9 @@ class EvalResult:
 
 _PARITY = "n >= m >= 0, n and m of the same parity"
 
-# Printed domain -> (arity, in-domain range). Binary entries take (n, hi)
-# and give the m in 0..hi with (n, m) in the domain; unary entries take (hi)
-# and give the n in 0..hi in the domain.
+# Printed domain -> (arity, in-domain m of row n). Every entry takes (n, hi)
+# for 0 <= n <= hi. A binary entry gives the m in 0..hi with (n, m) in the
+# domain; a unary entry gives (None,) if n is in the domain, else ().
 _DOMAINS: dict[str, tuple[int, DomainRange]] = {
     "n >= 0, m >= 0": (2, lambda n, hi: range(hi + 1 if n >= 0 else 0)),
     "n >= m >= 0": (2, lambda n, hi: range(min(n, hi) + 1)),
@@ -94,8 +92,8 @@ _DOMAINS: dict[str, tuple[int, DomainRange]] = {
     "n >= m >= 1": (2, lambda n, hi: range(1, min(n, hi) + 1)),
     "n > m >= 1": (2, lambda n, hi: range(1, min(n, hi + 1))),
     "1 <= n <= m": (2, lambda n, hi: range(n, hi + 1) if n >= 1 else range(0)),
-    "n >= 0": (1, lambda hi: range(hi + 1)),
-    "n >= 1": (1, lambda hi: range(1, hi + 1)),
+    "n >= 0": (1, lambda n, hi: (None,) if n >= 0 else ()),
+    "n >= 1": (1, lambda n, hi: (None,) if n >= 1 else ()),
 }
 
 _CONGRUENCE_FORM = re.compile(r"(.+) == (.+) \(mod ([1-9][0-9]*)\)")
@@ -279,19 +277,14 @@ def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n:
                        "max_n=%d" % (desc.ident, n, m, index, max_n))
 
 
-def evaluate(
-    ident: str,
-    n: int,
-    m: Optional[int] = None,
-    terms: Optional[TermSource] = None,
-) -> EvalResult:
+def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     """Evaluate both sides exactly at (n, m); out-of-domain inputs are errors.
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    The source is prefilled to term_tops() for max_n = max(n, m). Without
-    terms, a fresh TermSource serves this call alone and is freed when it
-    returns; pass one to share its terms between calls, which extend it.
+    The terms come from a fresh TermSource, prefilled to term_tops() for
+    max_n = max(n, m), which serves this call alone and is freed when it
+    returns.
     """
     desc = lookup(ident)
     _check_arity(desc, m)
@@ -302,7 +295,7 @@ def evaluate(
         )
     max_n = n if m is None else max(n, m)
     tops = term_tops([desc], max_n)
-    terms = TermSource() if terms is None else terms
+    terms = TermSource()
     terms.prefill(tops)
     try:
         lhs = desc.lhs(terms, n, m)

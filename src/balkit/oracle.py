@@ -102,40 +102,37 @@ def is_triangular(x: int) -> bool:
     return x >= 0 and _is_square(8 * x + 1)
 
 
-def balancer_of(x: int) -> BalancerWitness:
-    """Witness for a balancing number: r with 1+...+(x-1) = (x+1)+...+(x+r).
+def _witness(x: int, a: int, lo: int, family: str) -> BalancerWitness:
+    """The witness r for x >= lo with 8*x**2 + a*x + 1 a perfect square.
 
-    Summing both sides gives r = (-(2x+1) + sqrt(8x^2+1)) / 2. The one
-    square root both decides membership and gives r. Because the formula is
-    derived, the witness re-checks the sum equality with the closed forms
-    x(x-1)/2 and r*x + r(r+1)/2 and fails loudly on mismatch.
+    Balancing numbers have a = 0, lo = 1 and left sum 1+...+(x-1);
+    cobalancing numbers a = 8, lo = 0 and left sum 1+...+x. Summing both
+    sides gives r = (-(2x+1) + sqrt(8x^2+ax+1)) / 2, so the one square root
+    both decides membership and gives r. Because the formula is derived,
+    the witness re-checks the sum equality with the closed forms of both
+    sums and fails loudly on mismatch.
     """
-    target = 8 * x * x + 1
+    target = 8 * x * x + a * x + 1  # >= 1 for every integer x
     root = math.isqrt(target)
-    if x < 1 or root * root != target:
-        raise _NotMember(x, "balancing")
+    if x < lo or root * root != target:
+        raise _NotMember(x, family)
     r = (-(2 * x + 1) + root) // 2
     return BalancerWitness(
         n=x,
         r=r,
-        left_sum=x * (x - 1) // 2,
+        left_sum=x * (x - 1 if a == 0 else x + 1) // 2,
         right_sum=r * x + r * (r + 1) // 2,
     )
+
+
+def balancer_of(x: int) -> BalancerWitness:
+    """Witness for a balancing number: r with 1+...+(x-1) = (x+1)+...+(x+r)."""
+    return _witness(x, 0, 1, "balancing")
 
 
 def cobalancer_of(x: int) -> BalancerWitness:
     """Witness for a cobalancing number: r with 1+...+x = (x+1)+...+(x+r)."""
-    target = 8 * x * x + 8 * x + 1  # >= 1 for every integer x
-    root = math.isqrt(target)
-    if x < 0 or root * root != target:
-        raise _NotMember(x, "cobalancing")
-    r = (-(2 * x + 1) + root) // 2
-    return BalancerWitness(
-        n=x,
-        r=r,
-        left_sum=x * (x + 1) // 2,
-        right_sum=r * x + r * (r + 1) // 2,
-    )
+    return _witness(x, 8, 0, "cobalancing")
 
 
 # A square is a square residue modulo every p. These three moduli reject

@@ -92,32 +92,6 @@ def parse_kind(text: str) -> SequenceKind:
     )
 
 
-class Term:
-    """One sequence member: (kind, index, exact value).
-
-    The value is an int, or an exact Decimal when stream() was seeded with
-    Decimal(1).
-    """
-
-    __slots__ = ("kind", "n", "value")
-
-    def __init__(self, kind: SequenceKind, n: int, value) -> None:
-        self.kind = kind
-        self.n = n
-        self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.n, self.value) == (other.kind, other.n, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n, self.value))
-
-    def __repr__(self) -> str:
-        return "Term(kind=%r, n=%r, value=%r)" % (self.kind, self.n, self.value)
-
-
 def _check_index(kind: SequenceKind, n: int) -> None:
     if n < kind.min_index:
         raise DomainError(
@@ -149,7 +123,7 @@ def term_recurrence(kind: SequenceKind, n: int) -> int:
     O(n) big-integer operations; the reference route the other evaluators
     are compared against. It is the one-term case of stream().
     """
-    return stream(kind, n, n)[0].value
+    return stream(kind, n, n)[0]
 
 
 def term_binet(kind: SequenceKind, n: int) -> int:
@@ -281,14 +255,14 @@ def walk(kind: SequenceKind, one=1) -> Iterator:
         x, y = y, 6 * y - x + add
 
 
-def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list[Term]:
-    """Consecutive terms start..stop (inclusive) from one recurrence pass,
-    as ints, or with one=Decimal(1) as exact Decimals under exact_context()."""
+def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list:
+    """The values of kind's terms start..stop (inclusive), in index order,
+    from one recurrence pass: ints, or with one=Decimal(1) exact Decimals
+    under exact_context()."""
     check_range(kind, start, stop)
     _check_exact(one)
     lo = kind.min_index
-    values = islice(walk(kind, one), start - lo, stop - lo + 1)
-    return [Term(kind, idx, x) for idx, x in enumerate(values, start)]
+    return list(islice(walk(kind, one), start - lo, stop - lo + 1))
 
 
 def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
@@ -306,20 +280,18 @@ class TermSource:
     min_index included, is a plain KeyError. Give each thread its own source.
     """
 
-    __slots__ = ("B", "C", "b", "c", "_walks")
+    __slots__ = ("B", "C", "b", "c")
 
     def __init__(self) -> None:
         self.B, self.C, self.b, self.c = {}, {}, {}, {}
-        self._walks = {kind.short: enumerate(walk(kind), kind.min_index) for kind in SequenceKind}
 
     def prefill(self, tops: dict[str, int]) -> None:
-        """Extend each table named in tops (by short symbol) to its top
-        index, resuming its own walk(), so only missing indices are stepped."""
+        """Fill each table named in tops (by short symbol) from min_index to
+        its top index, from a fresh walk()."""
         for short, top in tops.items():
-            table = getattr(self, short)
-            missing = top + 1 - parse_kind(short).min_index - len(table)
-            if missing > 0:
-                table.update(islice(self._walks[short], missing))
+            kind = parse_kind(short)
+            values = islice(walk(kind), max(top + 1 - kind.min_index, 0))
+            getattr(self, short).update(enumerate(values, kind.min_index))
 
 
 _LOG10_2 = math.log10(2)

@@ -212,9 +212,9 @@ def test_classify_json(capsys):
 
 def _scanned_index(kind, x):
     """Reference for index_of: scan the recurrence upward, as classify once did."""
-    for t in stream(kind, kind.min_index, 4002):
-        if t.value >= x:
-            return t.n if t.value == x else None
+    for n, value in enumerate(stream(kind, kind.min_index, 4002), kind.min_index):
+        if value >= x:
+            return n if value == x else None
     raise AssertionError("scan bound too small for %d" % x)
 
 
@@ -318,7 +318,7 @@ def test_unsupported_format_is_refused_before_arithmetic(argv, capsys, monkeypat
 
 @pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.COBALANCING])
 def test_generator_search_index_bound_holds_at_every_member(kind):
-    for limit in sorted({v + d for v in (t.value for t in stream(kind, 1, 400)) for d in (-1, 0)}):
+    for limit in sorted({v + d for v in stream(kind, 1, 400) for d in (-1, 0)}):
         if limit >= 0:
             # Members start at index 1, so the count is the last member's index.
             assert len(sequences.generator_prefix(kind, limit)) <= limit.bit_length() // 2 + 1
@@ -476,7 +476,7 @@ def test_term_above_render_threshold_matches_str(capsys):
 
 def test_seq_above_render_threshold_matches_str(capsys):
     start, stop = 13000, 13003
-    values = [t.value for t in stream(SequenceKind.BALANCING, start, stop)]
+    values = stream(SequenceKind.BALANCING, start, stop)
     assert values[0].bit_length() > T
     code, out, _ = run_cli(capsys, "seq", "B", str(start), str(stop))
     assert (code, out) == (0, "".join(str(v) + "\n" for v in values))

@@ -56,8 +56,9 @@ def test_doubling_and_walk_agree_across_number_types(kind):
             assert DIGITS.fullmatch(text) and text == decimal_str(term_doubling(kind, n))
         dec = stream(kind, lo, SEQ_T + 1, one)
     ints = stream(kind, lo, SEQ_T + 1)
-    assert [(t.n, str(t.value)) for t in dec] == [(t.n, decimal_str(t.value)) for t in ints]
-    assert all(isinstance(t.value, decimal.Decimal) for t in dec)
+    assert list(map(str, dec)) == list(map(decimal_str, ints))
+    assert len(dec) == SEQ_T + 2 - lo
+    assert all(isinstance(v, decimal.Decimal) for v in dec)
 
 
 @pytest.fixture
@@ -100,7 +101,7 @@ def test_seq_prints_the_int_route_text_across_the_threshold(kind, routes, capsys
     lo = kind.min_index
     for start, stop in ((lo, lo), (lo, lo + 1), (lo, SEQ_T - 1), (lo, SEQ_T),
                         (SEQ_T - 1, SEQ_T + 1), (SEQ_T, SEQ_T), (700, 800)):
-        values = [decimal_str(t.value) for t in stream(kind, start, stop)]
+        values = list(map(decimal_str, stream(kind, start, stop)))
         del routes[:]
         code, out, err = run_cli(capsys, "seq", kind.short, str(start), str(stop))
         assert (code, out, err) == (0, "".join(v + "\n" for v in values), "")
@@ -145,7 +146,7 @@ def test_digits_bound_bounds_each_term_tightly(kind):
 @pytest.mark.parametrize("kind", list(SequenceKind))
 def test_digits_bound_bounds_a_range(kind):
     for start, stop in ((kind.min_index, 300), (200, 1000), (999, 1000)):
-        total = sum(decimal_digits(t.value) for t in stream(kind, start, stop))
+        total = sum(map(decimal_digits, stream(kind, start, stop)))
         assert total <= digits_bound(start, stop) <= total + 2 * (stop - start + 1)
 
 

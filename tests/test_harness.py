@@ -299,7 +299,7 @@ def test_oracle_equivalence_limit_zero():
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
 def test_generator_prefix_walks_the_recurrence(monkeypatch, kind):
-    terms = [t.value for t in stream(kind, 1, 4000)]
+    terms = stream(kind, 1, 4000)
     assert terms[-1] > 10**3000
 
     def no_doubling(*args):

@@ -92,10 +92,10 @@ def test_evaluate_worked_examples():
 
 
 def test_evaluate_b_sub_at_m_zero_is_identity_on_b():
-    src = TermSource()
+    bs = stream(SequenceKind.BALANCING, 0, 30)
     for n in (0, 1, 2, 7, 30):
-        r = evaluate("B_SUB", n, 0, terms=src)
-        assert r.holds and r.lhs == src.B[n]
+        r = evaluate("B_SUB", n, 0)
+        assert r.holds and r.lhs == bs[n]
 
 
 def test_evaluate_refuses_out_of_domain():
@@ -110,41 +110,42 @@ def test_evaluate_refuses_out_of_domain():
 
 
 def test_exhaustive_truth_small_range():
-    src = TermSource()
-    src.prefill({"B": 100, "C": 100, "b": 180, "c": 180})
-    for d in list_identities():
+    report = run_suite(40, collect_cases=True)
+    for d, rec in zip(list_identities(), report.records):
         if d.arity == 1:
             pairs = [(n, None) for n in range(41)]
         else:
             pairs = [(n, m) for n in range(41) for m in range(41)]
-        for n, m in pairs:
-            if not d.domain(n, m):
-                continue
-            r = evaluate(d.ident, n, m, terms=src)
-            assert r.holds, "%s fails at n=%s m=%s: %s != %s" % (
-                d.ident, n, m, r.lhs, r.rhs,
-            )
+        cells = [(n, m) for n, m in pairs if d.domain(n, m)]
+        assert [(c.n, c.m) for c in rec.cases] == cells, d.ident
+        assert not rec.failures, "%s fails at %s" % (d.ident, rec.failures[:1])
+        # evaluate() on its own fresh terms gives the harness's results.
+        for case in (rec.cases[0], rec.cases[len(cells) // 2], rec.cases[-1]):
+            assert evaluate(d.ident, case.n, case.m) == case, (d.ident, case)
+
+
+def _cases(ident, max_n):
+    """Every case of ident on the grid 0..max_n, keyed by (n, m)."""
+    (rec,) = run_suite(max_n, ids=[ident], collect_cases=True).records
+    return {(c.n, c.m): c for c in rec.cases}
 
 
 def test_consistency_triangle_even_laws_specialize_half_laws():
-    src = TermSource()
-    src.prefill({"B": 440, "C": 440, "b": 4, "c": 4})
-    for n in range(101):
-        for m in range(n + 1):
-            even = evaluate("B_DIFF_EVEN", n, m, terms=src)
-            half = evaluate("B_DIFF_HALF", 2 * n, 2 * m, terms=src)
-            assert (even.lhs, even.rhs) == (half.lhs, half.rhs)
+    even, half = _cases("B_DIFF_EVEN", 100), _cases("B_DIFF_HALF", 200)
+    assert len(even) == 101 * 102 // 2
+    for (n, m), e in even.items():
+        h = half[2 * n, 2 * m]
+        assert (e.lhs, e.rhs) == (h.lhs, h.rhs)
 
 
 def test_consistency_triangle_c_add_plus_c_sub():
-    src = TermSource()
-    src.prefill({"B": 220, "C": 220, "b": 4, "c": 4})
-    for n in range(101):
-        for m in range(n + 1):
-            add = evaluate("C_ADD", n, m, terms=src)
-            sub = evaluate("C_SUB", n, m, terms=src)
-            assert add.lhs + sub.lhs == 2 * src.C[n] * src.C[n - m]
-            assert add.rhs + sub.rhs == src.C[2 * n - m] + src.C[m]
+    cs = stream(SequenceKind.LUCAS_BALANCING, 0, 200)
+    add, sub = _cases("C_ADD", 100), _cases("C_SUB", 100)
+    assert add.keys() == sub.keys() and len(add) == 101 * 102 // 2
+    for (n, m), a in add.items():
+        s = sub[n, m]
+        assert a.lhs + s.lhs == 2 * cs[n] * cs[n - m]
+        assert a.rhs + s.rhs == cs[2 * n - m] + cs[m]
 
 
 def test_congruence_residues_are_normalized():
@@ -157,11 +158,11 @@ def test_congruence_residues_are_normalized():
 def test_cobalancing_sum_swapped_reading_is_documented_and_correct():
     d = lookup("B_COB_SUM_LE")
     assert d.note  # the discrepancy with the printed minus form is recorded
-    src = TermSource()
-    plus = evaluate("B_COB_SUM_LE", 1, 2, terms=src)
+    plus = evaluate("B_COB_SUM_LE", 1, 2)
     assert plus.holds and plus.lhs == 16
     # The minus reading fails already at (n=1, m=2): 14 - 2 != 16.
-    minus_lhs = src.b[3] - src.b[2]
+    b2, b3 = stream(SequenceKind.COBALANCING, 2, 3)
+    minus_lhs = b3 - b2
     assert minus_lhs != plus.rhs
 
 
@@ -206,20 +207,6 @@ def test_compiled_evaluators_subscript_t_and_call_nothing():
             assert not [i for i in code if i.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF")]
 
 
-def test_evaluate_grows_a_shared_source_on_demand():
-    src = TermSource()
-    sizes = lambda: [len(src.B), len(src.C), len(src.b), len(src.c)]
-    assert evaluate("B_ADD", 40, 17, terms=src).holds
-    # The kinds B_ADD reads, to 2*max(n, m) + 2; b and c stay empty.
-    assert sizes() == [83, 83, 0, 0]
-    assert evaluate("C2N_PLUS1", 30, terms=src).holds
-    # b and c to 4*n + 2 (from index 1); B already reaches 2*n + 2.
-    assert sizes() == [83, 83, 122, 122]
-    assert evaluate("B_SUB", 3, 0, terms=src).holds
-    assert sizes() == [83, 83, 122, 122]  # a smaller call keeps every entry
-    assert src.B == {t.n: t.value for t in stream(SequenceKind.BALANCING, 0, 82)}
-
-
 @pytest.mark.parametrize("statement, domain, n, m, index, max_n", [
     ("B(n-1) = b(n-1)", "n >= 0", 0, None, -1, 0),  # below min_index on the left
     ("B(n-1) = b(n-1)", "n >= 0", 1, None, 0, 1),  # and on the right
@@ -254,8 +241,8 @@ def test_default_term_source_is_used_when_none_given():
 
 
 def test_one_off_evaluate_keeps_no_terms_cached():
-    # Prefilling B and C to index 6002 takes about 11 MB; a call without
-    # terms= must free them when it returns.
+    # Prefilling B and C to index 6002 takes about 11 MB; evaluate must
+    # free them when it returns.
     evaluate("B_ADD", 2, 0)  # first-call allocations outside the measure
     tracemalloc.start()
     try:

@@ -126,21 +126,21 @@ def test_search_family_examples():
 
 def test_scan_agrees_with_generators_to_1e5():
     bal = search_family(SequenceKind.BALANCING, 10**5)
-    gen_b = [t.value for t in stream(SequenceKind.BALANCING, 1, 10)]
+    gen_b = stream(SequenceKind.BALANCING, 1, 10)
     assert bal == [v for v in gen_b if v <= 10**5]
     cob = search_family(SequenceKind.COBALANCING, 10**5)
-    gen_c = [t.value for t in stream(SequenceKind.COBALANCING, 1, 10)]
+    gen_c = stream(SequenceKind.COBALANCING, 1, 10)
     assert cob == [v for v in gen_c if v <= 10**5]
 
 
 def test_square_root_roundtrip_defines_companions():
     # The companions are the positive square roots of 8B^2+1 and 8b^2+8b+1.
-    big_b = {t.n: t.value for t in stream(SequenceKind.BALANCING, 0, 500)}
-    big_c = {t.n: t.value for t in stream(SequenceKind.LUCAS_BALANCING, 0, 500)}
+    big_b = dict(enumerate(stream(SequenceKind.BALANCING, 0, 500)))
+    big_c = dict(enumerate(stream(SequenceKind.LUCAS_BALANCING, 0, 500)))
     for n in range(501):
         assert isqrt(8 * big_b[n] ** 2 + 1) == big_c[n]
-    small_b = {t.n: t.value for t in stream(SequenceKind.COBALANCING, 1, 500)}
-    small_c = {t.n: t.value for t in stream(SequenceKind.LUCAS_COBALANCING, 1, 500)}
+    small_b = dict(enumerate(stream(SequenceKind.COBALANCING, 1, 500), 1))
+    small_c = dict(enumerate(stream(SequenceKind.LUCAS_COBALANCING, 1, 500), 1))
     for n in range(1, 501):
         assert isqrt(8 * small_b[n] ** 2 + 8 * small_b[n] + 1) == small_c[n]
 
@@ -174,15 +174,15 @@ def test_scan_agrees_with_sum_equation_walk():
 
 def test_is_square_on_sequence_values():
     # The C(k)^2 - 1 check starts at k = 1: C(0)^2 - 1 = 0 is a square.
-    for t in stream(SequenceKind.LUCAS_BALANCING, 0, 4000):
-        sq = t.value * t.value
+    for n, value in enumerate(stream(SequenceKind.LUCAS_BALANCING, 0, 4000)):
+        sq = value * value
         assert _is_square(sq)
         assert not _is_square(sq + 1)
-        assert t.n == 0 or not _is_square(sq - 1)
-    for t in stream(SequenceKind.BALANCING, 0, 4000):
-        assert _is_square(8 * t.value ** 2 + 1)
-    for t in stream(SequenceKind.COBALANCING, 1, 4000):
-        assert _is_square(8 * t.value ** 2 + 8 * t.value + 1)
+        assert n == 0 or not _is_square(sq - 1)
+    for value in stream(SequenceKind.BALANCING, 0, 4000):
+        assert _is_square(8 * value ** 2 + 1)
+    for value in stream(SequenceKind.COBALANCING, 1, 4000):
+        assert _is_square(8 * value ** 2 + 8 * value + 1)
     assert not _is_square(-1)
 
 
@@ -216,8 +216,8 @@ def test_sieve_admits_exactly_the_square_residue_classes(family, a, member):
 
 @pytest.mark.parametrize("family,a,member", _SIEVED)
 def test_sieve_admits_large_members(family, a, member):
-    for t in stream(family, 1, 300):
-        assert member(t.value) and _admissible(a)[t.value % _PERIOD]
+    for value in stream(family, 1, 300):
+        assert member(value) and _admissible(a)[value % _PERIOD]
 
 
 @pytest.mark.parametrize("family,a,member", _SIEVED)

@@ -1,6 +1,6 @@
 """The package surface: lazily resolved exports and the plain value classes.
 
-QuadInt, Term and BalancerWitness are __slots__ classes, and EvalResult a
+QuadInt and BalancerWitness are __slots__ classes, and EvalResult a
 frozen dataclass with slots. Their equality, hashing, keyword construction
 and repr must behave as the frozen dataclasses without slots did; the repr
 strings below are the ones those dataclasses printed.
@@ -16,7 +16,6 @@ from balkit import identities
 from balkit.identities import EvalResult
 from balkit.oracle import BalancerWitness
 from balkit.quadring import QuadInt
-from balkit.sequences import SequenceKind, Term
 
 
 def _pair(cls, **fields):
@@ -26,8 +25,6 @@ def _pair(cls, **fields):
 
 @pytest.mark.parametrize("cls, fields, other", [
     (QuadInt, {"a": 3, "b": 2}, {"a": 3, "b": -2}),
-    (Term, {"kind": SequenceKind.BALANCING, "n": 3, "value": 35},
-     {"kind": SequenceKind.LUCAS_BALANCING, "n": 3, "value": 35}),
     (BalancerWitness, {"n": 6, "r": 2, "left_sum": 15, "right_sum": 15},
      {"n": 35, "r": 14, "left_sum": 595, "right_sum": 595}),
     (EvalResult, {"ident": "B_ADD", "n": 2, "m": None, "lhs": 6, "rhs": 6, "holds": True},
@@ -51,8 +48,6 @@ def test_value_class_equality_and_hash(cls, fields, other):
 def test_value_class_reprs_are_the_dataclass_reprs():
     assert repr(QuadInt(3, 2)) == "QuadInt(a=3, b=2)"
     assert repr(QuadInt(a=-5, b=0)) == "QuadInt(a=-5, b=0)"
-    assert repr(Term(SequenceKind.COBALANCING, 3, 14)) == (
-        "Term(kind=<SequenceKind.COBALANCING: 'cobalancing'>, n=3, value=14)")
     assert repr(BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)) == (
         "BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)")
     assert repr(EvalResult("MOD16_C", 3, None, 1, 1, True)) == (

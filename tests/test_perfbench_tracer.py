@@ -67,9 +67,9 @@ def test_traced_commands_run_and_record_doubling():
     # harness and evaluator spans the verify workload's; the per-identity
     # span is installed only if harness._run_identity exists, and the
     # prefill span only if run_suite builds harness.TermSource and calls its
-    # prefill.
+    # prefill. The stream span feeds the bigterm workload's seq requests.
     for name in ("sequences.pair_bc", "oracle.search_family", "oracle.witness",
                  "harness.run_suite", "harness.identity", "identities.eval",
-                 "sequences.termsource.prefill"):
+                 "sequences.termsource.prefill", "sequences.stream"):
         calls, total_s, _ = result["stats"][name]
         assert calls > 0 and total_s > 0, name

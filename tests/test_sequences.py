@@ -8,7 +8,6 @@ from balkit import sequences
 from balkit.sequences import (
     DomainError,
     SequenceKind,
-    Term,
     TermSource,
     index_of,
     pair_bc,
@@ -122,7 +121,7 @@ def test_pell_invariants_up_to_500():
 
 def test_monotonicity():
     for kind in SequenceKind:
-        values = [t.value for t in stream(kind, kind.min_index, 300)]
+        values = stream(kind, kind.min_index, 300)
         assert all(x < y for x, y in zip(values, values[1:]))
 
 
@@ -133,15 +132,13 @@ def test_growth_ratio_between_5_and_6():
 
 
 def test_stream_examples():
-    assert [t.value for t in stream(B, 0, 4)] == [0, 1, 6, 35, 204]
-    assert [t.value for t in stream(b, 1, 4)] == [0, 2, 14, 84]
-    only = stream(B, 3, 3)
-    assert only == [Term(B, 3, 35)]
+    assert stream(B, 0, 4) == [0, 1, 6, 35, 204]
+    assert stream(b, 1, 4) == [0, 2, 14, 84]
+    assert stream(B, 3, 3) == [35]
 
 
 def test_stream_ranges_and_indices():
-    terms = stream(c, 3, 6)
-    assert [(t.n, t.value) for t in terms] == [(3, 41), (4, 239), (5, 1393), (6, 8119)]
+    assert dict(enumerate(stream(c, 3, 6), 3)) == {3: 41, 4: 239, 5: 1393, 6: 8119}
     with pytest.raises(DomainError):
         stream(B, 4, 2)
     with pytest.raises(DomainError):
@@ -171,13 +168,13 @@ def test_negative_indices_rejected():
 
 def test_index_of_inverts_every_term_to_2000():
     for kind in SequenceKind:
-        terms = stream(kind, kind.min_index, 2000)
-        members = {t.value for t in terms}
-        for t in terms:
-            assert index_of(kind, t.value) == t.n, (kind, t.n)
+        terms = dict(enumerate(stream(kind, kind.min_index, 2000), kind.min_index))
+        members = set(terms.values())
+        for n, value in terms.items():
+            assert index_of(kind, value) == n, (kind, n)
             for d in (-3, -2, -1, 1, 2, 3):
-                if t.value + d not in members:
-                    assert index_of(kind, t.value + d) is None, (kind, t.n, d)
+                if value + d not in members:
+                    assert index_of(kind, value + d) is None, (kind, n, d)
 
 
 def test_index_of_zero_and_negative():
@@ -248,7 +245,7 @@ def test_term_source_reads_in_any_order(prefill):
     # its tops, and the terms read back in any order.
     top = 120
     expected = {
-        kind.short: {t.n: t.value for t in stream(kind, kind.min_index, top)}
+        kind.short: dict(enumerate(stream(kind, kind.min_index, top), kind.min_index))
         for kind in (B, C, b, c)
     }
     reads = [(short, n) for short, values in expected.items() for n in values]
@@ -265,8 +262,7 @@ def test_term_source_reads_in_any_order(prefill):
     assert {k: getattr(src, k) for k in "BCbc"} == expected
 
 
-def test_a_second_prefill_walks_only_the_missing_indices(monkeypatch):
-    expected = [t.value for t in stream(B, 0, 80)]
+def test_prefill_walks_each_named_kind_to_its_top(monkeypatch):
     stepped = []
     real_walk = sequences.walk
 
@@ -277,10 +273,8 @@ def test_a_second_prefill_walks_only_the_missing_indices(monkeypatch):
 
     monkeypatch.setattr(sequences, "walk", counting_walk)
     fresh, src = TermSource(), TermSource()
-    src.prefill({"B": 50, "c": 30})
-    assert (stepped.count("B"), stepped.count("c")) == (51, 30)
-    src.prefill({"B": 80, "c": 10})
-    assert (stepped.count("B"), stepped.count("c")) == (81, 30)
-    assert src.B == dict(enumerate(expected))
+    src.prefill({"B": 80, "c": 30, "b": -1})  # a top below min_index fills nothing
+    assert (stepped.count("B"), stepped.count("c"), len(stepped)) == (81, 30, 111)
+    assert src.B == dict(enumerate(stream(B, 0, 80)))
     # Each source fills only its own tables.
     assert [len(t) for t in (src.C, src.b, fresh.B, fresh.C, fresh.b, fresh.c)] == [0] * 6

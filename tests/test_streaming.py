@@ -61,7 +61,7 @@ SEQS = [("B", 0, 40), ("c", 1, 30), ("C", 700, 800), ("b", 5, 5)]
 @pytest.mark.parametrize("kind, start, stop", SEQS)
 def test_seq_streams_the_canonical_json_and_csv(monkeypatch, kind, start, stop):
     k = parse_kind(kind)
-    values = [str(t.value) for t in stream(k, start, stop)]
+    values = list(map(str, stream(k, start, stop)))
     argv = ["seq", kind, str(start), str(stop), "--format"]
     code, pieces = _run(monkeypatch, argv + ["json"])
     assert code == 0
