@@ -108,8 +108,6 @@ def _write_json_strings(head: str, values: Iterable[str], tail: str) -> None:
 
 
 def _cmd_term(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise DomainError("term supports plain or json output")
     kind = parse_kind(args.kind)
     _check_size(kind, args.n, args.n, args.method)
     if args.method in ("auto", "doubling") and _past(args.n, _STR_MAX_BITS):
@@ -151,22 +149,12 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    max_n = args.max_n
-    cap = os.environ.get("BALKIT_MAX_N")
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError:
-            raise DomainError("BALKIT_MAX_N must be an integer, got %r" % cap)
-        if cap_n < 1:
-            raise DomainError("BALKIT_MAX_N must be >= 1, got %d" % cap_n)
-        max_n = min(max_n, cap_n)
     if args.jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % args.jobs)
     from . import harness
 
     report = harness.run_suite(
-        max_n,
+        args.max_n,
         ids=args.id,
         collect_cases=args.verbose and args.format == "csv",
     )
@@ -208,15 +196,9 @@ def _classify(x: int) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise DomainError("classify supports plain or json output")
-    try:
-        x = int(args.value)
-    except ValueError:
-        raise DomainError("classify expects a decimal integer, got %r" % args.value)
-    if x < 0:
-        raise DomainError("classify expects a nonnegative integer, got %d" % x)
-    result = _classify(x)
+    if args.value < 0:
+        raise DomainError("classify expects a nonnegative integer, got %d" % args.value)
+    result = _classify(args.value)
     if args.format == "json":
         _print_json(result)
     else:
@@ -239,12 +221,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.family == "balancing":
-        family = SequenceKind.BALANCING
-    elif args.family == "cobalancing":
-        family = SequenceKind.COBALANCING
-    else:
-        raise DomainError("family must be balancing or cobalancing, got %r" % args.family)
+    family = parse_kind(args.family)
     if args.limit < 0:
         raise DomainError("limit must be >= 0, got %d" % args.limit)
     if args.method == "oracle":
@@ -263,19 +240,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
             map(decimal_str, members),
             ',"method":"%s"}\n' % args.method,
         )
-    elif args.format == "csv":
-        sys.stdout.write("value\n")
-        for v in members:
-            sys.stdout.write(decimal_str(v) + "\n")
     else:
+        if args.format == "csv":
+            sys.stdout.write("value\n")
         for v in members:
             sys.stdout.write(decimal_str(v) + "\n")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.format != "plain":
-        raise DomainError("bench supports plain output only")
     if args.n < 1:
         raise DomainError("n must be >= 1, got %d" % args.n)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -317,14 +290,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("plain", "json", "csv"),
-        default="plain",
-        help="output format (default: plain)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="balkit",
         description=(
@@ -334,10 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_command(
+        name: str, help_text: str, formats: tuple[str, ...]
+    ) -> argparse.ArgumentParser:
+        # A command offers exactly the formats it writes; argparse refuses
+        # any other with exit 2 before the command runs.
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=formats, default="plain",
+                       help="output format (default: plain)")
+        return p
 
-    p_term = add_command("term", "print one sequence term")
+    all_formats = ("plain", "json", "csv")
+    p_term = add_command("term", "print one sequence term", ("plain", "json"))
     p_term.add_argument("kind", help="B, C, b, c or a long sequence name")
     p_term.add_argument("n", type=int, help="index")
     p_term.add_argument(
@@ -348,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_term.set_defaults(func=_cmd_term)
 
-    p_seq = add_command("seq", "print consecutive sequence terms")
+    p_seq = add_command("seq", "print consecutive sequence terms", all_formats)
     p_seq.add_argument("kind", help="B, C, b, c or a long sequence name")
     p_seq.add_argument("start", type=int, help="first index (inclusive)")
     p_seq.add_argument("stop", type=int, help="last index (inclusive)")
     p_seq.set_defaults(func=_cmd_seq)
 
-    p_verify = add_command("verify", "run the identity verification suite")
+    p_verify = add_command("verify", "run the identity verification suite", all_formats)
     p_verify.add_argument("--max-n", type=int, default=50, dest="max_n", metavar="N")
     p_verify.add_argument(
         "--id",
@@ -376,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_classify = add_command("classify", "membership tests for one integer")
-    p_classify.add_argument("value", help="nonnegative decimal integer")
+    p_classify = add_command("classify", "membership tests for one integer", ("plain", "json"))
+    p_classify.add_argument("value", type=int, help="nonnegative decimal integer")
     p_classify.set_defaults(func=_cmd_classify)
 
-    p_search = add_command("search", "list family members up to a bound")
-    p_search.add_argument("family", help="balancing or cobalancing")
+    p_search = add_command("search", "list family members up to a bound", all_formats)
+    p_search.add_argument("family", choices=("balancing", "cobalancing"))
     p_search.add_argument("--limit", type=int, required=True, metavar="N")
     p_search.add_argument(
         "--method",
@@ -391,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.set_defaults(func=_cmd_search)
 
-    p_bench = add_command("bench", "time evaluation methods on B(n)")
+    p_bench = add_command("bench", "time evaluation methods on B(n)", ("plain",))
     p_bench.add_argument("--n", type=int, required=True, metavar="N")
     p_bench.add_argument(
         "--methods",

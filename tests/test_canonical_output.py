@@ -31,8 +31,7 @@ PINNED = [
 
 
 @pytest.mark.parametrize("command, digest", PINNED, ids=[c for c, _ in PINNED])
-def test_stdout_is_byte_identical(command, digest, capsys, monkeypatch):
-    monkeypatch.delenv("BALKIT_MAX_N", raising=False)
+def test_stdout_is_byte_identical(command, digest, capsys):
     code = cli.main(command.split())
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")

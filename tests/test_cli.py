@@ -1,5 +1,6 @@
 """Command-line contract: commands, formats, exit codes, stream separation."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -24,6 +25,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """stderr of an argv the parser refuses: SystemExit(2), empty stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, ""), argv
+    return captured.err
 
 
 def test_term_plain(capsys):
@@ -73,8 +83,8 @@ def test_term_json(capsys):
 
 
 def test_term_rejects_csv(capsys):
-    code, _, err = run_cli(capsys, "term", "B", "2", "--format", "csv")
-    assert code == 2 and "plain or json" in err
+    err = usage_error(capsys, "term", "B", "2", "--format", "csv")
+    assert "--format" in err and "'csv'" in err
 
 
 def test_seq_plain_and_csv(capsys):
@@ -126,22 +136,41 @@ def test_verify_rejects_jobs_below_one(capsys):
     assert (code, out, err) == (2, "", "error: workers must be >= 1, got 0\n")
 
 
-def test_verify_env_cap(capsys, monkeypatch):
+def test_verify_ignores_balkit_max_n(capsys, monkeypatch):
+    argv = ("verify", "--max-n", "8", "--format", "json")
+    monkeypatch.delenv("BALKIT_MAX_N", raising=False)
+    expected = run_cli(capsys, *argv)
     monkeypatch.setenv("BALKIT_MAX_N", "5")
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "500", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["max_n"] == 5
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and '"max_n":8' in expected[1]
 
 
-def test_verify_env_cap_must_be_an_integer(capsys, monkeypatch):
-    for cap, message in (
-        ("abc", "error: BALKIT_MAX_N must be an integer, got 'abc'\n"),
-        ("0", "error: BALKIT_MAX_N must be >= 1, got 0\n"),
-        ("-5", "error: BALKIT_MAX_N must be >= 1, got -5\n"),
-    ):
-        monkeypatch.setenv("BALKIT_MAX_N", cap)
-        code, out, err = run_cli(capsys, "verify", "--max-n", "5")
-        assert (code, out, err) == (2, "", message)
+# One cheap argv per command.
+_FORMAT_ARGV = {
+    "term": ["term", "B", "5"],
+    "seq": ["seq", "B", "0", "3"],
+    "verify": ["verify", "--max-n", "2", "--id", "B_ADD"],
+    "classify": ["classify", "6"],
+    "search": ["search", "balancing", "--limit", "10"],
+    "bench": ["bench", "--n", "5", "--methods", "doubling"],
+}
+
+
+def _format_choices(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "format")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(_FORMAT_ARGV))
+def test_each_command_offers_exactly_the_formats_it_writes(capsys, command, fmt):
+    argv = _FORMAT_ARGV[command]
+    if fmt in _format_choices(command):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "") and out
+    else:
+        assert "--format" in usage_error(capsys, *argv, "--format", fmt)
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,9 +283,12 @@ def test_classify_takes_one_square_root_per_family(monkeypatch, x):
     assert len(roots) == (4 if x % 2 else 2)
 
 
-def test_classify_malformed_exit_2(capsys):
-    code, out, err = run_cli(capsys, "classify", "six")
-    assert code == 2 and out == "" and err
+def test_classify_malformed_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_classify", computed)
+    with pytest.raises(Computed):
+        cli.main(["classify", "6"])
+    err = usage_error(capsys, "classify", "six")
+    assert "value" in err and "'six'" in err
 
 
 def test_search_oracle_and_generator(capsys):
@@ -273,9 +305,12 @@ def test_search_limit_zero(capsys):
     assert (code, out) == (0, "")
 
 
-def test_search_bad_family_exit_2(capsys):
-    code, _, err = run_cli(capsys, "search", "lucas", "--limit", "10")
-    assert code == 2 and "family" in err
+def test_search_bad_family_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generator_prefix", computed)
+    with pytest.raises(Computed):
+        cli.main(["search", "balancing", "--limit", "10"])
+    err = usage_error(capsys, "search", "lucas", "--limit", "10")
+    assert "family" in err and "'lucas'" in err
 
 
 def test_search_oracle_refuses_limit_above_cap(capsys, monkeypatch):
@@ -312,8 +347,8 @@ def test_unsupported_format_is_refused_before_arithmetic(argv, capsys, monkeypat
         monkeypatch.setattr(cli, name, computed)
     with pytest.raises(Computed):
         cli.main(argv)
-    code, out, err = run_cli(capsys, *argv, "--format", "csv")
-    assert (code, out, err) == (2, "", "error: %s supports plain or json output\n" % argv[0])
+    err = usage_error(capsys, *argv, "--format", "csv")
+    assert "--format" in err and "'csv'" in err
 
 
 @pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.COBALANCING])
@@ -395,9 +430,13 @@ def test_bench_single_method_and_errors(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_bench_refuses_structured_formats(capsys, fmt):
-    code, out, err = run_cli(capsys, "bench", "--n", "5", "--format", fmt)
-    assert (code, out, err) == (2, "", "error: bench supports plain output only\n")
+def test_bench_refuses_structured_formats(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "pair_bc", computed)
+    with pytest.raises(Computed):
+        cli.main(["bench", "--n", "5", "--methods", "doubling"])
+    capsys.readouterr()
+    err = usage_error(capsys, "bench", "--n", "5", "--methods", "doubling", "--format", fmt)
+    assert "--format" in err and "'%s'" % fmt in err
 
 
 def test_bench_trivial_value(capsys):
@@ -541,7 +580,6 @@ def test_lean_commands_import_only_what_they_need():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("BALKIT_MAX_N", None)
     code = "COMMANDS = %r\n%s" % (commands, IMPORT_GUARD_CHILD)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -189,10 +189,13 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
     real = harness._run_identity
     monkeypatch.setattr(harness, "TermSource", Source)
     monkeypatch.setattr(harness, "_run_identity", run_identity)
-    assert run_suite(600, ids=ids).passed
-    tops = {"B": 1202, "C": 1202, "b": 2402, "c": 2402}
+    max_n = 40
+    assert run_suite(max_n, ids=ids).passed
+    tops = {"B": 2 * max_n + 2, "C": 2 * max_n + 2, "b": 4 * max_n + 2, "c": 4 * max_n + 2}
     assert prefills == [{k: tops[k] for k in filled}]
-    sizes = {"B": 1203, "C": 1203, "b": 2402, "c": 2402}
+    # A table holds every index from its kind's min_index to its top.
+    sizes = {k: tops[k] - sequences.parse_kind(k).min_index + 1 for k in "BCbc"}
+    assert sizes == {"B": 83, "C": 83, "b": 162, "c": 162}
     assert seen[0] == {k: sizes[k] if k in filled else 0 for k in "BCbc"}
 
 

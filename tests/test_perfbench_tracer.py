@@ -55,7 +55,6 @@ def test_traced_commands_run_and_record_doubling():
     src = str(Path(balkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, str(ROOT / "perfbench")])
-    env.pop("BALKIT_MAX_N", None)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(commands)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
