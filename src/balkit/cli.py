@@ -149,14 +149,13 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise DomainError("workers must be >= 1, got %d" % args.jobs)
     from . import harness
 
     report = harness.run_suite(
         args.max_n,
         ids=args.id,
         collect_cases=args.verbose and args.format == "csv",
+        jobs=args.jobs,
     )
     for piece in harness.report_lines(report, args.format):
         sys.stdout.write(piece)
@@ -340,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="accepted for compatibility; verification runs in one thread (default: 1)",
+        help="run the identities on up to N processes, at most one per usable CPU "
+        "and per identity (one with --format csv --verbose); the report does not "
+        "depend on N (default: 1)",
     )
     p_verify.add_argument(
         "--verbose",

@@ -7,12 +7,17 @@ VerificationReport that serializes deterministically: identical inputs give
 byte-identical JSON/CSV. Measured wall times stay on the in-process report
 objects; the canonical serializations zero them out, since emitting timings
 would break byte-level reproducibility. A catalog run reads its terms from
-one TermSource prefilled to identities.term_tops() for its entries.
+one TermSource prefilled to identities.term_tops() for its entries. With
+jobs > 1 the entries are split into shares by cell count; the calling
+process runs one share and forked workers run the others on the same
+prefilled terms, and the records come back in the selected order, so the
+report does not depend on jobs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -36,6 +41,10 @@ FORMATS = ("json", "csv", "plain")
 # (max_n+1)**arity. The full catalog at max_n = 1000 has 2.6e7 cells; its
 # run time grows about as max_n**3, as the operands grow with max_n.
 GRID_CELLS_MAX = 4 * 10**7
+
+# Largest jobs run_suite accepts. It runs min(jobs, usable CPUs, entries)
+# workers, the calling process being one of them.
+JOBS_MAX = 64
 
 
 @dataclass
@@ -103,26 +112,152 @@ def _run_identity(
     return IdentityRecord(desc.ident, checked, skipped, wall_ms, failures, cases)
 
 
+def _usable_cpus() -> int:
+    """How many processes a run may use: the CPUs this process may run on,
+    or 1 where it cannot fork, or where another thread runs (a forked child
+    gets only the calling thread, and locks the others hold stay held)."""
+    if not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shares(selected: list[IdentityDescriptor], max_n: int, workers: int) -> list[list[int]]:
+    """Split the positions of selected into workers shares of about equal
+    in-domain cell count: largest entry first, each to the least loaded
+    share (the lowest-numbered on a tie). Each share is in selected order."""
+    cells = [sum(len(d.indices(n, max_n)) for n in range(max_n + 1)) for d in selected]
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(selected)), key=lambda i: -cells[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += cells[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(
+    selected: list[IdentityDescriptor], share: list[int], max_n: int, terms: TermSource
+) -> tuple[list[IdentityRecord], Optional[tuple[int, Exception]]]:
+    """Run the entries of one share in order, up to the first that raises:
+    the records of those before it, and (position, exception) for it."""
+    done: list[IdentityRecord] = []
+    for i in share:
+        try:
+            done.append(_run_identity(selected[i], max_n, terms, False))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _run_forked(
+    selected: list[IdentityDescriptor], max_n: int, terms: TermSource, workers: int
+) -> list[IdentityRecord]:
+    """Run share 0 here and every other share in a forked child, which
+    sends its _run_share result back through a pipe. The records come back
+    in selected order; if entries raised, the one earliest in selected
+    order is re-raised, as a run in one process would raise it first."""
+    import pickle
+    import signal
+
+    shares = _shares(selected, max_n, workers)
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child leaves only through os._exit, so it never
+                # returns into the caller's code or flushes a stdio buffer
+                # it inherited.
+                code = 1
+                try:
+                    os.close(read_fd)
+                    for pipe in children.values():
+                        pipe.close()
+                    result = _run_share(selected, share, max_n, terms)
+                    with os.fdopen(write_fd, "wb") as out:
+                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+
+        results = [_run_share(selected, shares[0], max_n, terms)]
+        for pid, pipe in list(children.items()):
+            # Read to the end before waiting: a child blocks on a full pipe.
+            with pipe:
+                try:
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    result = None
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if result is None or status != 0:
+                raise RuntimeError("a verify worker exited without a result (status %d)"
+                                   % os.waitstatus_to_exitcode(status))
+            results.append(result)
+    except BaseException:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        raise
+
+    records: list[Optional[IdentityRecord]] = [None] * len(selected)
+    errors = []
+    for share, (done, error) in zip(shares, results):
+        for i, record in zip(share, done):
+            records[i] = record
+        if error is not None:
+            errors.append(error)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return records
+
+
 def run_suite(
     max_n: int,
     ids: Optional[list[str]] = None,
     catalog: Optional[list[IdentityDescriptor]] = None,
     collect_cases: bool = False,
+    jobs: int = 1,
 ) -> VerificationReport:
     """Evaluate catalog entries on their domains within the grid 0..max_n.
 
     Each entry walks the rows n = 0..max_n and, in each, its in-domain m
     (None for a unary entry); every other cell of the (max_n+1) or
-    (max_n+1) x (max_n+1) grid counts as skipped. Identities run one after
-    another in one thread, in catalog (or ids) order, and each record's
-    failures come out in (n, m) order, so the report depends only on the
-    arguments.
+    (max_n+1) x (max_n+1) grid counts as skipped. The records come in
+    catalog (or ids) order, and each record's failures in (n, m) order, so
+    the report depends only on the arguments and not on jobs.
 
-    A grid of more than GRID_CELLS_MAX cells, or terms above what
-    identities.term_tops() allows, is refused with DomainError before any
-    term is computed. A read outside the prefilled terms raises DomainError
-    naming the entry, the cell and the index, rather than wrapping.
+    jobs (1..JOBS_MAX) is the most processes the run uses: it runs
+    min(jobs, usable CPUs, entries) workers, or one where os.fork is
+    missing, another thread runs or collect_cases is set. With more than
+    one, the entries are split by cell count, and every share but the
+    calling process's own runs in a forked child on the same prefilled
+    terms. If entries raise, the one first in order is re-raised, as with
+    jobs=1; a worker that dies without a result raises RuntimeError.
+
+    jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
+    above what identities.term_tops() allows, is refused with DomainError
+    before any term is computed or process started. A read outside the
+    prefilled terms raises DomainError naming the entry, the cell and the
+    index, rather than wrapping.
     """
+    if jobs < 1:
+        raise DomainError("workers must be >= 1, got %d" % jobs)
+    if jobs > JOBS_MAX:
+        raise DomainError("workers must be <= %d, got %d" % (JOBS_MAX, jobs))
     if max_n < 1:
         raise DomainError("max_n must be >= 1, got %d" % max_n)
     if catalog is None:
@@ -148,7 +283,15 @@ def run_suite(
     terms.prefill(tops)
 
     report = VerificationReport("identity-catalog", max_n)
-    report.records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
+    # A run that collects its cases stays in one process: rebuilding a
+    # worker's cases here costs about what evaluating them did.
+    workers = 1 if collect_cases else min(jobs, len(selected))
+    if workers > 1:
+        workers = min(workers, _usable_cpus())
+    if workers == 1:
+        report.records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
+    else:
+        report.records = _run_forked(selected, max_n, terms, workers)
     return report
 
 

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balkit import cli, oracle, sequences
+from balkit import cli, harness, oracle, sequences
+from test_harness import fork_spy
 from balkit.sequences import SequenceKind, pair_bc, pair_cobal, parse_kind, stream
 
 
@@ -123,12 +124,34 @@ def test_verify_unknown_id_exit_2(capsys):
     assert code == 2 and out == "" and "NO_SUCH" in err
 
 
-def test_verify_deterministic_across_jobs(capsys):
-    _, out1, _ = run_cli(capsys, "verify", "--max-n", "15", "--format", "json",
-                         "--jobs", "1")
-    _, out2, _ = run_cli(capsys, "verify", "--max-n", "15", "--format", "json",
-                         "--jobs", "3")
-    assert out1 == out2
+def test_verify_deterministic_across_jobs(capsys, monkeypatch):
+    forks = fork_spy(monkeypatch, 3)
+    subset = ["--id", "B_ADD", "--id", "MOD16_c", "--id", "C_DIFF_HALF", "--id", "PARITY_B"]
+    for argv in (["--max-n", "15", "--format", "json"],
+                 ["--max-n", "20", "--format", "json"],
+                 ["--max-n", "20", "--format", "plain"],
+                 ["--max-n", "20", "--format", "csv", "--verbose"],
+                 ["--max-n", "20", "--format", "json"] + subset):
+        outcomes = [run_cli(capsys, "verify", *argv, "--jobs", jobs)[:2] for jobs in "123"]
+        assert outcomes[0][0] == 0 and outcomes[0][1], argv
+        assert outcomes[1:] == outcomes[:1] * 2, argv
+    assert len(forks) == 4 * (1 + 2)  # csv --verbose runs in one process
+
+
+@pytest.mark.parametrize("argv, cpus, expected", [
+    (["--jobs", "1"], 8, 0),
+    (["--id", "B_ADD", "--jobs", "4"], 8, 0),
+    (["--format", "csv", "--verbose", "--jobs", "3"], 8, 0),  # collects its cases
+    (["--jobs", "3"], 1, 0),
+    (["--jobs", "3"], 2, 1),
+    (["--jobs", "3"], 8, 2),
+])
+def test_verify_forks_one_worker_less_than_it_uses(capsys, monkeypatch, argv, cpus, expected):
+    # min(jobs, usable CPUs, entries) workers, the calling process among them;
+    # one when the run collects its cases.
+    forks = fork_spy(monkeypatch, cpus)
+    assert run_cli(capsys, "verify", "--max-n", "6", *argv)[0] == 0
+    assert len(forks) == expected
 
 
 def test_verify_rejects_jobs_below_one(capsys):
@@ -590,6 +613,31 @@ def test_lean_commands_import_only_what_they_need():
     assert heavy.isdisjoint(result["loaded"]), sorted(heavy & set(result["loaded"]))
     assert "balkit.sequences" in result["loaded"]
     assert result["harness_after_verify"]
+
+
+def test_verify_in_one_process_imports_nothing_the_workers_need():
+    # pickle is loaded only once a run forks, not by --jobs 1 or one worker.
+    child = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from balkit import cli, harness
+        run = lambda *argv: cli.main(["verify", "--max-n", "6", *argv])
+        with contextlib.redirect_stdout(io.StringIO()):
+            run("--jobs", "1")
+            run("--id", "B_ADD", "--jobs", "4")
+            one = set(sys.modules)
+            harness._usable_cpus = lambda: 2
+            run("--jobs", "2")
+        print(" ".join(sorted(set(sys.modules) - one)))
+        """
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "pickle" in proc.stdout.split()
 
 
 # Small argv for term, seq, classify, search, verify and bench: valid and bad

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import signal
 import sys
+import threading
+import time
 
 import pytest
 
@@ -265,6 +269,166 @@ def test_terms_above_the_digit_cap_are_refused_before_prefill(no_prefill, ids, m
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: max_n=%d reads terms of up to " % max_n)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("jobs, message", [
+    (0, "workers must be >= 1, got 0"),
+    (-3, "workers must be >= 1, got -3"),
+    (harness.JOBS_MAX + 1, "workers must be <= %d, got %d" % (harness.JOBS_MAX, harness.JOBS_MAX + 1)),
+])
+def test_jobs_out_of_range_is_refused_before_prefill_or_fork(no_prefill, no_fork, jobs, message,
+                                                             capsys):
+    from balkit import cli
+
+    with pytest.raises(DomainError, match="^%s$" % message):
+        run_suite(5, jobs=jobs)
+    assert cli.main(["verify", "--max-n", "5", "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def fork_spy(monkeypatch, cpus=None):
+    """A list that gets an entry per os.fork call (each still forks). Given
+    cpus, run_suite takes that many usable CPUs whatever the host has."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    if cpus is not None:
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    return calls
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    return fork_spy(monkeypatch, 3)
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("max_n", [1, 30, 189, 300])
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_shares_split_every_entry_once_by_cell_count(max_n, workers):
+    selected = identities.list_identities()
+    shares = harness._shares(selected, max_n, workers)
+    assert len(shares) == workers
+    assert sorted(i for share in shares for i in share) == list(range(len(selected)))
+    assert all(share == sorted(share) for share in shares)
+    cells = [sum(len(d.indices(n, max_n)) for n in range(max_n + 1)) for d in selected]
+    loads = [sum(cells[i] for i in share) for share in shares]
+    # Largest first to the least loaded: no two loads differ by more than one entry.
+    assert max(loads) - min(loads) <= max(cells)
+    assert shares == harness._shares(selected, max_n, workers)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_forked_run_gives_the_one_process_report(forks, jobs):
+    catalog = corrupt_c_diff_half()
+    one = run_suite(30, catalog=catalog)
+    assert forks == []
+    many = run_suite(30, catalog=catalog, jobs=jobs)
+    assert len(forks) == jobs - 1
+    assert_no_children_left()
+    strip = lambda r: dataclasses.replace(r, wall_ms=0)
+    assert [strip(r) for r in many.records] == [strip(r) for r in one.records]
+    assert many.total_failures == one.total_failures == 225
+
+
+def out_of_table(ident, domain="n >= 0"):
+    return identities._entry(ident, "B(3n) = B(3n)", domain)  # reads past the prefill
+
+
+@pytest.mark.parametrize("jobs, picks", [
+    (2, None),  # one bad entry, appended
+    (2, [(1, 0), (0, -1)]),  # an early one in the child, a late one in this process
+    (2, [(0, 1), (1, -1)]),
+    (3, [(2, 0), (1, 1), (0, -1)]),
+    (3, None),
+])
+def test_forked_run_raises_what_one_process_raises(forks, jobs, picks):
+    # picks: (share, rank in share) of the entries turned bad, X0 first in
+    # catalog order. Each keeps its domain, so the shares stay as they were.
+    catalog = corrupt_c_diff_half()
+    if picks is None:
+        catalog.append(out_of_table("X0"))
+    else:
+        shares = harness._shares(catalog, 20, jobs)
+        at = [shares[share][rank] for share, rank in picks]
+        assert at == sorted(at)
+        for k, i in enumerate(at):
+            catalog[i] = out_of_table("X%d" % k, catalog[i].domain_desc)
+        assert harness._shares(catalog, 20, jobs) == shares
+    with pytest.raises(DomainError) as one:
+        run_suite(20, catalog=catalog)
+    assert str(one.value).startswith("X0 at (n=")
+    with pytest.raises(DomainError) as many:
+        run_suite(20, catalog=catalog, jobs=jobs)
+    assert len(forks) == jobs - 1
+    assert str(many.value) == str(one.value)
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_a_worker_that_dies_without_a_result_fails_the_run(forks, monkeypatch, death):
+    parent, run_identity = os.getpid(), harness._run_identity
+
+    def dying(*args):
+        if os.getpid() != parent:
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(0)  # leaves without writing a result
+        return run_identity(*args)
+
+    monkeypatch.setattr(harness, "_run_identity", dying)
+    with pytest.raises(RuntimeError, match="exited without a result"):
+        run_suite(10, jobs=2)
+    assert_no_children_left()
+
+
+def test_an_interrupt_in_the_parent_kills_and_reaps_the_workers(forks, monkeypatch):
+    parent = os.getpid()
+
+    def stuck(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_run_identity", stuck)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(10, jobs=3)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 2
+    assert_no_children_left()
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    calls = fork_spy(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert harness._usable_cpus() == 1
+        assert run_suite(10, jobs=2).passed
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert calls == []
 
 
 def test_compare_methods_passes():
