@@ -337,11 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--jobs",
         type=int,
-        default=1,
         metavar="N",
-        help="run the identities on up to N processes, at most one per usable CPU "
-        "and per identity (one with --format csv --verbose); the report does not "
-        "depend on N (default: 1)",
+        help="run the identities on at most N processes (default: one per usable "
+        "CPU); never more than one per identity, and one with --format csv "
+        "--verbose; the report does not depend on N",
     )
     p_verify.add_argument(
         "--verbose",

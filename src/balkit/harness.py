@@ -7,11 +7,11 @@ VerificationReport that serializes deterministically: identical inputs give
 byte-identical JSON/CSV. Measured wall times stay on the in-process report
 objects; the canonical serializations zero them out, since emitting timings
 would break byte-level reproducibility. A catalog run reads its terms from
-one TermSource prefilled to identities.term_tops() for its entries. With
-jobs > 1 the entries are split into shares by cell count; the calling
-process runs one share and forked workers run the others on the same
-prefilled terms, and the records come back in the selected order, so the
-report does not depend on jobs.
+one TermSource prefilled to identities.term_tops() for its entries. On a
+machine with more than one usable CPU the entries are split into shares by
+cell count; the calling process runs one share and forked workers run the
+others on the same prefilled terms, and the records come back in the
+selected order, so the report does not depend on how many processes ran.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ FORMATS = ("json", "csv", "plain")
 GRID_CELLS_MAX = 4 * 10**7
 
 # Largest jobs run_suite accepts. It runs min(jobs, usable CPUs, entries)
-# workers, the calling process being one of them.
+# workers, the calling process being one of them; jobs=None leaves out the
+# first bound.
 JOBS_MAX = 64
 
 
@@ -167,9 +168,14 @@ def _run_forked(
 
     shares = _shares(selected, max_n, workers)
     children = {}  # pid -> the read end of its pipe
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
+            # SIGINT waits until the parent has recorded the child, and the
+            # child has entered the try that ends in os._exit, so Ctrl-C
+            # can neither orphan a child nor run the parent's cleanup in it.
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             pid = os.fork()
             if pid == 0:
                 # The child leaves only through os._exit, so it never
@@ -177,6 +183,7 @@ def _run_forked(
                 # it inherited.
                 code = 1
                 try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     os.close(read_fd)
                     for pipe in children.values():
                         pipe.close()
@@ -188,6 +195,7 @@ def _run_forked(
                     os._exit(code)
             os.close(write_fd)
             children[pid] = os.fdopen(read_fd, "rb")
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
         results = [_run_share(selected, shares[0], max_n, terms)]
         for pid, pipe in list(children.items()):
@@ -204,6 +212,8 @@ def _run_forked(
                                    % os.waitstatus_to_exitcode(status))
             results.append(result)
     except BaseException:
+        # A second Ctrl-C waits until every child is reaped.
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         for pid, pipe in children.items():
             pipe.close()
             try:
@@ -211,6 +221,7 @@ def _run_forked(
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         raise
 
     records: list[Optional[IdentityRecord]] = [None] * len(selected)
@@ -230,7 +241,7 @@ def run_suite(
     ids: Optional[list[str]] = None,
     catalog: Optional[list[IdentityDescriptor]] = None,
     collect_cases: bool = False,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
 ) -> VerificationReport:
     """Evaluate catalog entries on their domains within the grid 0..max_n.
 
@@ -240,13 +251,13 @@ def run_suite(
     catalog (or ids) order, and each record's failures in (n, m) order, so
     the report depends only on the arguments and not on jobs.
 
-    jobs (1..JOBS_MAX) is the most processes the run uses: it runs
-    min(jobs, usable CPUs, entries) workers, or one where os.fork is
-    missing, another thread runs or collect_cases is set. With more than
-    one, the entries are split by cell count, and every share but the
-    calling process's own runs in a forked child on the same prefilled
-    terms. If entries raise, the one first in order is re-raised, as with
-    jobs=1; a worker that dies without a result raises RuntimeError.
+    The run uses min(usable CPUs, entries) processes, and at most jobs
+    (1..JOBS_MAX) if given; one where os.fork is missing, another thread
+    runs or collect_cases is set. With more than one, the entries are split
+    by cell count, and every share but the calling process's own runs in a
+    forked child on the same prefilled terms. If entries raise, the one
+    first in order is re-raised, as with jobs=1; a worker that dies without
+    a result raises RuntimeError.
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
     above what identities.term_tops() allows, is refused with DomainError
@@ -254,9 +265,9 @@ def run_suite(
     prefilled terms raises DomainError naming the entry, the cell and the
     index, rather than wrapping.
     """
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % jobs)
-    if jobs > JOBS_MAX:
+    if jobs is not None and jobs > JOBS_MAX:
         raise DomainError("workers must be <= %d, got %d" % (JOBS_MAX, jobs))
     if max_n < 1:
         raise DomainError("max_n must be >= 1, got %d" % max_n)
@@ -285,7 +296,7 @@ def run_suite(
     report = VerificationReport("identity-catalog", max_n)
     # A run that collects its cases stays in one process: rebuilding a
     # worker's cases here costs about what evaluating them did.
-    workers = 1 if collect_cases else min(jobs, len(selected))
+    workers = 1 if collect_cases else min(jobs or JOBS_MAX, len(selected))
     if workers > 1:
         workers = min(workers, _usable_cpus())
     if workers == 1:

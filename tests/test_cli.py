@@ -145,10 +145,16 @@ def test_verify_deterministic_across_jobs(capsys, monkeypatch):
     (["--jobs", "3"], 1, 0),
     (["--jobs", "3"], 2, 1),
     (["--jobs", "3"], 8, 2),
+    ([], 1, 0),
+    ([], 4, 3),
+    (["--id", "B_ADD"], 8, 0),
+    (["--id", "B_ADD", "--id", "MOD16_c"], 8, 1),
+    (["--format", "csv", "--verbose"], 8, 0),
 ])
 def test_verify_forks_one_worker_less_than_it_uses(capsys, monkeypatch, argv, cpus, expected):
-    # min(jobs, usable CPUs, entries) workers, the calling process among them;
-    # one when the run collects its cases.
+    # min(jobs, usable CPUs, entries) workers, the calling process among them,
+    # with no first bound when --jobs is not given; one when the run collects
+    # its cases.
     forks = fork_spy(monkeypatch, cpus)
     assert run_cli(capsys, "verify", "--max-n", "6", *argv)[0] == 0
     assert len(forks) == expected
@@ -625,6 +631,7 @@ def test_verify_in_one_process_imports_nothing_the_workers_need():
         with contextlib.redirect_stdout(io.StringIO()):
             run("--jobs", "1")
             run("--id", "B_ADD", "--jobs", "4")
+            run("--id", "B_ADD")
             one = set(sys.modules)
             harness._usable_cpus = lambda: 2
             run("--jobs", "2")

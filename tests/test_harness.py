@@ -338,11 +338,13 @@ def test_shares_split_every_entry_once_by_cell_count(max_n, workers):
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_forked_run_gives_the_one_process_report(forks, jobs):
     catalog = corrupt_c_diff_half()
-    one = run_suite(30, catalog=catalog)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    one = run_suite(30, catalog=catalog, jobs=1)
     assert forks == []
     many = run_suite(30, catalog=catalog, jobs=jobs)
     assert len(forks) == jobs - 1
     assert_no_children_left()
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
     strip = lambda r: dataclasses.replace(r, wall_ms=0)
     assert [strip(r) for r in many.records] == [strip(r) for r in one.records]
     assert many.total_failures == one.total_failures == 225
@@ -373,7 +375,7 @@ def test_forked_run_raises_what_one_process_raises(forks, jobs, picks):
             catalog[i] = out_of_table("X%d" % k, catalog[i].domain_desc)
         assert harness._shares(catalog, 20, jobs) == shares
     with pytest.raises(DomainError) as one:
-        run_suite(20, catalog=catalog)
+        run_suite(20, catalog=catalog, jobs=1)
     assert str(one.value).startswith("X0 at (n=")
     with pytest.raises(DomainError) as many:
         run_suite(20, catalog=catalog, jobs=jobs)
@@ -408,12 +410,60 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_workers(forks, monkeypat
         raise KeyboardInterrupt
 
     monkeypatch.setattr(harness, "_run_identity", stuck)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_suite(10, jobs=3)
     assert time.monotonic() - started < 30
     assert len(forks) == 2
     assert_no_children_left()
+    # SIGINT, blocked around each fork, is deliverable again.
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+
+
+def test_sigint_waits_across_each_fork(monkeypatch):
+    # Ctrl-C between a fork and the bookkeeping on either side of it would
+    # orphan a child or run the parent's cleanup in the child.
+    forks = fork_spy(monkeypatch, 3)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    held, fork = [], os.fork
+
+    def spied_fork():
+        held.append(signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ()))
+        return fork()
+
+    parent, run_identity = os.getpid(), harness._run_identity
+
+    def in_child_with_the_callers_mask(*args):
+        if os.getpid() != parent and signal.pthread_sigmask(signal.SIG_BLOCK, ()) != mask:
+            os._exit(0)  # leaves without a result
+        return run_identity(*args)
+
+    monkeypatch.setattr(os, "fork", spied_fork)
+    monkeypatch.setattr(harness, "_run_identity", in_child_with_the_callers_mask)
+    assert run_suite(10).passed
+    assert held == [True, True] and len(forks) == 2
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("cpus, kwargs, expected", [
+    (3, {}, 2),
+    (3, {"jobs": 2}, 1),
+    (1, {}, 0),
+    (3, {"ids": ["B_ADD"]}, 0),
+    (3, {"ids": ["B_ADD", "MOD16_c"]}, 1),
+    (3, {"collect_cases": True}, 0),
+])
+def test_without_jobs_a_run_uses_every_usable_cpu(monkeypatch, cpus, kwargs, expected):
+    # min(usable CPUs, entries) processes; jobs only lowers that.
+    forks = fork_spy(monkeypatch, cpus)
+    report = run_suite(12, **kwargs)
+    assert len(forks) == expected
+    assert_no_children_left()
+    one = run_suite(12, **{**kwargs, "jobs": 1})
+    strip = lambda r: dataclasses.replace(r, wall_ms=0)
+    assert [strip(r) for r in report.records] == [strip(r) for r in one.records]
 
 
 def test_no_fork_while_another_thread_runs(monkeypatch):
