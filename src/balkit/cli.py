@@ -151,14 +151,14 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import harness
 
-    report = harness.run_suite(
-        args.max_n,
-        ids=args.id,
-        collect_cases=args.verbose and args.format == "csv",
-        jobs=args.jobs,
-    )
-    for piece in harness.report_lines(report, args.format):
-        sys.stdout.write(piece)
+    if args.verbose and args.format == "csv":
+        # The run writes each case's row as it evaluates the case.
+        report = harness.run_suite(args.max_n, ids=args.id, jobs=args.jobs,
+                                   write=sys.stdout.write)
+    else:
+        report = harness.run_suite(args.max_n, ids=args.id, jobs=args.jobs)
+        for piece in harness.report_lines(report, args.format):
+            sys.stdout.write(piece)
     return 0 if report.passed else 1
 
 

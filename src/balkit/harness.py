@@ -7,11 +7,14 @@ VerificationReport that serializes deterministically: identical inputs give
 byte-identical JSON/CSV. Measured wall times stay on the in-process report
 objects; the canonical serializations zero them out, since emitting timings
 would break byte-level reproducibility. A catalog run reads its terms from
-one TermSource prefilled to identities.term_tops() for its entries. On a
-machine with more than one usable CPU the entries are split into shares by
-cell count; the calling process runs one share and forked workers run the
-others on the same prefilled terms, and the records come back in the
-selected order, so the report does not depend on how many processes ran.
+one TermSource prefilled to identities.term_tops() for its entries: the
+highest index each kind is read at on the grid. On a machine with more
+than one usable CPU the entries are split into shares by cell count; the
+calling process runs one share and forked workers run the others on the
+same prefilled terms, and the records come back in the selected order, so
+the report does not depend on how many processes ran. A run that writes
+its cases (verify --format csv --verbose) stays in one process and writes
+each row as it evaluates the case, so it holds one case at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import identities, oracle
 from .identities import EvalResult, IdentityDescriptor
@@ -83,12 +86,13 @@ def _run_identity(
     desc: IdentityDescriptor,
     max_n: int,
     terms: TermSource,
-    collect_cases: bool,
+    on_case: Optional[Callable[[EvalResult], object]],
 ) -> IdentityRecord:
+    """Evaluate desc on its domain within the grid; on_case, if given, gets
+    every evaluated case as it is evaluated."""
     started = time.perf_counter()
     checked = 0
     failures: list[EvalResult] = []
-    cases: list[EvalResult] = []
     indices, lhs, rhs = desc.indices, desc.lhs, desc.rhs
     try:
         # Rows in n order, each with its in-domain m values ((None,) or ()
@@ -101,16 +105,16 @@ def _run_identity(
                 rv = rhs(terms, n, m)
                 if lv != rv:
                     failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
-                if collect_cases:
+                if on_case is not None:
                     # A case that holds keeps one int for both sides, which
-                    # halves the operands a verbose run holds.
-                    cases.append(failures[-1] if lv != rv
-                                 else EvalResult(desc.ident, n, m, lv, lv, True))
+                    # halves the operands a collecting run holds.
+                    on_case(failures[-1] if lv != rv
+                            else EvalResult(desc.ident, n, m, lv, lv, True))
     except KeyError as exc:
         raise identities.read_error(desc, n, m, exc.args[0], max_n) from None
     skipped = (max_n + 1) ** desc.arity - checked
     wall_ms = int((time.perf_counter() - started) * 1000)
-    return IdentityRecord(desc.ident, checked, skipped, wall_ms, failures, cases)
+    return IdentityRecord(desc.ident, checked, skipped, wall_ms, failures)
 
 
 def _usable_cpus() -> int:
@@ -150,7 +154,7 @@ def _run_share(
     done: list[IdentityRecord] = []
     for i in share:
         try:
-            done.append(_run_identity(selected[i], max_n, terms, False))
+            done.append(_run_identity(selected[i], max_n, terms, None))
         except Exception as exc:
             return done, (i, exc)
     return done, None
@@ -242,6 +246,7 @@ def run_suite(
     catalog: Optional[list[IdentityDescriptor]] = None,
     collect_cases: bool = False,
     jobs: Optional[int] = None,
+    write: Optional[Callable[[str], object]] = None,
 ) -> VerificationReport:
     """Evaluate catalog entries on their domains within the grid 0..max_n.
 
@@ -251,20 +256,31 @@ def run_suite(
     catalog (or ids) order, and each record's failures in (n, m) order, so
     the report depends only on the arguments and not on jobs.
 
+    collect_cases keeps every evaluated case on its record. write instead
+    streams the csv report of every case, emit_report's verbose csv: the
+    run passes the header to write once every refusal is behind it, then
+    each case's row as it is evaluated, so no case outlives its row. The
+    records then hold no cases; the failures stay, for passed.
+
     The run uses min(usable CPUs, entries) processes, and at most jobs
     (1..JOBS_MAX) if given; one where os.fork is missing, another thread
-    runs or collect_cases is set. With more than one, the entries are split
-    by cell count, and every share but the calling process's own runs in a
-    forked child on the same prefilled terms. If entries raise, the one
-    first in order is re-raised, as with jobs=1; a worker that dies without
-    a result raises RuntimeError.
+    runs, or cases are collected or written. With more than one, the
+    entries are split by cell count, and every share but the calling
+    process's own runs in a forked child on the same prefilled terms. If
+    entries raise, the one first in order is re-raised, as with jobs=1; a
+    worker that dies without a result raises RuntimeError.
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
     above what identities.term_tops() allows, is refused with DomainError
-    before any term is computed or process started. A read outside the
-    prefilled terms raises DomainError naming the entry, the cell and the
+    before any term is computed, process started or text written; so is a
+    read below a kind's first index. term_tops() prefills exactly the
+    indices the entries' statements read on the grid, so only an entry
+    whose evaluators differ from its statement can read outside the
+    prefill; that raises DomainError naming the entry, the cell and the
     index, rather than wrapping.
     """
+    if collect_cases and write is not None:
+        raise ValueError("collect_cases and write exclude each other")
     if jobs is not None and jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % jobs)
     if jobs is not None and jobs > JOBS_MAX:
@@ -294,15 +310,26 @@ def run_suite(
     terms.prefill(tops)
 
     report = VerificationReport("identity-catalog", max_n)
-    # A run that collects its cases stays in one process: rebuilding a
-    # worker's cases here costs about what evaluating them did.
-    workers = 1 if collect_cases else min(jobs or JOBS_MAX, len(selected))
+    # A run that collects or writes its cases stays in one process:
+    # rebuilding a worker's cases here costs about what evaluating them did.
+    workers = 1 if collect_cases or write is not None else min(jobs or JOBS_MAX, len(selected))
     if workers > 1:
         workers = min(workers, _usable_cpus())
-    if workers == 1:
-        report.records = [_run_identity(d, max_n, terms, collect_cases) for d in selected]
-    else:
+    if workers > 1:
         report.records = _run_forked(selected, max_n, terms, workers)
+        return report
+    on_case = None
+    if write is not None:
+        write(_CSV_HEADER)
+
+        def on_case(case: EvalResult) -> None:
+            write(_csv_row(case))
+
+    for d in selected:
+        cases: list[EvalResult] = []
+        record = _run_identity(d, max_n, terms, cases.append if collect_cases else on_case)
+        record.cases = cases
+        report.records.append(record)
     return report
 
 
@@ -389,6 +416,17 @@ def oracle_equivalence(limit: int) -> VerificationReport:
     return report
 
 
+_CSV_HEADER = "id,n,m,lhs,rhs,holds\n"
+
+
+def _csv_row(case: EvalResult) -> str:
+    """The csv report row of one case. Equal sides are rendered once."""
+    lhs = decimal_str(case.lhs)
+    rhs = lhs if case.rhs == case.lhs else decimal_str(case.rhs)
+    return "%s,%d,%s,%s,%s,%s\n" % (case.ident, case.n, "" if case.m is None else case.m,
+                                    lhs, rhs, "true" if case.holds else "false")
+
+
 def report_lines(report: VerificationReport, fmt: str) -> Iterator[str]:
     """Serialize a report a piece at a time: a header, one piece per
     record (json, plain) or per row (csv), then a footer. Joined, the
@@ -416,13 +454,9 @@ def report_lines(report: VerificationReport, fmt: str) -> Iterator[str]:
         yield '],"max_n":%s,"pass":%s,"suite":%s}\n' % (
             json.dumps(report.max_n), json.dumps(report.passed), json.dumps(report.suite))
     elif fmt == "csv":
-        yield "id,n,m,lhs,rhs,holds\n"
+        yield _CSV_HEADER
         for r in report.records:
-            for c in r.cases or r.failures:
-                m = "" if c.m is None else str(c.m)
-                yield "%s,%d,%s,%s,%s,%s\n" % (
-                    c.ident, c.n, m, decimal_str(c.lhs), decimal_str(c.rhs),
-                    "true" if c.holds else "false")
+            yield from map(_csv_row, r.cases or r.failures)
     else:
         yield "suite=%s max_n=%d\n" % (report.suite, report.max_n)
         for r in report.records:

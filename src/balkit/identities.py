@@ -6,9 +6,13 @@ statement when this module is imported, and the domain's arity and index
 ranges come from one table of domains, so what is printed is what gets
 checked. An evaluator reads its terms by subscript from the four plain dict
 tables of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i], and calls
-nothing; evaluate() and the harness prefill them to the tops term_tops()
-gives for the kinds their entries read. One generic routine evaluates any
-entry at given indices. Adding an entry means adding a table row.
+nothing. At import each compiled side also runs once on symbols for n and
+m, which records every subscript as an affine form in n and m, at most
+divided as a whole, like (n-m)/2; a statement with any other subscript is
+refused. From those forms term_tops() takes, per kind, the highest index
+the entries read on a grid, which the harness prefills, and evaluate()
+keeps only the terms its one point reads. One generic routine evaluates
+any entry at given indices. Adding an entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError, digits_bound
 
@@ -39,9 +44,11 @@ class IdentityDescriptor:
     domain_desc are the printed forms an entry is written as; every other
     field is derived from them. lhs and rhs are compiled from statement,
     arity and indices are looked up from domain_desc, and domain(n, m) is
-    the membership test read off indices. reads holds the symbols of the
-    kinds the statement reads, in "BCbc" order. kind and modulus come from
-    the statement's form; modulus is set on congruence entries only. note
+    the membership test read off indices. subscripts holds each distinct
+    read of the statement, in the order first read, as (short, a, b, c, d):
+    a read of kind short at index (a*n + b*m + c) // d. kind and modulus
+    come from the statement's form; modulus is set on congruence entries
+    only. note
     records a known discrepancy between this entry's implemented reading
     and an alternative printed form, where one exists.
     """
@@ -54,7 +61,7 @@ class IdentityDescriptor:
     indices: DomainRange = field(repr=False)
     lhs: Evaluator = field(repr=False)
     rhs: Evaluator = field(repr=False)
-    reads: str
+    subscripts: tuple = field(repr=False)
     modulus: Optional[int] = None
     note: Optional[str] = None
 
@@ -144,10 +151,124 @@ def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
     raise ValueError("%s: %r is outside the statement grammar" % (ident, side))
 
 
+def _lost(other):
+    """What arithmetic that leaves the form shape gives: _VALUE, or
+    NotImplemented for an operand that is no int, form or value (m, None
+    in an entry of one index), so that Python raises TypeError."""
+    return _VALUE if other.__class__ in (int, _Form, _Value) else NotImplemented
+
+
+class _Form:
+    """The index (a*n + b*m + c) // d that a subscript evaluates to when
+    _subscript_forms runs a compiled side on symbols for n and m.
+
+    Sums and differences of undivided forms and ints, multiples by an int
+    and one final floor division by a positive int stay forms; any other
+    arithmetic (a product of two forms, a form divided twice, a residue)
+    gives _VALUE, which a table refuses as a subscript.
+    """
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int = 1) -> None:
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            other = _Form(0, 0, other)
+        if other.__class__ is _Form and self.d == other.d == 1:
+            return _Form(self.a + other.a, self.b + other.b, self.c + other.c)
+        return _lost(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if other.__class__ is int and self.d == 1:
+            return _Form(self.a * other, self.b * other, self.c * other)
+        return _lost(other)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        if other.__class__ is int and other >= 1 and self.d == 1:
+            return _Form(self.a, self.b, self.c, other)
+        return _lost(other)
+
+    def __rfloordiv__(self, other):
+        return _lost(other)
+
+    __mod__ = __rmod__ = __rfloordiv__
+
+
+class _Value:
+    """A term, or any arithmetic on one: what a symbolic read returns."""
+
+    def _value(self, other=0):
+        return _lost(other)
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _value
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = __neg__ = _value
+
+
+_VALUE = _Value()
+
+
+class _Table:
+    """One table of the symbolic TermSource: t.B[i] records ("B", a, b, c, d)
+    for the form of i and returns _VALUE; any other i raises TypeError."""
+
+    __slots__ = ("short", "forms")
+
+    def __init__(self, short: str, forms: list) -> None:
+        self.short, self.forms = short, forms
+
+    def __getitem__(self, index):
+        if index.__class__ is int:
+            index = _Form(0, 0, index)
+        if index.__class__ is not _Form:
+            raise TypeError
+        self.forms.append((self.short, index.a, index.b, index.c, index.d))
+        return _VALUE
+
+
+def _subscript_forms(ident: str, arity: int, sides: Iterable[Evaluator]) -> tuple:
+    """Every distinct read the compiled sides make, as (short, a, b, c, d)
+    for a read of kind short at (a*n + b*m + c) // d, in the order first
+    read. Each side runs once on symbols for n and m; a subscript of any
+    other shape raises ValueError."""
+    forms: list = []
+    t = TermSource()
+    t.B, t.C, t.b, t.c = (_Table(short, forms) for short in "BCbc")
+    n, m = _Form(1, 0, 0), (_Form(0, 1, 0) if arity == 2 else None)
+    try:
+        for side in sides:
+            side(t, n, m)
+    except TypeError:
+        raise ValueError(
+            "%s: a subscript is not an affine form in n and m, at most divided as a whole "
+            "(a nested read, a product of n and m, or m where the domain takes n alone)"
+            % ident) from None
+    return tuple(dict.fromkeys(forms))
+
+
 def _entry(
     ident: str, statement: str, domain: str, note: Optional[str] = None
 ) -> IdentityDescriptor:
-    """Build a catalog entry from its printed statement and printed domain."""
+    """Build a catalog entry from its printed statement and printed domain.
+
+    A statement outside the grammar, or one with a subscript that is not an
+    affine form in n and m (at most divided as a whole, like (n-m)/2), is
+    refused with ValueError: term_tops could not bound its reads.
+    """
     arity, indices = _DOMAINS[domain]
     congruence = _CONGRUENCE_FORM.fullmatch(statement)
     if congruence:
@@ -159,10 +280,10 @@ def _entry(
             raise ValueError(
                 "%s: %r is neither 'L = R' nor 'L == R (mod k)'" % (ident, statement))
         (lhs, rhs), kind, modulus = sides, EQUATION, None
+    lhs, rhs = _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus)
     return IdentityDescriptor(
-        ident, arity, kind, statement, domain, indices,
-        _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus),
-        "".join(k for k in "BCbc" if k + "(" in statement), modulus, note,
+        ident, arity, kind, statement, domain, indices, lhs, rhs,
+        _subscript_forms(ident, arity, (lhs, rhs)), modulus, note,
     )
 
 
@@ -253,22 +374,65 @@ def domain_check(ident: str, n: int, m: Optional[int] = None) -> bool:
 
 # term_tops refuses terms of more than this many digits in all (about 12 MB
 # of ints): the full catalog at max_n 1239, the largest the harness's cell
-# cap allows, has 2.4e7, and PARITY_B alone reaches it near max_n 4400.
+# cap allows, has 1.6e7, and PARITY_B alone reaches it near max_n 8850.
 TERM_DIGITS_MAX = 3 * 10**7
 
+_MIN_INDEX = {k.short: k.min_index for k in SequenceKind}
 
-def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
-    """Top index to prefill per kind the entries read, on the grid 0..max_n:
-    2*max_n + 2 for B and C, 4*max_n + 2 for b and c (c(4n) is read). Raises
-    DomainError if those terms have more than TERM_DIGITS_MAX digits in all."""
-    reads = "".join(d.reads for d in entries)
-    kinds = [k for k in SequenceKind if k.short in reads]
-    tops = {k.short: (2 if k.short in "BC" else 4) * max_n + 2 for k in kinds}
-    digits = sum(digits_bound(k.min_index, tops[k.short]) for k in kinds)
+
+def _corner_cells(desc: IdentityDescriptor, max_n: int) -> Iterator[tuple[int, Optional[int]]]:
+    """The cells of the grid 0..max_n where each read of desc takes its
+    least and its greatest index: the first and last m of the first two and
+    the last two rows that have in-domain cells.
+
+    Along a row a read's index is affine in m, and a floor division keeps
+    its order, so its extremes lie at the row's first and last m. Those
+    are affine in n over the rows of one parity, for every domain in
+    _DOMAINS, so over the rows the extremes lie at the first and last rows
+    of each parity.
+    """
+    rows: list[int] = []
+    for order in (range(max_n + 1), range(max_n, -1, -1)):
+        rows += islice((n for n in order if desc.indices(n, max_n)), 2)
+    for n in sorted(set(rows)):
+        ms = desc.indices(n, max_n)
+        yield n, ms[0]
+        yield n, ms[-1]
+
+
+def _reads(desc: IdentityDescriptor, cells: Iterable[tuple[int, Optional[int]]]):
+    """(desc, n, m, short, index) for each read of desc at each cell."""
+    for n, m in cells:
+        for short, a, b, c, d in desc.subscripts:
+            yield desc, n, m, short, (a * n + (b * m if b else 0) + c) // d
+
+
+def _tops(reads, max_n: int) -> dict[str, int]:
+    """The highest index per kind among reads, in "BCbc" order. Raises
+    DomainError for a read below its kind's min_index, naming the entry,
+    the cell and the index, and if terms min_index..top hold more than
+    TERM_DIGITS_MAX digits in all."""
+    tops: dict[str, int] = {}
+    for desc, n, m, short, index in reads:
+        if index < _MIN_INDEX[short]:
+            raise read_error(desc, n, m, index, max_n)
+        if index > tops.get(short, -1):
+            tops[short] = index
+    tops = {k: tops[k] for k in "BCbc" if k in tops}
+    digits = sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items())
     if digits > TERM_DIGITS_MAX:
         raise DomainError("max_n=%d reads terms of up to %d digits in all, above the limit of %d"
                           % (max_n, digits, TERM_DIGITS_MAX))
     return tops
+
+
+def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
+    """Top index to prefill per kind the entries read on the grid 0..max_n:
+    the highest index any of their in-domain cells reads (c(4n) reads c up
+    to 4*max_n, PARITY_B reads B only up to max_n). A kind no cell reads
+    gets no top. Raises DomainError for a read below min_index, and if the
+    tops hold more than TERM_DIGITS_MAX digits in all."""
+    return _tops((r for d in entries for r in _reads(d, _corner_cells(d, max_n))), max_n)
 
 
 def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n: int):
@@ -282,9 +446,9 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    The terms come from a fresh TermSource, prefilled to term_tops() for
-    max_n = max(n, m), which serves this call alone and is freed when it
-    returns.
+    The terms come from a fresh TermSource that holds only the terms this
+    one point reads, walked up to the highest, under the digit cap of
+    term_tops(); it serves this call alone and is freed when it returns.
     """
     desc = lookup(ident)
     _check_arity(desc, m)
@@ -294,9 +458,10 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
             % (n, m, ident, desc.domain_desc)
         )
     max_n = n if m is None else max(n, m)
-    tops = term_tops([desc], max_n)
+    reads = list(_reads(desc, [(n, m)]))
+    tops = _tops(reads, max_n)
     terms = TermSource()
-    terms.prefill(tops)
+    terms.prefill(tops, keep={(short, index) for *_, short, index in reads})
     try:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)

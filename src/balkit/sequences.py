@@ -250,9 +250,13 @@ def walk(kind: SequenceKind, one=1) -> Iterator:
     from its seed pair in _KINDS, in the number type of one (1 or Decimal(1))."""
     _, _, (x, y), add = _KINDS[kind]
     x, y = x * one, y * one
-    while True:
+    if add:
+        while True:
+            yield x
+            x, y = y, 6 * y - x + add
+    while True:  # B, C and c: no add, so no third operation per step
         yield x
-        x, y = y, 6 * y - x + add
+        x, y = y, 6 * y - x
 
 
 def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list:
@@ -276,8 +280,9 @@ def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
 class TermSource:
     """The four term tables the catalog evaluators read, as t.B[i], t.C[i],
     t.b[i] and t.c[i]: plain dicts from index to term, which only prefill()
-    fills, from min_index up with no gap. A read outside them, below
-    min_index included, is a plain KeyError. Give each thread its own source.
+    fills, from min_index up with no gap unless it is told which indices to
+    keep. A read outside them, below min_index included, is a plain
+    KeyError. Give each thread its own source.
     """
 
     __slots__ = ("B", "C", "b", "c")
@@ -285,13 +290,18 @@ class TermSource:
     def __init__(self) -> None:
         self.B, self.C, self.b, self.c = {}, {}, {}, {}
 
-    def prefill(self, tops: dict[str, int]) -> None:
+    def prefill(self, tops: dict[str, int], keep: Optional[set] = None) -> None:
         """Fill each table named in tops (by short symbol) from min_index to
-        its top index, from a fresh walk()."""
+        its top index, from a fresh walk(). Given keep, a set of
+        (short, index) pairs, the walk still runs to each top but only the
+        terms at those indices are stored."""
         for short, top in tops.items():
             kind = parse_kind(short)
             values = islice(walk(kind), max(top + 1 - kind.min_index, 0))
-            getattr(self, short).update(enumerate(values, kind.min_index))
+            items = enumerate(values, kind.min_index)
+            if keep is not None:
+                items = ((i, v) for i, v in items if (short, i) in keep)
+            getattr(self, short).update(items)
 
 
 _LOG10_2 = math.log10(2)

@@ -91,7 +91,7 @@ def test_run_identity_walks_exactly_the_domain_in_grid_order():
             walked = dataclasses.replace(
                 desc, lhs=lambda t, n, m: seen.append((n, m)) or 0, rhs=lambda t, n, m: 0
             )
-            rec = harness._run_identity(walked, max_n, None, False)
+            rec = harness._run_identity(walked, max_n, None, None)
             ms = [None] if desc.arity == 1 else range(max_n + 1)
             expected = [(n, m) for n in range(max_n + 1) for m in ms if ref(n, m)]
             assert seen == expected, (desc.ident, max_n)
@@ -114,6 +114,8 @@ def test_run_suite_rejects_bad_arguments():
         run_suite(0)
     with pytest.raises(UnknownIdentityError):
         run_suite(5, ids=["NO_SUCH"])
+    with pytest.raises(ValueError, match="exclude each other"):
+        run_suite(5, collect_cases=True, write=print)
 
 
 def test_negative_control_corrupted_catalog_fails():
@@ -155,14 +157,22 @@ def test_minus_reading_of_b_cob_sum_le_fails_first_at_1_2():
     assert run_suite(40, ids=["B_COB_SUM_LE"]).passed
 
 
+def reading_past_its_statement(ident, statement, domain="n >= 0"):
+    """An entry that states B(2n) = B(2n), so that B is prefilled to
+    2*max_n, but evaluates statement: a caller-built entry whose evaluators
+    read what its statement does not."""
+    compiled = identities._entry(ident, statement, domain)
+    return dataclasses.replace(identities._entry(ident, "B(2n) = B(2n)", domain),
+                               lhs=compiled.lhs, rhs=compiled.rhs)
+
+
 @pytest.mark.parametrize("statement, max_n, cell, index", [
     ("B(n-1) = B(n-1)", 5, "(n=0, m=None)", -1),  # must not wrap to the last term
-    ("B(5n) = B(5n)", 5, "(n=3, m=None)", 15),  # above the 2*max_n+2 prefill
+    ("B(5n) = B(5n)", 5, "(n=3, m=None)", 15),  # above the 2*max_n prefill
 ])
 def test_out_of_table_read_names_entry_cell_and_index(statement, max_n, cell, index):
-    entry = identities._entry("X", statement, "n >= 0")
     with pytest.raises(DomainError) as info:
-        run_suite(max_n, catalog=[entry])
+        run_suite(max_n, catalog=[reading_past_its_statement("X", statement)])
     message = str(info.value)
     assert message.startswith("X at %s reads index %d," % (cell, index)), message
 
@@ -182,25 +192,32 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
             prefills.append(dict(tops))
             super().prefill(tops)
 
-    def run_identity(desc, max_n, terms, collect_cases):
+    def run_identity(desc, max_n, terms, on_case):
         # The one source prefilled above, whose tables are plain dicts.
         assert type(terms) is Source
         tables = {k: getattr(terms, k) for k in "BCbc"}
         assert all(type(t) is dict for t in tables.values()), desc.ident
         seen.append({k: len(t) for k, t in tables.items()})
-        return real(desc, max_n, terms, collect_cases)
+        return real(desc, max_n, terms, on_case)
 
     real = harness._run_identity
     monkeypatch.setattr(harness, "TermSource", Source)
     monkeypatch.setattr(harness, "_run_identity", run_identity)
-    max_n = 40
-    assert run_suite(max_n, ids=ids).passed
-    tops = {"B": 2 * max_n + 2, "C": 2 * max_n + 2, "b": 4 * max_n + 2, "c": 4 * max_n + 2}
-    assert prefills == [{k: tops[k] for k in filled}]
+    assert run_suite(40, ids=ids).passed
+    # The highest index the selected statements read on the grid 0..40:
+    # B(n) in PARITY_B, B(n+m) in B_ADD, c(4n) in MOD16_c, C(n+m-1) in
+    # LC_PROD, b(2n+1) in MOD4_bDIFF.
+    tops = {
+        "B": {"B": 40},
+        "BC": {"B": 80, "C": 80},
+        "bc": {"b": 40, "c": 160},
+        "BCc": {"B": 40, "C": 79, "c": 40},
+        "BCbc": {"B": 80, "C": 80, "b": 81, "c": 160},
+    }[filled]
+    assert prefills == [tops]
     # A table holds every index from its kind's min_index to its top.
-    sizes = {k: tops[k] - sequences.parse_kind(k).min_index + 1 for k in "BCbc"}
-    assert sizes == {"B": 83, "C": 83, "b": 162, "c": 162}
-    assert seen[0] == {k: sizes[k] if k in filled else 0 for k in "BCbc"}
+    sizes = {k: tops[k] - sequences.parse_kind(k).min_index + 1 for k in tops}
+    assert seen[0] == {k: sizes.get(k, 0) for k in "BCbc"}
 
 
 def test_a_read_of_an_unprefilled_kind_names_entry_cell_and_index():
@@ -245,7 +262,8 @@ def test_grid_above_the_cell_cap_is_refused_before_prefill(no_prefill, capsys):
     (1000, ["PARITY_B", "ODD_C", "MOD16_C", "MOD4_CSUM", "EVEN_b",
             "MOD4_bDIFF", "ODD_c", "MOD8_c", "MOD16_c"]),  # C6
     (600, [d.ident for d in identities.list_identities()[:4]]),  # a benchmark subset
-    (4400, ["PARITY_B"]),  # just under the digit cap of term_tops
+    (4400, ["MOD8_c"]),  # just under the digit cap of term_tops: c to 8800
+    (8850, ["PARITY_B"]),  # just under it: B to 8850
 ])
 def test_grids_under_the_cell_cap_are_run(no_prefill, max_n, ids):
     with pytest.raises(Prefilled):
@@ -254,9 +272,10 @@ def test_grids_under_the_cell_cap_are_run(no_prefill, max_n, ids):
 
 @pytest.mark.parametrize("ids, max_n", [
     (["PARITY_B"], 39999999),  # within the cell cap: 4e7 cells
-    (["PARITY_B"], 4500),
+    (["MOD8_c"], 4500),  # just over the digit cap: c to 9000
     (["MOD16_c"], 10**6),
     (["MOD16_c", "B_ADD"], 2300),
+    (["PARITY_B"], 8851),  # just over it: B to 8851
 ])
 def test_terms_above_the_digit_cap_are_refused_before_prefill(no_prefill, ids, max_n, capsys):
     from balkit import cli
@@ -351,7 +370,7 @@ def test_forked_run_gives_the_one_process_report(forks, jobs):
 
 
 def out_of_table(ident, domain="n >= 0"):
-    return identities._entry(ident, "B(3n) = B(3n)", domain)  # reads past the prefill
+    return reading_past_its_statement(ident, "B(3n) = B(3n)", domain)
 
 
 @pytest.mark.parametrize("jobs, picks", [

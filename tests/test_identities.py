@@ -18,7 +18,7 @@ from balkit.identities import (
     lookup,
 )
 from balkit.harness import run_suite
-from balkit.sequences import DomainError, SequenceKind, TermSource, stream
+from balkit.sequences import DomainError, SequenceKind, TermSource, parse_kind, stream
 
 EXPECTED_IDS = [
     "B_ADD", "B_SUB", "B_DIFF_HALF", "B_DIFF_EVEN", "B_2N_MINUS6",
@@ -188,6 +188,73 @@ def test_statement_outside_the_grammar_is_refused(statement):
         identities._entry("X", statement, "n >= 0")
 
 
+@pytest.mark.parametrize("statement, domain", [
+    ("B(C(n)) = B(n)", "n >= 0"),  # a nested read
+    ("B(n*m) = B(n)", "n >= m >= 0"),  # a product of n and m
+    ("B(n) = B((n+1)*(m+1))", "n >= m >= 0"),
+    ("B((n-m)/2/2) = B(n)", identities._PARITY),
+    ("B((n-m)/2 + 1) = B(n)", identities._PARITY),  # divided, then more arithmetic
+    ("B(n) = B(m)", "n >= 0"),  # m in an entry of one index
+])
+def test_a_subscript_term_tops_cannot_bound_is_refused(statement, domain):
+    with pytest.raises(ValueError, match="^X: "):
+        identities._entry("X", statement, domain)
+
+
+def test_products_and_residues_outside_subscripts_are_accepted():
+    entry = identities._entry("X", "B(n)*n*m + n/2 = B(n)*(n*m) + n/2", "n >= m >= 0")
+    assert entry.subscripts == (("B", 1, 0, 0, 1),)
+    assert run_suite(6, catalog=[entry]).passed
+
+
+class RecordingTable:
+    """A term table that records each index read."""
+
+    def __init__(self, values: dict, seen: list) -> None:
+        self.values, self.seen = values, seen
+
+    def __getitem__(self, index):
+        self.seen.append(index)
+        return self.values[index]
+
+
+def test_term_tops_are_the_indices_a_recording_source_sees():
+    # Every read of every entry on every in-domain cell of the grids
+    # 0..1 to 0..40: term_tops gives each kind's highest index exactly.
+    full = TermSource()
+    full.prefill({k: 170 for k in "BCbc"})
+    seen = {k: [] for k in "BCbc"}
+    recording = TermSource()
+    for k in "BCbc":
+        setattr(recording, k, RecordingTable(getattr(full, k), seen[k]))
+    grid = range(1, 41)
+    catalog_tops = {max_n: {} for max_n in grid}
+    for d in list_identities():
+        # The highest index per kind read at each cell of the grid 0..40.
+        at_cell = {}
+        for n in range(41):
+            for m in d.indices(n, 40):
+                d.lhs(recording, n, m)
+                d.rhs(recording, n, m)
+                at_cell[n, m] = {k: max(v) for k, v in seen.items() if v}
+                assert all(min(v) >= parse_kind(k).min_index
+                           for k, v in seen.items() if v), (d.ident, n, m)
+                for v in seen.values():
+                    v.clear()
+        for max_n in grid:
+            tops = {}
+            for n in range(max_n + 1):
+                for m in d.indices(n, max_n):
+                    for k, top in at_cell[n, m].items():
+                        tops[k] = max(tops.get(k, top), top)
+            assert identities.term_tops([d], max_n) == tops, (d.ident, max_n)
+            for k, top in tops.items():
+                catalog_tops[max_n][k] = max(catalog_tops[max_n].get(k, top), top)
+    for max_n in grid:
+        assert identities.term_tops(list_identities(), max_n) == catalog_tops[max_n]
+    assert identities.term_tops(list_identities(), 100) == {"B": 200, "C": 200, "b": 201, "c": 400}
+
+
 def test_compiled_evaluators_read_only_the_four_sequences():
     for d in list_identities():
         for side in (d.lhs, d.rhs):
@@ -210,7 +277,7 @@ def test_compiled_evaluators_subscript_t_and_call_nothing():
 @pytest.mark.parametrize("statement, domain, n, m, index, max_n", [
     ("B(n-1) = b(n-1)", "n >= 0", 0, None, -1, 0),  # below min_index on the left
     ("B(n-1) = b(n-1)", "n >= 0", 1, None, 0, 1),  # and on the right
-    ("B(n) = B(3m)", "1 <= n <= m", 1, 5, 15, 5),  # above 2*max(n, m) + 2
+    ("B(n) = B(m-3n)", "1 <= n <= m", 2, 5, -1, 5),  # a binary read below min_index
 ])
 def test_evaluate_words_an_out_of_table_read_as_the_harness_does(
         statement, domain, n, m, index, max_n, monkeypatch):
@@ -221,6 +288,8 @@ def test_evaluate_words_an_out_of_table_read_as_the_harness_does(
     message = "X at (n=%s, m=%s) reads index %d, outside the terms prefilled for max_n=%d"
     assert str(info.value) == message % (n, m, index, max_n)
     if m is None:
+        # The read below min_index is refused before any term is computed.
+        monkeypatch.setattr(TermSource, "prefill", None)
         with pytest.raises(DomainError) as info:
             run_suite(max(n, 1), catalog=[entry])
         assert str(info.value) == message % (0, None, -1, max(n, 1))
@@ -234,6 +303,22 @@ def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
     for args in (("PARITY_B", 10**5), ("MOD16_c", 10**6), ("B_ADD", 10**9, 0)):
         with pytest.raises(DomainError, match="above the limit of %d$" % TERM_DIGITS_MAX):
             evaluate(*args)
+
+
+def test_evaluate_holds_only_the_terms_its_point_reads(monkeypatch):
+    held = []
+    real = TermSource.prefill
+
+    def prefill(self, tops, keep=None):
+        real(self, tops, keep)
+        held.append({k: sorted(getattr(self, k)) for k in "BCbc"})
+
+    monkeypatch.setattr(TermSource, "prefill", prefill)
+    # B and C filled to the grid-wide 2*3200+2 were over the digit cap.
+    assert evaluate("B_ADD", 3200, 0).holds
+    assert evaluate("MOD16_c", 5).holds
+    assert held == [{"B": [0, 3200], "C": [0, 3200], "b": [], "c": []},
+                    {"B": [], "C": [], "b": [], "c": [20]}]
 
 
 def test_default_term_source_is_used_when_none_given():

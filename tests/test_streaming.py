@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from balkit import cli, harness, identities
-from balkit.sequences import SequenceKind, generator_prefix, parse_kind, stream
+from balkit.sequences import SequenceKind, TermSource, generator_prefix, parse_kind, stream
 from test_harness import corrupt_c_diff_half
 
 # Longest header or footer around the streamed units, with a unit's comma
@@ -124,6 +124,37 @@ def test_verify_streams_emit_report(monkeypatch, argv, corrupted):
     _check_pieces(pieces, expected, _report_units(args.format, expected))
 
 
+def test_streamed_verbose_csv_of_the_negative_control_is_the_collected_report(monkeypatch):
+    # C2 at --max-n 30: the rows written as the cases are evaluated are the
+    # report of a run that collects its cases first.
+    catalog = corrupt_c_diff_half()
+    report = harness.run_suite(30, catalog=catalog, collect_cases=True)
+    expected = harness.emit_report(report, "csv").decode("utf-8")
+    assert expected.count(",false\n") == report.total_failures == 225
+    monkeypatch.setattr(identities, "list_identities", lambda: catalog)
+    code, pieces = _run(monkeypatch, ["verify", "--max-n", "30", "--format", "csv", "--verbose"])
+    assert code == 1
+    _check_pieces(pieces, expected, _report_units("csv", expected))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--id", "NO_SUCH"], "unknown identity id(s): NO_SUCH"),
+    (["--max-n", "5000"], "above the limit of %d" % harness.GRID_CELLS_MAX),
+    (["--id", "PARITY_B", "--max-n", "8851"], "above the limit of %d" % identities.TERM_DIGITS_MAX),
+    (["--jobs", "0"], "workers must be >= 1, got 0"),
+    (["--jobs", "65"], "workers must be <= 64, got 65"),
+])
+def test_verbose_csv_refusals_write_nothing(monkeypatch, capsys, argv, message):
+    # The header too waits until every refusal is behind the run.
+    def prefill(self, tops, keep=None):
+        raise AssertionError("prefilled")
+
+    monkeypatch.setattr(TermSource, "prefill", prefill)
+    assert cli.main(["verify", "--format", "csv", "--verbose", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_report_lines_refuses_an_unknown_format_before_any_piece():
     lines = harness.report_lines(harness.run_suite(2, ids=["B_ADD"]), "xml")
     with pytest.raises(ValueError, match="xml"):
@@ -172,6 +203,18 @@ def test_seq_json_and_csv_hold_no_more_than_plain(monkeypatch, fmt):
     assert sink.chars > 3 * 10**6
     assert peak - plain_peak < sink.chars / 4, (peak, plain_peak, sink.chars)
     assert peak - sink.at_first_write < sink.chars / 4
+
+
+def test_verify_verbose_csv_holds_no_more_than_without_verbose(monkeypatch):
+    # verify --max-n 60 --format csv --verbose writes 46,280 rows, 5 MB.
+    # Holding every case until the end took more than the text written;
+    # written as they are evaluated, the cases add next to nothing.
+    argv = ["verify", "--max-n", "60", "--format", "csv", "--jobs", "1"]
+    _traced_peak(monkeypatch, argv)  # the first run pays the one-time imports
+    quiet_peak, _ = _traced_peak(monkeypatch, argv)
+    peak, sink = _traced_peak(monkeypatch, argv + ["--verbose"])
+    assert sink.chars > 5 * 10**6
+    assert peak - quiet_peak < sink.chars / 50, (peak, quiet_peak, sink.chars)
 
 
 def _env():
