@@ -151,21 +151,15 @@ def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
     raise ValueError("%s: %r is outside the statement grammar" % (ident, side))
 
 
-def _lost(other):
-    """What arithmetic that leaves the form shape gives: _VALUE, or
-    NotImplemented for an operand that is no int, form or value (m, None
-    in an entry of one index), so that Python raises TypeError."""
-    return _VALUE if other.__class__ in (int, _Form, _Value) else NotImplemented
-
-
 class _Form:
     """The index (a*n + b*m + c) // d that a subscript evaluates to when
     _subscript_forms runs a compiled side on symbols for n and m.
 
     Sums and differences of undivided forms and ints, multiples by an int
-    and one final floor division by a positive int stay forms; any other
-    arithmetic (a product of two forms, a form divided twice, a residue)
-    gives _VALUE, which a table refuses as a subscript.
+    and one final floor division by a positive int stay forms. Any other
+    arithmetic (a product of two forms, a form divided twice, a residue, a
+    term) gives _VALUE, the form with d = 0, which stands for a value that
+    is no index: a table refuses it as a subscript.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -178,7 +172,7 @@ class _Form:
             other = _Form(0, 0, other)
         if other.__class__ is _Form and self.d == other.d == 1:
             return _Form(self.a + other.a, self.b + other.b, self.c + other.c)
-        return _lost(other)
+        return self._value(other)
 
     __radd__ = __add__
 
@@ -194,32 +188,24 @@ class _Form:
     def __mul__(self, other):
         if other.__class__ is int and self.d == 1:
             return _Form(self.a * other, self.b * other, self.c * other)
-        return _lost(other)
+        return self._value(other)
 
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
         if other.__class__ is int and other >= 1 and self.d == 1:
             return _Form(self.a, self.b, self.c, other)
-        return _lost(other)
+        return self._value(other)
 
-    def __rfloordiv__(self, other):
-        return _lost(other)
+    def _value(self, other):
+        """_VALUE, or NotImplemented for an operand that is no int or form
+        (m, None in an entry of one index), so that Python raises TypeError."""
+        return _VALUE if other.__class__ in (int, _Form) else NotImplemented
 
-    __mod__ = __rmod__ = __rfloordiv__
-
-
-class _Value:
-    """A term, or any arithmetic on one: what a symbolic read returns."""
-
-    def _value(self, other=0):
-        return _lost(other)
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _value
-    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = __neg__ = _value
+    __rfloordiv__ = __mod__ = __rmod__ = _value
 
 
-_VALUE = _Value()
+_VALUE = _Form(0, 0, 0, 0)
 
 
 class _Table:
@@ -234,7 +220,7 @@ class _Table:
     def __getitem__(self, index):
         if index.__class__ is int:
             index = _Form(0, 0, index)
-        if index.__class__ is not _Form:
+        if index.__class__ is not _Form or index is _VALUE:
             raise TypeError
         self.forms.append((self.short, index.a, index.b, index.c, index.d))
         return _VALUE
