@@ -55,8 +55,7 @@ JOBS_MAX = 64
 class IdentityRecord:
     """Per-identity tally for one campaign.
 
-    failures holds the cases whose two sides disagreed (holds=False); cases
-    holds every evaluated case, and is filled only when a run collects them.
+    failures holds the cases whose two sides disagreed (holds=False).
     """
 
     ident: str
@@ -64,7 +63,6 @@ class IdentityRecord:
     skipped: int
     wall_ms: int
     failures: list[EvalResult] = field(default_factory=list)
-    cases: list[EvalResult] = field(default_factory=list)
 
 
 @dataclass
@@ -106,10 +104,8 @@ def _run_identity(
                 if lv != rv:
                     failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
                 if on_case is not None:
-                    # A case that holds keeps one int for both sides, which
-                    # halves the operands a collecting run holds.
                     on_case(failures[-1] if lv != rv
-                            else EvalResult(desc.ident, n, m, lv, lv, True))
+                            else EvalResult(desc.ident, n, m, lv, rv, True))
     except KeyError as exc:
         raise identities.read_error(desc, n, m, exc.args[0], max_n) from None
     skipped = (max_n + 1) ** desc.arity - checked
@@ -244,7 +240,6 @@ def run_suite(
     max_n: int,
     ids: Optional[list[str]] = None,
     catalog: Optional[list[IdentityDescriptor]] = None,
-    collect_cases: bool = False,
     jobs: Optional[int] = None,
     write: Optional[Callable[[str], object]] = None,
 ) -> VerificationReport:
@@ -256,31 +251,30 @@ def run_suite(
     catalog (or ids) order, and each record's failures in (n, m) order, so
     the report depends only on the arguments and not on jobs.
 
-    collect_cases keeps every evaluated case on its record. write instead
-    streams the csv report of every case, emit_report's verbose csv: the
-    run passes the header to write once every refusal is behind it, then
-    each case's row as it is evaluated, so no case outlives its row. The
-    records then hold no cases; the failures stay, for passed.
+    write, if given, gets the csv report of every evaluated case (verify
+    --format csv --verbose): the header once every refusal is behind the
+    run, then each case's row as the case is evaluated, so no case
+    outlives its row. The records keep only the failures, for passed.
 
     The run uses min(usable CPUs, entries) processes, and at most jobs
     (1..JOBS_MAX) if given; one where os.fork is missing, another thread
-    runs, or cases are collected or written. With more than one, the
-    entries are split by cell count, and every share but the calling
-    process's own runs in a forked child on the same prefilled terms. If
-    entries raise, the one first in order is re-raised, as with jobs=1; a
-    worker that dies without a result raises RuntimeError.
+    runs, or write is given. With more than one, the entries are split by
+    cell count, and every share but the calling process's own runs in a
+    forked child on the same prefilled terms. If entries raise, the one
+    first in order is re-raised, as with jobs=1; a worker that dies without
+    a result raises RuntimeError.
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
     above what identities.term_tops() allows, is refused with DomainError
     before any term is computed, process started or text written; so is a
-    read below a kind's first index. term_tops() prefills exactly the
-    indices the entries' statements read on the grid, so only an entry
-    whose evaluators differ from its statement can read outside the
+    read below a kind's first index, and (with ValueError) an entry whose
+    evaluators read a subscript term_tops() cannot bound. term_tops()
+    prefills exactly the indices the entries' evaluators read on the grid,
+    found by running them on symbols, so only an evaluator that reads
+    other indices on ints than on those symbols can read outside the
     prefill; that raises DomainError naming the entry, the cell and the
-    index, rather than wrapping.
+    index, rather than wrapping, after the rows before it are written.
     """
-    if collect_cases and write is not None:
-        raise ValueError("collect_cases and write exclude each other")
     if jobs is not None and jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % jobs)
     if jobs is not None and jobs > JOBS_MAX:
@@ -310,9 +304,9 @@ def run_suite(
     terms.prefill(tops)
 
     report = VerificationReport("identity-catalog", max_n)
-    # A run that collects or writes its cases stays in one process:
-    # rebuilding a worker's cases here costs about what evaluating them did.
-    workers = 1 if collect_cases or write is not None else min(jobs or JOBS_MAX, len(selected))
+    # A run that writes its cases stays in one process, which writes the
+    # rows in order as it evaluates them.
+    workers = 1 if write is not None else min(jobs or JOBS_MAX, len(selected))
     if workers > 1:
         workers = min(workers, _usable_cpus())
     if workers > 1:
@@ -326,10 +320,7 @@ def run_suite(
             write(_csv_row(case))
 
     for d in selected:
-        cases: list[EvalResult] = []
-        record = _run_identity(d, max_n, terms, cases.append if collect_cases else on_case)
-        record.cases = cases
-        report.records.append(record)
+        report.records.append(_run_identity(d, max_n, terms, on_case))
     return report
 
 
@@ -456,7 +447,7 @@ def report_lines(report: VerificationReport, fmt: str) -> Iterator[str]:
     elif fmt == "csv":
         yield _CSV_HEADER
         for r in report.records:
-            yield from map(_csv_row, r.cases or r.failures)
+            yield from map(_csv_row, r.failures)
     else:
         yield "suite=%s max_n=%d\n" % (report.suite, report.max_n)
         for r in report.records:

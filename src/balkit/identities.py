@@ -6,13 +6,14 @@ statement when this module is imported, and the domain's arity and index
 ranges come from one table of domains, so what is printed is what gets
 checked. An evaluator reads its terms by subscript from the four plain dict
 tables of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i], and calls
-nothing. At import each compiled side also runs once on symbols for n and
-m, which records every subscript as an affine form in n and m, at most
-divided as a whole, like (n-m)/2; a statement with any other subscript is
-refused. From those forms term_tops() takes, per kind, the highest index
-the entries read on a grid, which the harness prefills, and evaluate()
-keeps only the terms its one point reads. One generic routine evaluates
-any entry at given indices. Adding an entry means adding a table row.
+nothing. Run once on symbols for n and m, an entry's two evaluators
+record every subscript they read as an affine form in n and m, at most
+divided as a whole, like (n-m)/2; _entry refuses a statement with any
+other subscript. From the forms of the evaluators an entry holds,
+term_tops() takes, per kind, the highest index the entries read on a
+grid, which the harness prefills, and evaluate() keeps only the terms its
+one point reads. One generic routine evaluates any entry at given indices.
+Adding an entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -44,11 +45,8 @@ class IdentityDescriptor:
     domain_desc are the printed forms an entry is written as; every other
     field is derived from them. lhs and rhs are compiled from statement,
     arity and indices are looked up from domain_desc, and domain(n, m) is
-    the membership test read off indices. subscripts holds each distinct
-    read of the statement, in the order first read, as (short, a, b, c, d):
-    a read of kind short at index (a*n + b*m + c) // d. kind and modulus
-    come from the statement's form; modulus is set on congruence entries
-    only. note
+    the membership test read off indices. kind and modulus come from the
+    statement's form; modulus is set on congruence entries only. note
     records a known discrepancy between this entry's implemented reading
     and an alternative printed form, where one exists.
     """
@@ -61,7 +59,6 @@ class IdentityDescriptor:
     indices: DomainRange = field(repr=False)
     lhs: Evaluator = field(repr=False)
     rhs: Evaluator = field(repr=False)
-    subscripts: tuple = field(repr=False)
     modulus: Optional[int] = None
     note: Optional[str] = None
 
@@ -151,15 +148,20 @@ def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
     raise ValueError("%s: %r is outside the statement grammar" % (ident, side))
 
 
+def _term(self, other=0):
+    """_TERM, or NotImplemented for an operand that is no int, form or term
+    (m, None in an entry of one index), so that Python raises TypeError."""
+    return _TERM if other.__class__ in (int, _Form, _Term) else NotImplemented
+
+
 class _Form:
     """The index (a*n + b*m + c) // d that a subscript evaluates to when
     _subscript_forms runs a compiled side on symbols for n and m.
 
     Sums and differences of undivided forms and ints, multiples by an int
     and one final floor division by a positive int stay forms. Any other
-    arithmetic (a product of two forms, a form divided twice, a residue, a
-    term) gives _VALUE, the form with d = 0, which stands for a value that
-    is no index: a table refuses it as a subscript.
+    arithmetic (a product of two forms, a form divided twice, a residue)
+    gives _TERM, which a table refuses as a subscript.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -172,7 +174,7 @@ class _Form:
             other = _Form(0, 0, other)
         if other.__class__ is _Form and self.d == other.d == 1:
             return _Form(self.a + other.a, self.b + other.b, self.c + other.c)
-        return self._value(other)
+        return _term(self, other)
 
     __radd__ = __add__
 
@@ -188,29 +190,37 @@ class _Form:
     def __mul__(self, other):
         if other.__class__ is int and self.d == 1:
             return _Form(self.a * other, self.b * other, self.c * other)
-        return self._value(other)
+        return _term(self, other)
 
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
         if other.__class__ is int and other >= 1 and self.d == 1:
             return _Form(self.a, self.b, self.c, other)
-        return self._value(other)
+        return _term(self, other)
 
-    def _value(self, other):
-        """_VALUE, or NotImplemented for an operand that is no int or form
-        (m, None in an entry of one index), so that Python raises TypeError."""
-        return _VALUE if other.__class__ in (int, _Form) else NotImplemented
-
-    __rfloordiv__ = __mod__ = __rmod__ = _value
+    __rfloordiv__ = __mod__ = __rmod__ = _term
 
 
-_VALUE = _Form(0, 0, 0, 0)
+class _Term(int):
+    """What a symbolic read returns: a term, or any arithmetic on one or
+    on forms that is no index. It is the int 0, so that code wrapped
+    around an evaluator that measures its result (the benchmark's tracer
+    takes abs(result).bit_length()) runs on symbols too; arithmetic keeps
+    it a _Term, and a table refuses it as a subscript."""
+
+    __slots__ = ()
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _term
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _term
+    __neg__ = __pos__ = __abs__ = _term
+
+
+_TERM = _Term()
 
 
 class _Table:
     """One table of the symbolic TermSource: t.B[i] records ("B", a, b, c, d)
-    for the form of i and returns _VALUE; any other i raises TypeError."""
+    for the form of i and returns _TERM; any other i raises TypeError."""
 
     __slots__ = ("short", "forms")
 
@@ -220,29 +230,31 @@ class _Table:
     def __getitem__(self, index):
         if index.__class__ is int:
             index = _Form(0, 0, index)
-        if index.__class__ is not _Form or index is _VALUE:
+        if index.__class__ is not _Form:
             raise TypeError
         self.forms.append((self.short, index.a, index.b, index.c, index.d))
-        return _VALUE
+        return _TERM
 
 
-def _subscript_forms(ident: str, arity: int, sides: Iterable[Evaluator]) -> tuple:
-    """Every distinct read the compiled sides make, as (short, a, b, c, d)
+def _subscript_forms(desc: IdentityDescriptor) -> tuple:
+    """Every distinct read desc.lhs and desc.rhs make, as (short, a, b, c, d)
     for a read of kind short at (a*n + b*m + c) // d, in the order first
-    read. Each side runs once on symbols for n and m; a subscript of any
-    other shape raises ValueError."""
+    read. Each side runs once on symbols for n and m (about 12 us); a
+    subscript of any other shape raises ValueError. The forms come from the
+    evaluators themselves, so an entry built with other lhs or rhs (by
+    dataclasses.replace, say) is bounded by what it reads."""
     forms: list = []
     t = TermSource()
     t.B, t.C, t.b, t.c = (_Table(short, forms) for short in "BCbc")
-    n, m = _Form(1, 0, 0), (_Form(0, 1, 0) if arity == 2 else None)
+    n, m = _Form(1, 0, 0), (_Form(0, 1, 0) if desc.arity == 2 else None)
     try:
-        for side in sides:
-            side(t, n, m)
+        desc.lhs(t, n, m)
+        desc.rhs(t, n, m)
     except TypeError:
         raise ValueError(
             "%s: a subscript is not an affine form in n and m, at most divided as a whole "
             "(a nested read, a product of n and m, or m where the domain takes n alone)"
-            % ident) from None
+            % desc.ident) from None
     return tuple(dict.fromkeys(forms))
 
 
@@ -266,11 +278,12 @@ def _entry(
             raise ValueError(
                 "%s: %r is neither 'L = R' nor 'L == R (mod k)'" % (ident, statement))
         (lhs, rhs), kind, modulus = sides, EQUATION, None
-    lhs, rhs = _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus)
-    return IdentityDescriptor(
-        ident, arity, kind, statement, domain, indices, lhs, rhs,
-        _subscript_forms(ident, arity, (lhs, rhs)), modulus, note,
+    desc = IdentityDescriptor(
+        ident, arity, kind, statement, domain, indices,
+        _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus), modulus, note,
     )
+    _subscript_forms(desc)
+    return desc
 
 
 _CATALOG: list[IdentityDescriptor] = [
@@ -388,8 +401,9 @@ def _corner_cells(desc: IdentityDescriptor, max_n: int) -> Iterator[tuple[int, O
 
 def _reads(desc: IdentityDescriptor, cells: Iterable[tuple[int, Optional[int]]]):
     """(desc, n, m, short, index) for each read of desc at each cell."""
+    forms = _subscript_forms(desc)
     for n, m in cells:
-        for short, a, b, c, d in desc.subscripts:
+        for short, a, b, c, d in forms:
             yield desc, n, m, short, (a * n + (b * m if b else 0) + c) // d
 
 
@@ -415,9 +429,11 @@ def _tops(reads, max_n: int) -> dict[str, int]:
 def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
     """Top index to prefill per kind the entries read on the grid 0..max_n:
     the highest index any of their in-domain cells reads (c(4n) reads c up
-    to 4*max_n, PARITY_B reads B only up to max_n). A kind no cell reads
+    to 4*max_n, PARITY_B reads B only up to max_n), taken from the
+    subscript forms of each entry's own lhs and rhs. A kind no cell reads
     gets no top. Raises DomainError for a read below min_index, and if the
-    tops hold more than TERM_DIGITS_MAX digits in all."""
+    tops hold more than TERM_DIGITS_MAX digits in all; ValueError for an
+    entry whose evaluators read a subscript that is no affine form."""
     return _tops((r for d in entries for r in _reads(d, _corner_cells(d, max_n))), max_n)
 
 
@@ -452,5 +468,7 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)
     except KeyError as exc:
+        # Only an evaluator that reads other indices on ints than on the
+        # symbols _subscript_forms runs it on gets here.
         raise read_error(desc, n, m, exc.args[0], max_n) from None
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

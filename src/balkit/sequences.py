@@ -250,13 +250,9 @@ def walk(kind: SequenceKind, one=1) -> Iterator:
     from its seed pair in _KINDS, in the number type of one (1 or Decimal(1))."""
     _, _, (x, y), add = _KINDS[kind]
     x, y = x * one, y * one
-    if add:
-        while True:
-            yield x
-            x, y = y, 6 * y - x + add
-    while True:  # B, C and c: no add, so no third operation per step
+    while True:
         yield x
-        x, y = y, 6 * y - x
+        x, y = y, 6 * y - x + add
 
 
 def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list:

@@ -114,8 +114,6 @@ def test_run_suite_rejects_bad_arguments():
         run_suite(0)
     with pytest.raises(UnknownIdentityError):
         run_suite(5, ids=["NO_SUCH"])
-    with pytest.raises(ValueError, match="exclude each other"):
-        run_suite(5, collect_cases=True, write=print)
 
 
 def test_negative_control_corrupted_catalog_fails():
@@ -157,13 +155,40 @@ def test_minus_reading_of_b_cob_sum_le_fails_first_at_1_2():
     assert run_suite(40, ids=["B_COB_SUM_LE"]).passed
 
 
-def reading_past_its_statement(ident, statement, domain="n >= 0"):
-    """An entry that states B(2n) = B(2n), so that B is prefilled to
-    2*max_n, but evaluates statement: a caller-built entry whose evaluators
-    read what its statement does not."""
-    compiled = identities._entry(ident, statement, domain)
-    return dataclasses.replace(identities._entry(ident, "B(2n) = B(2n)", domain),
-                               lhs=compiled.lhs, rhs=compiled.rhs)
+def streamed_cases(max_n, **kwargs):
+    """The report of run_suite(max_n, **kwargs) and every case it wrote,
+    read back from its csv rows."""
+    out = []
+    report = run_suite(max_n, write=out.append, **kwargs)
+    assert out[0] == "id,n,m,lhs,rhs,holds\n"
+    cases = []
+    for row in out[1:]:
+        ident, n, m, lhs, rhs, holds = row.rstrip("\n").split(",")
+        cases.append(EvalResult(ident, int(n), int(m) if m else None,
+                                int(lhs), int(rhs), holds == "true"))
+    return report, cases
+
+
+def with_statement(desc, statement):
+    """desc with the evaluators of another statement, as a caller builds
+    an entry: its statement field no longer says what it reads."""
+    compiled = identities._entry(desc.ident, statement, desc.domain_desc)
+    return dataclasses.replace(desc, lhs=compiled.lhs, rhs=compiled.rhs)
+
+
+def reading_past_its_prefill(ident, statement, domain="n >= 0"):
+    """An entry whose evaluators read as B(2n) = B(2n) on the symbols of
+    identities._subscript_forms, so that B is prefilled to 2*max_n, but
+    evaluate statement on ints: the one kind of entry that can read
+    outside its prefill."""
+    shown = identities._entry(ident, "B(2n) = B(2n)", domain)
+    real = identities._entry(ident, statement, domain)
+
+    def two_faced(on_symbols, on_ints):
+        return lambda t, n, m: (on_ints if n.__class__ is int else on_symbols)(t, n, m)
+
+    return dataclasses.replace(shown, lhs=two_faced(shown.lhs, real.lhs),
+                               rhs=two_faced(shown.rhs, real.rhs))
 
 
 @pytest.mark.parametrize("statement, max_n, cell, index", [
@@ -172,9 +197,30 @@ def reading_past_its_statement(ident, statement, domain="n >= 0"):
 ])
 def test_out_of_table_read_names_entry_cell_and_index(statement, max_n, cell, index):
     with pytest.raises(DomainError) as info:
-        run_suite(max_n, catalog=[reading_past_its_statement("X", statement)])
+        run_suite(max_n, catalog=[reading_past_its_prefill("X", statement)])
     message = str(info.value)
     assert message.startswith("X at %s reads index %d," % (cell, index)), message
+
+
+def test_a_caller_built_entry_is_prefilled_for_what_its_evaluators_read(monkeypatch):
+    # Its statement says B(2n), its evaluators read B(3n): the run prefills
+    # B to 3*max_n and writes every row.
+    entry = with_statement(identities._entry("X", "B(2n) = B(2n)", "n >= 0"), "B(3n) = B(3n)")
+    report, cases = streamed_cases(20, catalog=[entry])
+    assert report.passed and len(cases) == 21
+    assert identities.term_tops([entry], 20) == {"B": 60}
+    # Evaluators that read below min_index are refused before any term is
+    # computed or any text written.
+    monkeypatch.setattr(sequences.TermSource, "prefill", None)
+    out = []
+    below = with_statement(entry, "B(n-1) = B(n)")
+    with pytest.raises(DomainError, match=r"^X at \(n=0, m=None\) reads index -1,"):
+        run_suite(20, catalog=[below], write=out.append)
+    assert out == []
+    unbounded = dataclasses.replace(entry, rhs=lambda t, n, m: t.B[n * n])
+    with pytest.raises(ValueError, match="^X: a subscript is not an affine form"):
+        run_suite(20, catalog=[unbounded], write=out.append)
+    assert out == []
 
 
 @pytest.mark.parametrize("ids, filled", [
@@ -222,7 +268,14 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
 
 def test_a_read_of_an_unprefilled_kind_names_entry_cell_and_index():
     d = identities.lookup("PARITY_B")
-    stray = dataclasses.replace(d, lhs=lambda t, n, m: t.C[n] % 2)  # its statement reads only B
+    # Its statement reads only B, its lhs C: C is prefilled for what the
+    # lhs reads, and the run fails on the odd C(n) at even n.
+    stray = dataclasses.replace(d, lhs=lambda t, n, m: t.C[n] % 2)
+    assert identities.term_tops([stray], 5) == {"C": 5}
+    assert run_suite(5, catalog=[stray]).total_failures == 3
+    # An lhs that reads B on symbols but C on ints reads C unprefilled.
+    stray = dataclasses.replace(
+        d, lhs=lambda t, n, m: (t.C[n] if n.__class__ is int else t.B[n]) % 2)
     with pytest.raises(DomainError) as info:
         run_suite(5, catalog=[stray])
     assert str(info.value) == (
@@ -370,7 +423,7 @@ def test_forked_run_gives_the_one_process_report(forks, jobs):
 
 
 def out_of_table(ident, domain="n >= 0"):
-    return reading_past_its_statement(ident, "B(3n) = B(3n)", domain)
+    return reading_past_its_prefill(ident, "B(3n) = B(3n)", domain)
 
 
 @pytest.mark.parametrize("jobs, picks", [
@@ -472,7 +525,7 @@ def test_sigint_waits_across_each_fork(monkeypatch):
     (1, {}, 0),
     (3, {"ids": ["B_ADD"]}, 0),
     (3, {"ids": ["B_ADD", "MOD16_c"]}, 1),
-    (3, {"collect_cases": True}, 0),
+    (3, {"write": lambda text: None}, 0),
 ])
 def test_without_jobs_a_run_uses_every_usable_cpu(monkeypatch, cpus, kwargs, expected):
     # min(usable CPUs, entries) processes; jobs only lowers that.
@@ -591,7 +644,7 @@ def test_emit_report_ignores_int_str_digit_limit():
     big = pair_bc(7000)[0]  # 5,359 digits: over the default 4300
     case = EvalResult("B_ADD", 7000, 1, big, big + 1, False)
     report = VerificationReport("identity-catalog", 7000)
-    report.records = [IdentityRecord("B_ADD", 1, 0, 0, [case], [case])]
+    report.records = [IdentityRecord("B_ADD", 1, 0, 0, [case])]
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
@@ -625,8 +678,11 @@ def test_plain_report_mentions_overall_result():
 
 
 def test_collected_cases_appear_in_csv():
-    report = run_suite(1, ids=["B_ADD"], collect_cases=True)
-    lines = emit_report(report, "csv").decode().strip().split("\n")
+    out = []
+    report = run_suite(1, ids=["B_ADD"], write=out.append)
+    lines = "".join(out).strip().split("\n")
     assert lines[0] == "id,n,m,lhs,rhs,holds"
     assert len(lines) == 1 + 4  # one row per evaluated case
     assert all(line.endswith(",true") for line in lines[1:])
+    # The report keeps the failures only, and its csv lists just those.
+    assert emit_report(report, "csv") == b"id,n,m,lhs,rhs,holds\n"

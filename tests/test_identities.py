@@ -1,5 +1,6 @@
 """Catalog structure, domain handling and exact evaluation of identities."""
 
+import dataclasses
 import dis
 import gc
 import tracemalloc
@@ -19,6 +20,7 @@ from balkit.identities import (
 )
 from balkit.harness import run_suite
 from balkit.sequences import DomainError, SequenceKind, TermSource, parse_kind, stream
+from test_harness import reading_past_its_prefill, streamed_cases
 
 EXPECTED_IDS = [
     "B_ADD", "B_SUB", "B_DIFF_HALF", "B_DIFF_EVEN", "B_2N_MINUS6",
@@ -110,24 +112,26 @@ def test_evaluate_refuses_out_of_domain():
 
 
 def test_exhaustive_truth_small_range():
-    report = run_suite(40, collect_cases=True)
+    report, cases = streamed_cases(40)
     for d, rec in zip(list_identities(), report.records):
         if d.arity == 1:
             pairs = [(n, None) for n in range(41)]
         else:
             pairs = [(n, m) for n in range(41) for m in range(41)]
         cells = [(n, m) for n, m in pairs if d.domain(n, m)]
-        assert [(c.n, c.m) for c in rec.cases] == cells, d.ident
+        mine = [c for c in cases if c.ident == d.ident]
+        assert [(c.n, c.m) for c in mine] == cells, d.ident
         assert not rec.failures, "%s fails at %s" % (d.ident, rec.failures[:1])
         # evaluate() on its own fresh terms gives the harness's results.
-        for case in (rec.cases[0], rec.cases[len(cells) // 2], rec.cases[-1]):
+        for case in (mine[0], mine[len(cells) // 2], mine[-1]):
             assert evaluate(d.ident, case.n, case.m) == case, (d.ident, case)
+    assert len(cases) == sum(r.checked for r in report.records)
 
 
 def _cases(ident, max_n):
     """Every case of ident on the grid 0..max_n, keyed by (n, m)."""
-    (rec,) = run_suite(max_n, ids=[ident], collect_cases=True).records
-    return {(c.n, c.m): c for c in rec.cases}
+    _, cases = streamed_cases(max_n, ids=[ident])
+    return {(c.n, c.m): c for c in cases}
 
 
 def test_consistency_triangle_even_laws_specialize_half_laws():
@@ -195,15 +199,34 @@ def test_statement_outside_the_grammar_is_refused(statement):
     ("B((n-m)/2/2) = B(n)", identities._PARITY),
     ("B((n-m)/2 + 1) = B(n)", identities._PARITY),  # divided, then more arithmetic
     ("B(n) = B(m)", "n >= 0"),  # m in an entry of one index
+    ("B(n) = B(n)*m", "n >= 0"),  # and outside a subscript
 ])
 def test_a_subscript_term_tops_cannot_bound_is_refused(statement, domain):
     with pytest.raises(ValueError, match="^X: "):
         identities._entry("X", statement, domain)
 
 
+def test_evaluators_wrapped_to_measure_their_result_keep_their_forms():
+    # A wrapper that measures each result, as the benchmark's tracer does,
+    # runs on the symbols too, and the wrapped entry reads what it did.
+    def measured(side):
+        def wrapper(t, n, m):
+            result = side(t, n, m)
+            measured.bits = max(measured.bits, abs(result).bit_length())
+            return result
+        return wrapper
+
+    measured.bits = 0
+    for d in list_identities():
+        wrapped = dataclasses.replace(d, lhs=measured(d.lhs), rhs=measured(d.rhs))
+        assert identities._subscript_forms(wrapped) == identities._subscript_forms(d)
+        assert identities.term_tops([wrapped], 30) == identities.term_tops([d], 30)
+    assert run_suite(30, catalog=[wrapped]).passed and measured.bits > 0
+
+
 def test_products_and_residues_outside_subscripts_are_accepted():
     entry = identities._entry("X", "B(n)*n*m + n/2 = B(n)*(n*m) + n/2", "n >= m >= 0")
-    assert entry.subscripts == (("B", 1, 0, 0, 1),)
+    assert identities._subscript_forms(entry) == (("B", 1, 0, 0, 1),)
     assert run_suite(6, catalog=[entry]).passed
 
 
@@ -293,6 +316,20 @@ def test_evaluate_words_an_out_of_table_read_as_the_harness_does(
         with pytest.raises(DomainError) as info:
             run_suite(max(n, 1), catalog=[entry])
         assert str(info.value) == message % (0, None, -1, max(n, 1))
+
+
+def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch):
+    # Evaluators that read B(5n) on ints but B(2n) on symbols: the one point
+    # keeps B(6) only, and B(15) is read outside it.
+    entry = reading_past_its_prefill("X", "B(5n) = B(5n)")
+    monkeypatch.setitem(identities._BY_ID, "X", entry)
+    message = "X at (n=3, m=None) reads index 15, outside the terms prefilled for max_n=%d"
+    with pytest.raises(DomainError) as info:
+        evaluate("X", 3)
+    assert str(info.value) == message % 3
+    with pytest.raises(DomainError) as info:
+        run_suite(5, catalog=[entry])
+    assert str(info.value) == message % 5
 
 
 def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):

@@ -114,9 +114,14 @@ def _report_units(fmt: str, text: str) -> list[str]:
 def test_verify_streams_emit_report(monkeypatch, argv, corrupted):
     catalog = corrupt_c_diff_half() if corrupted else identities.list_identities()
     args = cli.build_parser().parse_args(["verify", *argv])
-    report = harness.run_suite(args.max_n, ids=args.id, catalog=catalog,
-                               collect_cases=args.verbose)
-    expected = harness.emit_report(report, args.format).decode("utf-8")
+    if args.verbose:
+        written = []
+        report = harness.run_suite(args.max_n, ids=args.id, catalog=catalog,
+                                   write=written.append)
+        expected = "".join(written)
+    else:
+        report = harness.run_suite(args.max_n, ids=args.id, catalog=catalog)
+        expected = harness.emit_report(report, args.format).decode("utf-8")
     monkeypatch.setattr(identities, "list_identities", lambda: catalog)
     code, pieces = _run(monkeypatch, ["verify", *argv])
     assert code == (1 if corrupted else 0)
@@ -125,11 +130,23 @@ def test_verify_streams_emit_report(monkeypatch, argv, corrupted):
 
 
 def test_streamed_verbose_csv_of_the_negative_control_is_the_collected_report(monkeypatch):
-    # C2 at --max-n 30: the rows written as the cases are evaluated are the
-    # report of a run that collects its cases first.
+    # C2 at --max-n 30: the rows written as the cases are evaluated are
+    # those of every in-domain cell, evaluated here on fully filled terms;
+    # the false ones are the csv report of the run's failures.
     catalog = corrupt_c_diff_half()
-    report = harness.run_suite(30, catalog=catalog, collect_cases=True)
-    expected = harness.emit_report(report, "csv").decode("utf-8")
+    terms = TermSource()
+    terms.prefill({k: 120 for k in "BCbc"})
+    rows = ["id,n,m,lhs,rhs,holds\n"]
+    for d in catalog:
+        for n in range(31):
+            for m in d.indices(n, 30):
+                lv, rv = d.lhs(terms, n, m), d.rhs(terms, n, m)
+                rows.append("%s,%d,%s,%d,%d,%s\n" % (d.ident, n, "" if m is None else m, lv, rv,
+                                                     "true" if lv == rv else "false"))
+    expected = "".join(rows)
+    report = harness.run_suite(30, catalog=catalog)
+    failed = harness.emit_report(report, "csv").decode("utf-8")
+    assert failed == "".join(r for r in rows if not r.endswith(",true\n"))
     assert expected.count(",false\n") == report.total_failures == 225
     monkeypatch.setattr(identities, "list_identities", lambda: catalog)
     code, pieces = _run(monkeypatch, ["verify", "--max-n", "30", "--format", "csv", "--verbose"])
