@@ -309,7 +309,9 @@ def decimal_digits(x: int) -> int:
         return 1
     x = abs(x)
     est = int((x.bit_length() - 1) * _LOG10_2)  # never overshoots log10(x)
-    while 10 ** (est + 1) <= x:
+    # 10**e <= x iff 5**e <= x >> e, as 10**e = 5**e * 2**e: exact, and
+    # 5**e has about 0.7 of the bits of 10**e.
+    while 5 ** (est + 1) <= x >> (est + 1):
         est += 1
     return est + 1
 

@@ -150,6 +150,21 @@ def test_digits_bound_bounds_a_range(kind):
         assert total <= digits_bound(start, stop) <= total + 2 * (stop - start + 1)
 
 
+def test_decimal_digits_at_powers_of_ten():
+    # Each side of every power of ten up to 10**3000, where the estimate from
+    # the bit length is closest to being off by one, and the sign ignored.
+    assert decimal_digits(0) == 1
+    for x in (-1, -9, -10, -11, -(10**50), 1 - 10**50):
+        assert decimal_digits(x) == len(str(-x)), x
+    for k in range(1, 3001):
+        p = 10**k
+        assert decimal_digits(p - 1) == k, k
+        assert decimal_digits(p) == decimal_digits(p + 1) == k + 1, k
+        assert decimal_digits(-p) == k + 1, k
+    for x in (2**1000, 2**9965, 3**6000):
+        assert decimal_digits(x) == len(str(x))
+
+
 def test_digits_bound_takes_any_size_of_index():
     huge = 10**400
     assert digits_bound(huge, huge) > 7 * 10**399

@@ -1,18 +1,21 @@
 """First-principles oracle: square tests, witnesses and the brute-force scan."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balkit import oracle
+from balkit import oracle, sequences
 from balkit.oracle import (
-    _PERIOD,
-    _SIEVE_MODULI,
+    _BLOCK,
+    _GROUPS,
     BalancerWitness,
-    _admissible,
     _is_square,
+    _rows,
     _square_residues,
     balancer_of,
     cobalancer_of,
@@ -189,42 +192,95 @@ def test_is_square_on_sequence_values():
 # The residue sieve in front of the scan's square test. a is the linear
 # coefficient of the scanned polynomial 8*x**2 + a*x + 1.
 _SIEVED = ((SequenceKind.BALANCING, 0, is_balancing), (SequenceKind.COBALANCING, 8, is_cobalancing))
+_LONGEST_ROW = max(math.prod(group) for group in _GROUPS)
 
 
 def test_square_residue_sets_are_brute_force():
-    assert _PERIOD == math.lcm(*_SIEVE_MODULI) == 45045
-    for p in _SIEVE_MODULI:
+    moduli = [p for group in _GROUPS for p in group]
+    assert _LONGEST_ROW == 63 * 65 * 11 == 45045
+    # The groups are pairwise coprime, and cover 63, 65, 11 and every prime
+    # from 17 to 59 once.
+    assert math.lcm(*moduli) == math.prod(moduli)
+    assert sorted(moduli) == [11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 63, 65]
+    for p in moduli:
         assert _square_residues(p) == {k * k % p for k in range(p)}
-    # Counted by the Chinese remainder theorem: 63 = 9*7, 65 = 5*13.
-    assert [len(_square_residues(p)) for p in _SIEVE_MODULI] == [4 * 4, 3 * 7, 6]
+    # Counted by the Chinese remainder theorem: 63 = 9*7, 65 = 5*13; an odd
+    # prime p has (p + 1) / 2 square residues, 0 included.
+    assert [len(_square_residues(p)) for p in (63, 65, 11)] == [4 * 4, 3 * 7, 6]
+    assert all(len(_square_residues(p)) == (p + 1) // 2 for p in moduli if p not in (63, 65))
 
 
 @pytest.mark.parametrize("family,a,member", _SIEVED)
 def test_sieve_admits_exactly_the_square_residue_classes(family, a, member):
-    # Every x mod the period is checked, so a square, which is a square
-    # residue mod each p, can never be rejected.
-    mask = _admissible(a)
-    assert len(mask) == _PERIOD
-    residues = [{k * k % p for k in range(p)} for p in _SIEVE_MODULI]
-    for x in range(_PERIOD):
-        f = 8 * x * x + a * x + 1
-        expected = all(f % p in r for p, r in zip(_SIEVE_MODULI, residues))
-        assert mask[x] == expected, x
-    # Only 2205 (balancing) or 3024 (cobalancing) classes reach math.isqrt.
-    assert sum(mask) == {0: 2205, 8: 3024}[a]
+    # Every x of a row is checked, the block it is extended by included, so a
+    # square, which is a square residue mod each modulus, is never rejected,
+    # and each rejection is a non-residue mod some modulus of the group.
+    rows = _rows(a)
+    assert len(rows) == len(_GROUPS)
+    for group, (period, row) in zip(_GROUPS, rows):
+        assert period == math.prod(group)
+        size = period + _BLOCK
+        assert 0 <= row < 1 << size
+        residues = [{k * k % p for k in range(p)} for p in group]
+        bits = bin(row)[2:].zfill(size)[::-1]  # bits[x] is bit x of row
+        for x in range(size):
+            f = 8 * x * x + a * x + 1
+            expected = all(f % p in r for p, r in zip(group, residues))
+            assert bits[x] == "01"[expected], (group, x)
 
 
 @pytest.mark.parametrize("family,a,member", _SIEVED)
 def test_sieve_admits_large_members(family, a, member):
+    rows = _rows(a)
     for value in stream(family, 1, 300):
-        assert member(value) and _admissible(a)[value % _PERIOD]
+        assert member(value)
+        assert all(row >> (value % period) & 1 for period, row in rows), value
 
 
 @pytest.mark.parametrize("family,a,member", _SIEVED)
-@pytest.mark.parametrize("limit", [0, 1, 2, _PERIOD - 1, _PERIOD, _PERIOD + 1, 2 * _PERIOD + 7])
+@pytest.mark.parametrize("limit", [
+    0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7,
+    _LONGEST_ROW - 1, _LONGEST_ROW, _LONGEST_ROW + 1, 2 * _LONGEST_ROW + 7,
+])
 def test_search_family_equals_plain_scan_at_block_edges(family, a, member, limit):
     start = 1 if family is SequenceKind.BALANCING else 0
     assert search_family(family, limit) == [x for x in range(start, limit + 1) if member(x)]
+
+
+def test_search_needs_no_generator(monkeypatch):
+    # The oracle is an independent check, so it must find the members with
+    # every route of the sequences module out of reach.
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the oracle called a generator")
+
+    for name in ("walk", "pair_bc", "term_doubling"):
+        monkeypatch.setattr(sequences, name, refuse)
+    with pytest.raises(RuntimeError):
+        sequences.term_doubling(SequenceKind.BALANCING, 5)
+    assert search_family(SequenceKind.BALANCING, 10**5) == [1, 6, 35, 204, 1189, 6930, 40391]
+    assert search_family(SequenceKind.COBALANCING, 10**5) == [0, 2, 14, 84, 492, 2870, 16730, 97512]
+
+
+def test_sieve_tables_are_built_on_first_search_only():
+    # classify and term never build the tables, about 1 ms per family.
+    code = (
+        "import contextlib, io\n"
+        "from balkit import cli, oracle\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['classify', '35']) == 0\n"
+        "    assert cli.main(['classify', '36']) == 0\n"
+        "    assert cli.main(['term', 'B', '100']) == 0\n"
+        "print(oracle._rows.cache_info().currsize)\n"
+        "oracle.search_family(oracle.SequenceKind.BALANCING, 10)\n"
+        "print(oracle._rows.cache_info().currsize)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.split() == ["0", "1"]
 
 
 @pytest.mark.parametrize("family", [SequenceKind.BALANCING, SequenceKind.COBALANCING])
@@ -239,6 +295,6 @@ def test_search_family_refuses_limit_above_cap(monkeypatch, family):
     with pytest.raises(DomainError, match="limit must be <= 1000000000"):
         search_family(family, oracle.SEARCH_LIMIT_MAX + 1)
     assert scanned == []
-    # The cap itself is accepted (the stub stands in for the 20 s scan).
+    # The cap itself is accepted (the stub stands in for a scan of about 1.5 s).
     assert search_family(family, oracle.SEARCH_LIMIT_MAX) == []
     assert scanned == [oracle.SEARCH_LIMIT_MAX]
