@@ -8,11 +8,11 @@ byte-identical JSON/CSV. Measured wall times stay on the in-process report
 objects; the canonical serializations zero them out, since emitting timings
 would break byte-level reproducibility. A catalog run reads its terms from
 one TermSource prefilled to identities.term_tops() for its entries: the
-highest index each kind is read at on the grid. On a machine with more
-than one usable CPU the entries are split into shares by cell count; the
-calling process runs one share and forked workers run the others on the
-same prefilled terms, and the records come back in the selected order, so
-the report does not depend on how many processes ran. A run that writes
+highest index each kind is read at on the grid, none below its first. With
+more than one usable CPU the entries are split into shares by cell count;
+the calling process runs one share and forked workers run the others on
+the same prefilled terms, and the records come back in the selected order,
+so the report does not depend on how many processes ran. A run that writes
 its cases (verify --format csv --verbose) stays in one process and writes
 each row as it evaluates the case, so it holds one case at a time.
 """
@@ -266,14 +266,14 @@ def run_suite(
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
     above what identities.term_tops() allows, is refused with DomainError
-    before any term is computed, process started or text written; so is a
-    read below a kind's first index, and (with ValueError) an entry whose
-    evaluators read a subscript term_tops() cannot bound. term_tops()
-    prefills exactly the indices the entries' evaluators read on the grid,
-    found by running them on symbols, so only an evaluator that reads
-    other indices on ints than on those symbols can read outside the
-    prefill; that raises DomainError naming the entry, the cell and the
-    index, rather than wrapping, after the rows before it are written.
+    before any term is computed, process started or text written; so is,
+    with ValueError, an entry whose evaluators read a subscript that is no
+    integer form in its domain's coordinates k, j, or can fall below its
+    first index. term_tops() prefills exactly the indices they read on the
+    grid, found by running them on those symbols, so only an evaluator
+    that reads other indices on ints than on the symbols can read outside
+    the prefill; that raises DomainError naming the entry, the cell and
+    the index, rather than wrapping, after the rows before it are written.
     """
     if jobs is not None and jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % jobs)

@@ -2,18 +2,18 @@
 
 Identities are data, not code paths: an entry is its printed statement plus
 its printed domain. The exact left/right evaluators are compiled from the
-statement when this module is imported, and the domain's arity and index
-ranges come from one table of domains, so what is printed is what gets
-checked. An evaluator reads its terms by subscript from the four plain dict
-tables of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i], and calls
-nothing. Run once on symbols for n and m, an entry's two evaluators
-record every subscript they read as an affine form in n and m, at most
-divided as a whole, like (n-m)/2; _entry refuses a statement with any
-other subscript. From the forms of the evaluators an entry holds,
-term_tops() takes, per kind, the highest index the entries read on a
-grid, which the harness prefills, and evaluate() keeps only the terms its
-one point reads. One generic routine evaluates any entry at given indices.
-Adding an entry means adding a table row.
+statement when this module is imported, and the domain's arity, index
+ranges and coordinates come from one table of domains, so what is printed
+is what gets checked. An evaluator reads its terms by subscript from the
+four plain dict tables of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i],
+and calls nothing. Each domain maps k, j >= 0 onto its cells (the parity
+domain is n = 2k+j, m = j); run once on k and j as symbols, an entry's two
+evaluators record each subscript as a form a*k + b*j + c, and _entry
+refuses any other subscript, and any with a < 0, b < 0 or c below the
+kind's first index. term_tops() takes each kind's highest index on a grid
+from the forms at the grid's corners, which the harness prefills, and
+evaluate() keeps only the terms its one point reads. Adding an entry means
+adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -23,15 +23,14 @@ residue (negative expectations are normalized into 0..k-1).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError, digits_bound
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
-DomainRange = Callable[[int, int], Sequence[Optional[int]]]
 
 EQUATION = "equation"
 CONGRUENCE = "congruence"
@@ -56,7 +55,7 @@ class IdentityDescriptor:
     kind: str
     statement: str
     domain_desc: str
-    indices: DomainRange = field(repr=False)
+    indices: Callable[[int, int], Sequence[Optional[int]]] = field(repr=False)
     lhs: Evaluator = field(repr=False)
     rhs: Evaluator = field(repr=False)
     modulus: Optional[int] = None
@@ -86,18 +85,28 @@ class EvalResult:
 
 _PARITY = "n >= m >= 0, n and m of the same parity"
 
-# Printed domain -> (arity, in-domain m of row n). Every entry takes (n, hi)
-# for 0 <= n <= hi. A binary entry gives the m in 0..hi with (n, m) in the
-# domain; a unary entry gives (None,) if n is in the domain, else ().
-_DOMAINS: dict[str, tuple[int, DomainRange]] = {
-    "n >= 0, m >= 0": (2, lambda n, hi: range(hi + 1 if n >= 0 else 0)),
-    "n >= m >= 0": (2, lambda n, hi: range(min(n, hi) + 1)),
-    _PARITY: (2, lambda n, hi: range(n % 2, min(n, hi) + 1, 2)),
-    "n >= m >= 1": (2, lambda n, hi: range(1, min(n, hi) + 1)),
-    "n > m >= 1": (2, lambda n, hi: range(1, min(n, hi + 1))),
-    "1 <= n <= m": (2, lambda n, hi: range(n, hi + 1) if n >= 1 else range(0)),
-    "n >= 0": (1, lambda n, hi: (None,) if n >= 0 else ()),
-    "n >= 1": (1, lambda n, hi: (None,) if n >= 1 else ()),
+# Printed domain -> (arity, rows, cell, corners). rows(n, hi), 0 <= n <= hi,
+# gives the m in 0..hi with (n, m) in the domain, or for a unary entry (None,)
+# if n is in it, else (). cell(k, j) maps k, j >= 0 one to one onto the
+# domain (a unary one ignores j and has m None). Every a*k + b*j + c with
+# a, b >= 0 takes its largest value on the grid n, m <= N at a corners(N).
+_DOMAINS: dict[str, tuple] = {
+    "n >= 0, m >= 0": (2, lambda n, hi: range(hi + 1 if n >= 0 else 0),
+                       lambda k, j: (k, j), lambda N: [(N, N)]),
+    "n >= m >= 0": (2, lambda n, hi: range(min(n, hi) + 1),
+                    lambda k, j: (k + j, j), lambda N: [(N, 0), (0, N)]),
+    _PARITY: (2, lambda n, hi: range(n % 2, min(n, hi) + 1, 2),
+              lambda k, j: (2 * k + j, j), lambda N: [(N // 2, N % 2), (0, N)]),
+    "n >= m >= 1": (2, lambda n, hi: range(1, min(n, hi) + 1),
+                    lambda k, j: (k + j + 1, j + 1), lambda N: [(N - 1, 0), (0, N - 1)]),
+    "n > m >= 1": (2, lambda n, hi: range(1, min(n, hi + 1)),
+                   lambda k, j: (k + j + 2, j + 1), lambda N: [(N - 2, 0), (0, N - 2)]),
+    "1 <= n <= m": (2, lambda n, hi: range(n, hi + 1) if n >= 1 else range(0),
+                    lambda k, j: (k + 1, k + j + 1), lambda N: [(N - 1, 0), (0, N - 1)]),
+    "n >= 0": (1, lambda n, hi: (None,) if n >= 0 else (),
+               lambda k, j: (k, None), lambda N: [(N, 0)]),
+    "n >= 1": (1, lambda n, hi: (None,) if n >= 1 else (),
+               lambda k, j: (k + 1, None), lambda N: [(N - 1, 0)]),
 }
 
 _CONGRUENCE_FORM = re.compile(r"(.+) == (.+) \(mod ([1-9][0-9]*)\)")
@@ -155,24 +164,30 @@ def _term(self, other=0):
 
 
 class _Form:
-    """The index (a*n + b*m + c) // d that a subscript evaluates to when
-    _subscript_forms runs a compiled side on symbols for n and m.
+    """The index a*k + b*j + c that a subscript evaluates to when
+    _subscript_forms runs a compiled side on the coordinates k and j.
 
-    Sums and differences of undivided forms and ints, multiples by an int
-    and one final floor division by a positive int stay forms. Any other
-    arithmetic (a product of two forms, a form divided twice, a residue)
-    gives _TERM, which a table refuses as a subscript.
+    Sums and differences of forms and ints, multiples by an int and floor
+    divisions by an int d >= 1 that divides a and b (flooring only c, which
+    is exact) stay forms. Any other arithmetic (a product of two forms, an
+    inexact division such as k/2, a residue) gives _TERM, which a table
+    refuses as a subscript.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c")
 
-    def __init__(self, a: int, b: int, c: int, d: int = 1) -> None:
-        self.a, self.b, self.c, self.d = a, b, c, d
+    def __init__(self, a: int, b: int, c: int) -> None:
+        self.a, self.b, self.c = a, b, c
+
+    def __str__(self) -> str:
+        """The form as a subscript is printed, like 2k+j-1."""
+        text = re.sub(r"[+-]0[kj]|\+0$", "", "%+dk%+dj%+d" % (self.a, self.b, self.c))
+        return re.sub(r"([+-])1([kj])", r"\1\2", text).lstrip("+") or "0"
 
     def __add__(self, other):
         if other.__class__ is int:
             other = _Form(0, 0, other)
-        if other.__class__ is _Form and self.d == other.d == 1:
+        if other.__class__ is _Form:
             return _Form(self.a + other.a, self.b + other.b, self.c + other.c)
         return _term(self, other)
 
@@ -188,15 +203,15 @@ class _Form:
         return self * -1
 
     def __mul__(self, other):
-        if other.__class__ is int and self.d == 1:
+        if other.__class__ is int:
             return _Form(self.a * other, self.b * other, self.c * other)
         return _term(self, other)
 
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
-        if other.__class__ is int and other >= 1 and self.d == 1:
-            return _Form(self.a, self.b, self.c, other)
+        if other.__class__ is int and other >= 1 and self.a % other == self.b % other == 0:
+            return _Form(self.a // other, self.b // other, self.c // other)
         return _term(self, other)
 
     __rfloordiv__ = __mod__ = __rmod__ = _term
@@ -216,11 +231,13 @@ class _Term(int):
 
 
 _TERM = _Term()
+_MIN_INDEX = {k.short: k.min_index for k in SequenceKind}
 
 
 class _Table:
-    """One table of the symbolic TermSource: t.B[i] records ("B", a, b, c, d)
-    for the form of i and returns _TERM; any other i raises TypeError."""
+    """One table of a recording TermSource: t.B[i] records ("B", a, b, c)
+    for the form of i (an integer i, of any int type, is the form c = i)
+    and returns _TERM; any other i, _TERM included, raises TypeError."""
 
     __slots__ = ("short", "forms")
 
@@ -228,34 +245,44 @@ class _Table:
         self.short, self.forms = short, forms
 
     def __getitem__(self, index):
-        if index.__class__ is int:
-            index = _Form(0, 0, index)
         if index.__class__ is not _Form:
-            raise TypeError
-        self.forms.append((self.short, index.a, index.b, index.c, index.d))
+            if index.__class__ is _Term:
+                raise TypeError
+            index = _Form(0, 0, operator.index(index))
+        self.forms.append((self.short, index.a, index.b, index.c))
         return _TERM
 
 
-def _subscript_forms(desc: IdentityDescriptor) -> tuple:
-    """Every distinct read desc.lhs and desc.rhs make, as (short, a, b, c, d)
-    for a read of kind short at (a*n + b*m + c) // d, in the order first
-    read. Each side runs once on symbols for n and m (about 12 us); a
-    subscript of any other shape raises ValueError. The forms come from the
-    evaluators themselves, so an entry built with other lhs or rhs (by
-    dataclasses.replace, say) is bounded by what it reads."""
+def _read_forms(desc: IdentityDescriptor, n, m) -> tuple:
+    """Every distinct read desc.lhs and desc.rhs make at (n, m), as (short,
+    a, b, c) in the order first read; TypeError if a subscript is no form."""
     forms: list = []
     t = TermSource()
     t.B, t.C, t.b, t.c = (_Table(short, forms) for short in "BCbc")
-    n, m = _Form(1, 0, 0), (_Form(0, 1, 0) if desc.arity == 2 else None)
+    desc.lhs(t, n, m)
+    desc.rhs(t, n, m)
+    return tuple(dict.fromkeys(forms))
+
+
+def _subscript_forms(desc: IdentityDescriptor) -> tuple:
+    """_read_forms at the symbols k and j of desc's domain cell(k, j), in
+    about 12 us. ValueError for a subscript that is no form, or has a < 0,
+    b < 0 or c below min_index; so no in-domain cell reads below min_index.
+    An entry built with other lhs or rhs (by dataclasses.replace, say) is
+    bounded and checked by what those read."""
+    n, m = _DOMAINS[desc.domain_desc][2](_Form(1, 0, 0), _Form(0, 1, 0))
     try:
-        desc.lhs(t, n, m)
-        desc.rhs(t, n, m)
+        forms = _read_forms(desc, n, m)
     except TypeError:
         raise ValueError(
-            "%s: a subscript is not an affine form in n and m, at most divided as a whole "
-            "(a nested read, a product of n and m, or m where the domain takes n alone)"
-            % desc.ident) from None
-    return tuple(dict.fromkeys(forms))
+            "%s: a subscript is not an integer form a*k + b*j + c at (n, m) = (%s, %s), k, j "
+            ">= 0 (a nested read, a product of n and m, an inexact division, or m where the "
+            "domain takes n alone)" % (desc.ident, n, m)) from None
+    for short, a, b, c in forms:
+        if a < 0 or b < 0 or c < _MIN_INDEX[short]:
+            raise ValueError("%s: reads %s(%s) at (n, m) = (%s, %s), k, j >= 0, below the first "
+                             "index of %s" % (desc.ident, short, _Form(a, b, c), n, m, short))
+    return forms
 
 
 def _entry(
@@ -264,10 +291,11 @@ def _entry(
     """Build a catalog entry from its printed statement and printed domain.
 
     A statement outside the grammar, or one with a subscript that is not an
-    affine form in n and m (at most divided as a whole, like (n-m)/2), is
-    refused with ValueError: term_tops could not bound its reads.
+    integer form a*k + b*j + c in the domain's coordinates, or that can
+    read below its kind's first index, is refused with ValueError naming
+    the entry and the form (see _subscript_forms).
     """
-    arity, indices = _DOMAINS[domain]
+    arity, indices = _DOMAINS[domain][:2]
     congruence = _CONGRUENCE_FORM.fullmatch(statement)
     if congruence:
         lhs, rhs, k = congruence.groups()
@@ -376,49 +404,12 @@ def domain_check(ident: str, n: int, m: Optional[int] = None) -> bool:
 # cap allows, has 1.6e7, and PARITY_B alone reaches it near max_n 8850.
 TERM_DIGITS_MAX = 3 * 10**7
 
-_MIN_INDEX = {k.short: k.min_index for k in SequenceKind}
-
-
-def _corner_cells(desc: IdentityDescriptor, max_n: int) -> Iterator[tuple[int, Optional[int]]]:
-    """The cells of the grid 0..max_n where each read of desc takes its
-    least and its greatest index: the first and last m of the first two and
-    the last two rows that have in-domain cells.
-
-    Along a row a read's index is affine in m, and a floor division keeps
-    its order, so its extremes lie at the row's first and last m. Those
-    are affine in n over the rows of one parity, for every domain in
-    _DOMAINS, so over the rows the extremes lie at the first and last rows
-    of each parity.
-    """
-    rows: list[int] = []
-    for order in (range(max_n + 1), range(max_n, -1, -1)):
-        rows += islice((n for n in order if desc.indices(n, max_n)), 2)
-    for n in sorted(set(rows)):
-        ms = desc.indices(n, max_n)
-        yield n, ms[0]
-        yield n, ms[-1]
-
-
-def _reads(desc: IdentityDescriptor, cells: Iterable[tuple[int, Optional[int]]]):
-    """(desc, n, m, short, index) for each read of desc at each cell."""
-    forms = _subscript_forms(desc)
-    for n, m in cells:
-        for short, a, b, c, d in forms:
-            yield desc, n, m, short, (a * n + (b * m if b else 0) + c) // d
-
-
 def _tops(reads, max_n: int) -> dict[str, int]:
-    """The highest index per kind among reads, in "BCbc" order. Raises
-    DomainError for a read below its kind's min_index, naming the entry,
-    the cell and the index, and if terms min_index..top hold more than
+    """The highest index per kind among reads, (short, index) pairs, in
+    "BCbc" order. Raises DomainError if terms min_index..top hold more than
     TERM_DIGITS_MAX digits in all."""
-    tops: dict[str, int] = {}
-    for desc, n, m, short, index in reads:
-        if index < _MIN_INDEX[short]:
-            raise read_error(desc, n, m, index, max_n)
-        if index > tops.get(short, -1):
-            tops[short] = index
-    tops = {k: tops[k] for k in "BCbc" if k in tops}
+    # Sorted, each kind's highest index comes last, and the kinds in "BCbc" order.
+    tops = dict(sorted(reads))
     digits = sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items())
     if digits > TERM_DIGITS_MAX:
         raise DomainError("max_n=%d reads terms of up to %d digits in all, above the limit of %d"
@@ -429,12 +420,15 @@ def _tops(reads, max_n: int) -> dict[str, int]:
 def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
     """Top index to prefill per kind the entries read on the grid 0..max_n:
     the highest index any of their in-domain cells reads (c(4n) reads c up
-    to 4*max_n, PARITY_B reads B only up to max_n), taken from the
-    subscript forms of each entry's own lhs and rhs. A kind no cell reads
-    gets no top. Raises DomainError for a read below min_index, and if the
-    tops hold more than TERM_DIGITS_MAX digits in all; ValueError for an
-    entry whose evaluators read a subscript that is no affine form."""
-    return _tops((r for d in entries for r in _reads(d, _corner_cells(d, max_n))), max_n)
+    to 4*max_n, PARITY_B reads B only up to max_n). Each is the largest
+    value a subscript form of an entry's own lhs and rhs takes at the
+    corners of its domain in the grid. A kind no cell reads gets no top.
+    Raises DomainError if the tops hold more than TERM_DIGITS_MAX digits in
+    all; ValueError for an entry whose evaluators read a subscript that is
+    no integer form or can fall below min_index."""
+    return _tops([(short, a * k + b * j + c) for d in entries
+                  for short, a, b, c in _subscript_forms(d)
+                  for k, j in _DOMAINS[d.domain_desc][3](max_n) if k >= 0 and j >= 0], max_n)
 
 
 def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n: int):
@@ -449,7 +443,8 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
     The terms come from a fresh TermSource that holds only the terms this
-    one point reads, walked up to the highest, under the digit cap of
+    one point reads, found by one pass of the evaluators at n and m that
+    records each read, walked up to the highest, under the digit cap of
     term_tops(); it serves this call alone and is freed when it returns.
     """
     desc = lookup(ident)
@@ -460,15 +455,14 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
             % (n, m, ident, desc.domain_desc)
         )
     max_n = n if m is None else max(n, m)
-    reads = list(_reads(desc, [(n, m)]))
-    tops = _tops(reads, max_n)
+    reads = [(short, index) for short, _, _, index in _read_forms(desc, n, m)]
     terms = TermSource()
-    terms.prefill(tops, keep={(short, index) for *_, short, index in reads})
+    terms.prefill(_tops(reads, max_n), keep=set(reads))
     try:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)
     except KeyError as exc:
-        # Only an evaluator that reads other indices on ints than on the
-        # symbols _subscript_forms runs it on gets here.
+        # Only an evaluator whose reads depend on the terms' values, which
+        # are all 0 in the pass above, gets here.
         raise read_error(desc, n, m, exc.args[0], max_n) from None
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

@@ -176,13 +176,21 @@ def with_statement(desc, statement):
     return dataclasses.replace(desc, lhs=compiled.lhs, rhs=compiled.rhs)
 
 
+def unchecked(ident, statement, domain="n >= 0"):
+    """An entry with the evaluators compiled from statement, built as a
+    caller can build one: without _entry's check of what they read."""
+    lhs, rhs = (identities._evaluator(ident, side, None) for side in statement.split(" = "))
+    entry = identities._entry(ident, "B(n) = B(n)", domain)
+    return dataclasses.replace(entry, statement=statement, lhs=lhs, rhs=rhs)
+
+
 def reading_past_its_prefill(ident, statement, domain="n >= 0"):
     """An entry whose evaluators read as B(2n) = B(2n) on the symbols of
     identities._subscript_forms, so that B is prefilled to 2*max_n, but
-    evaluate statement on ints: the one kind of entry that can read
+    evaluate statement on ints: an entry the harness runs that reads
     outside its prefill."""
     shown = identities._entry(ident, "B(2n) = B(2n)", domain)
-    real = identities._entry(ident, statement, domain)
+    real = unchecked(ident, statement, domain)
 
     def two_faced(on_symbols, on_ints):
         return lambda t, n, m: (on_ints if n.__class__ is int else on_symbols)(t, n, m)
@@ -209,16 +217,17 @@ def test_a_caller_built_entry_is_prefilled_for_what_its_evaluators_read(monkeypa
     report, cases = streamed_cases(20, catalog=[entry])
     assert report.passed and len(cases) == 21
     assert identities.term_tops([entry], 20) == {"B": 60}
-    # Evaluators that read below min_index are refused before any term is
-    # computed or any text written.
+    # Evaluators that can read below min_index, or whose reads are no
+    # integer form in the domain's coordinates, are refused by the form
+    # before any term is computed or any text written.
     monkeypatch.setattr(sequences.TermSource, "prefill", None)
     out = []
-    below = with_statement(entry, "B(n-1) = B(n)")
-    with pytest.raises(DomainError, match=r"^X at \(n=0, m=None\) reads index -1,"):
+    below = dataclasses.replace(entry, lhs=lambda t, n, m: t.B[n - 1])
+    with pytest.raises(ValueError, match=r"^X: reads B\(k-1\) at \(n, m\) = \(k, None\), "):
         run_suite(20, catalog=[below], write=out.append)
     assert out == []
     unbounded = dataclasses.replace(entry, rhs=lambda t, n, m: t.B[n * n])
-    with pytest.raises(ValueError, match="^X: a subscript is not an affine form"):
+    with pytest.raises(ValueError, match="^X: a subscript is not an integer form"):
         run_suite(20, catalog=[unbounded], write=out.append)
     assert out == []
 

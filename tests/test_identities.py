@@ -20,7 +20,7 @@ from balkit.identities import (
 )
 from balkit.harness import run_suite
 from balkit.sequences import DomainError, SequenceKind, TermSource, parse_kind, stream
-from test_harness import reading_past_its_prefill, streamed_cases
+from test_harness import reading_past_its_prefill, streamed_cases, unchecked
 
 EXPECTED_IDS = [
     "B_ADD", "B_SUB", "B_DIFF_HALF", "B_DIFF_EVEN", "B_2N_MINUS6",
@@ -196,14 +196,64 @@ def test_statement_outside_the_grammar_is_refused(statement):
     ("B(C(n)) = B(n)", "n >= 0"),  # a nested read
     ("B(n*m) = B(n)", "n >= m >= 0"),  # a product of n and m
     ("B(n) = B((n+1)*(m+1))", "n >= m >= 0"),
-    ("B((n-m)/2/2) = B(n)", identities._PARITY),
-    ("B((n-m)/2 + 1) = B(n)", identities._PARITY),  # divided, then more arithmetic
+    ("B((n-m)/2/2) = B(n)", identities._PARITY),  # k/2: an inexact division
     ("B(n) = B(m)", "n >= 0"),  # m in an entry of one index
     ("B(n) = B(n)*m", "n >= 0"),  # and outside a subscript
 ])
 def test_a_subscript_term_tops_cannot_bound_is_refused(statement, domain):
     with pytest.raises(ValueError, match="^X: "):
         identities._entry("X", statement, domain)
+
+
+@pytest.mark.parametrize("statement, domain, message", [
+    ("B(n/2) = B(n)", "n >= 0",
+     "X: a subscript is not an integer form a*k + b*j + c at (n, m) = (k, None), k, j >= 0 "),
+    ("B(n-1) = b(n-1)", "n >= 0",
+     "X: reads B(k-1) at (n, m) = (k, None), k, j >= 0, below the first index of B"),
+    ("B(n) = B(m-3n)", "1 <= n <= m",
+     "X: reads B(-2k+j-2) at (n, m) = (k+1, k+j+1), k, j >= 0, below the first index of B"),
+], ids=["inexact division", "below on n >= 0", "below on 1 <= n <= m"])
+def test_entry_refuses_a_read_that_is_no_form_or_can_fall_below_min_index(
+        statement, domain, message):
+    with pytest.raises(ValueError) as info:
+        identities._entry("X", statement, domain)
+    assert str(info.value).startswith(message), str(info.value)
+
+
+def test_a_subscript_divided_then_shifted_is_a_form_in_domain_coordinates():
+    # (n-m)/2 + 1 on the parity domain n = 2k+j, m = j is k+1.
+    entry = identities._entry("X", "B((n-m)/2 + 1) = B(n)", identities._PARITY)
+    assert identities._subscript_forms(entry) == (("B", 1, 0, 1), ("B", 2, 1, 0))
+    assert identities.term_tops([entry], 9) == {"B": 9}
+
+
+def test_every_catalog_read_is_a_form_at_or_above_min_index():
+    for d in list_identities():
+        for short, a, b, c in identities._subscript_forms(d):
+            assert a >= 0 and b >= 0 and c >= parse_kind(short).min_index, (d.ident, short)
+
+
+@pytest.mark.parametrize("domain", list(identities._DOMAINS))
+def test_each_domain_map_gives_its_rows_and_corners_reach_every_maximum(domain):
+    # The two descriptions of a domain agree: on every grid 0..N the map's
+    # image is exactly the cells its rows give, each once, and every form
+    # a*k + b*j with a, b in 0..4 (which covers the catalog's) takes its
+    # largest value on those cells at one of the corners.
+    arity, rows, cell, corners = identities._DOMAINS[domain]
+    forms = {(a, b) for a in range(5) for b in range(5 if arity == 2 else 1)}
+    for d in list_identities():
+        if d.domain_desc == domain:
+            assert {(a, b) for _, a, b, _ in identities._subscript_forms(d)} <= forms
+    for N in range(1, 41):
+        points = [(k, j) for k in range(N + 1) for j in range(N + 1 if arity == 2 else 1)
+                  if max(cell(k, j)[0], cell(k, j)[1] or 0) <= N]
+        cells = [(n, m) for n in range(N + 1) for m in rows(n, N)]
+        assert sorted(cell(k, j) for k, j in points) == cells, (domain, N)
+        tops = [(k, j) for k, j in corners(N) if k >= 0 and j >= 0]
+        assert set(tops) <= set(points), (domain, N)
+        for a, b in forms:
+            assert (max((a * k + b * j for k, j in tops), default=None)
+                    == max((a * k + b * j for k, j in points), default=None)), (domain, N, a, b)
 
 
 def test_evaluators_wrapped_to_measure_their_result_keep_their_forms():
@@ -226,7 +276,8 @@ def test_evaluators_wrapped_to_measure_their_result_keep_their_forms():
 
 def test_products_and_residues_outside_subscripts_are_accepted():
     entry = identities._entry("X", "B(n)*n*m + n/2 = B(n)*(n*m) + n/2", "n >= m >= 0")
-    assert identities._subscript_forms(entry) == (("B", 1, 0, 0, 1),)
+    # B(n) is B(k+j) at (n, m) = (k+j, j).
+    assert identities._subscript_forms(entry) == (("B", 1, 1, 0),)
     assert run_suite(6, catalog=[entry]).passed
 
 
@@ -304,32 +355,33 @@ def test_compiled_evaluators_subscript_t_and_call_nothing():
 ])
 def test_evaluate_words_an_out_of_table_read_as_the_harness_does(
         statement, domain, n, m, index, max_n, monkeypatch):
-    entry = identities._entry("X", statement, domain)
+    # _entry refuses such a statement; a caller can still build the entry.
+    entry = unchecked("X", statement, domain)
     monkeypatch.setitem(identities._BY_ID, "X", entry)
     with pytest.raises(DomainError) as info:
         evaluate("X", n, m)
     message = "X at (n=%s, m=%s) reads index %d, outside the terms prefilled for max_n=%d"
     assert str(info.value) == message % (n, m, index, max_n)
-    if m is None:
-        # The read below min_index is refused before any term is computed.
-        monkeypatch.setattr(TermSource, "prefill", None)
-        with pytest.raises(DomainError) as info:
-            run_suite(max(n, 1), catalog=[entry])
-        assert str(info.value) == message % (0, None, -1, max(n, 1))
+    # The harness refuses the entry by its form before any term is computed.
+    monkeypatch.setattr(TermSource, "prefill", None)
+    with pytest.raises(ValueError, match=r"^X: reads B\(.*, below the first index of B$"):
+        run_suite(max(n, 1), catalog=[entry])
 
 
 def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch):
-    # Evaluators that read B(5n) on ints but B(2n) on symbols: the one point
-    # keeps B(6) only, and B(15) is read outside it.
-    entry = reading_past_its_prefill("X", "B(5n) = B(5n)")
+    # A read that depends on a term's value: the pass that finds the point's
+    # reads, where every term is 0, sees B(3) only, and B(4) is read outside.
+    entry = dataclasses.replace(
+        identities._entry("X", "B(n) = B(n)", "n >= 0"), lhs=lambda t, n, m: t.B[n + (t.B[n] > 0)])
     monkeypatch.setitem(identities._BY_ID, "X", entry)
-    message = "X at (n=3, m=None) reads index 15, outside the terms prefilled for max_n=%d"
+    message = "X at (n=3, m=None) reads index %d, outside the terms prefilled for max_n=%d"
     with pytest.raises(DomainError) as info:
         evaluate("X", 3)
-    assert str(info.value) == message % 3
+    assert str(info.value) == message % (4, 3)
+    # Evaluators that read B(5n) on ints but B(2n) on symbols.
     with pytest.raises(DomainError) as info:
-        run_suite(5, catalog=[entry])
-    assert str(info.value) == message % 5
+        run_suite(5, catalog=[reading_past_its_prefill("X", "B(5n) = B(5n)")])
+    assert str(info.value) == message % (15, 5)
 
 
 def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
@@ -356,6 +408,14 @@ def test_evaluate_holds_only_the_terms_its_point_reads(monkeypatch):
     assert evaluate("MOD16_c", 5).holds
     assert held == [{"B": [0, 3200], "C": [0, 3200], "b": [], "c": []},
                     {"B": [], "C": [], "b": [], "c": [20]}]
+
+
+def test_evaluate_takes_indices_of_any_int_type():
+    class Index(int):
+        pass
+
+    assert evaluate("PARITY_B", True).holds
+    assert evaluate("B_ADD", Index(3), Index(1)) == evaluate("B_ADD", 3, 1)
 
 
 def test_default_term_source_is_used_when_none_given():
