@@ -205,17 +205,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             info = result[key]
             if not info["member"]:
                 sys.stdout.write("%s: no\n" % key)
-            elif "balancer" in info:
-                sys.stdout.write(
-                    "%s: yes (index %d, balancer %s)\n" % (key, info["index"], info["balancer"])
-                )
-            elif "cobalancer" in info:
-                sys.stdout.write(
-                    "%s: yes (index %d, cobalancer %s)\n"
-                    % (key, info["index"], info["cobalancer"])
-                )
             else:
-                sys.stdout.write("%s: yes (index %d)\n" % (key, info["index"]))
+                suffix = "".join(", %s %s" % (r, info[r]) for r in ("balancer", "cobalancer")
+                                 if r in info)
+                sys.stdout.write("%s: yes (index %d%s)\n" % (key, info["index"], suffix))
     return 0
 
 

@@ -12,8 +12,8 @@ evaluators record each subscript as a form a*k + b*j + c, and _entry
 refuses any other subscript, and any with a < 0, b < 0 or c below the
 kind's first index. term_tops() takes each kind's highest index on a grid
 from the forms at the grid's corners, which the harness prefills, and
-evaluate() keeps only the terms its one point reads. Adding an entry means
-adding a table row.
+evaluate() computes by fast doubling only the terms its one point reads.
+Adding an entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -28,7 +28,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError, digits_bound
+from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError
+from .sequences import digits_bound, parse_kind, term_doubling
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
 
@@ -399,22 +400,22 @@ def domain_check(ident: str, n: int, m: Optional[int] = None) -> bool:
     return desc.domain(n, m)
 
 
-# term_tops refuses terms of more than this many digits in all (about 12 MB
-# of ints): the full catalog at max_n 1239, the largest the harness's cell
-# cap allows, has 1.6e7, and PARITY_B alone reaches it near max_n 8850.
+# The cap on the digits of the terms a caller holds, about 12 MB of ints.
+# term_tops() bounds a grid's tables, each kind from min_index to its top:
+# the full catalog at max_n 1239, the largest the harness's cell cap allows,
+# holds 1.6e7 digits, and PARITY_B alone reaches the cap near max_n 8850.
+# evaluate() bounds the distinct terms its one point reads, each computed
+# by fast doubling: PARITY_B reaches the cap near n = 3.92e7, and
+# evaluate("PARITY_B", 39 * 10**6) took 266 s at 102 MB peak RSS (2-vCPU
+# Xeon VM, CPython 3.11.7).
 TERM_DIGITS_MAX = 3 * 10**7
 
-def _tops(reads, max_n: int) -> dict[str, int]:
-    """The highest index per kind among reads, (short, index) pairs, in
-    "BCbc" order. Raises DomainError if terms min_index..top hold more than
-    TERM_DIGITS_MAX digits in all."""
-    # Sorted, each kind's highest index comes last, and the kinds in "BCbc" order.
-    tops = dict(sorted(reads))
-    digits = sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items())
+
+def _check_digits(digits: int, max_n: int) -> None:
+    """Raise DomainError if digits, a bound on terms to hold, is above TERM_DIGITS_MAX."""
     if digits > TERM_DIGITS_MAX:
         raise DomainError("max_n=%d reads terms of up to %d digits in all, above the limit of %d"
                           % (max_n, digits, TERM_DIGITS_MAX))
-    return tops
 
 
 def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
@@ -426,9 +427,12 @@ def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, in
     Raises DomainError if the tops hold more than TERM_DIGITS_MAX digits in
     all; ValueError for an entry whose evaluators read a subscript that is
     no integer form or can fall below min_index."""
-    return _tops([(short, a * k + b * j + c) for d in entries
-                  for short, a, b, c in _subscript_forms(d)
-                  for k, j in _DOMAINS[d.domain_desc][3](max_n) if k >= 0 and j >= 0], max_n)
+    # Sorted, each kind's highest index comes last, and the kinds in "BCbc" order.
+    tops = dict(sorted((short, a * k + b * j + c) for d in entries
+                       for short, a, b, c in _subscript_forms(d)
+                       for k, j in _DOMAINS[d.domain_desc][3](max_n) if k >= 0 and j >= 0))
+    _check_digits(sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items()), max_n)
+    return tops
 
 
 def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n: int):
@@ -442,10 +446,11 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    The terms come from a fresh TermSource that holds only the terms this
-    one point reads, found by one pass of the evaluators at n and m that
-    records each read, walked up to the highest, under the digit cap of
-    term_tops(); it serves this call alone and is freed when it returns.
+    A pass of the evaluators at n and m records the terms they read. Once
+    their digits are checked against TERM_DIGITS_MAX, a fresh TermSource,
+    freed on return, holds just those, each from one term_doubling() call.
+    A read below min_index is left out, so it raises read_error() as any
+    read outside the table does.
     """
     desc = lookup(ident)
     _check_arity(desc, m)
@@ -455,14 +460,17 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
             % (n, m, ident, desc.domain_desc)
         )
     max_n = n if m is None else max(n, m)
-    reads = [(short, index) for short, _, _, index in _read_forms(desc, n, m)]
+    reads = [(short, index) for short, _, _, index in _read_forms(desc, n, m)
+             if index >= _MIN_INDEX[short]]
+    _check_digits(sum(digits_bound(index, index) for _, index in reads), max_n)
     terms = TermSource()
-    terms.prefill(_tops(reads, max_n), keep=set(reads))
+    for short, index in reads:
+        getattr(terms, short)[index] = term_doubling(parse_kind(short), index)
     try:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)
     except KeyError as exc:
-        # Only an evaluator whose reads depend on the terms' values, which
-        # are all 0 in the pass above, gets here.
+        # A read below min_index, or one that depends on the terms' values,
+        # which are all 0 in the recording pass, gets here.
         raise read_error(desc, n, m, exc.args[0], max_n) from None
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

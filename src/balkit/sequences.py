@@ -275,10 +275,11 @@ def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
 
 class TermSource:
     """The four term tables the catalog evaluators read, as t.B[i], t.C[i],
-    t.b[i] and t.c[i]: plain dicts from index to term, which only prefill()
-    fills, from min_index up with no gap unless it is told which indices to
-    keep. A read outside them, below min_index included, is a plain
-    KeyError. Give each thread its own source.
+    t.b[i] and t.c[i]: plain dicts from index to term. prefill() fills them
+    from min_index up with no gap, for a grid; identities.evaluate() sets
+    just the terms its one point reads. A read outside them, below
+    min_index included, is a plain KeyError. Give each thread its own
+    source.
     """
 
     __slots__ = ("B", "C", "b", "c")
@@ -286,18 +287,13 @@ class TermSource:
     def __init__(self) -> None:
         self.B, self.C, self.b, self.c = {}, {}, {}, {}
 
-    def prefill(self, tops: dict[str, int], keep: Optional[set] = None) -> None:
+    def prefill(self, tops: dict[str, int]) -> None:
         """Fill each table named in tops (by short symbol) from min_index to
-        its top index, from a fresh walk(). Given keep, a set of
-        (short, index) pairs, the walk still runs to each top but only the
-        terms at those indices are stored."""
+        its top index, from a fresh walk()."""
         for short, top in tops.items():
             kind = parse_kind(short)
             values = islice(walk(kind), max(top + 1 - kind.min_index, 0))
-            items = enumerate(values, kind.min_index)
-            if keep is not None:
-                items = ((i, v) for i, v in items if (short, i) in keep)
-            getattr(self, short).update(items)
+            getattr(self, short).update(enumerate(values, kind.min_index))
 
 
 _LOG10_2 = math.log10(2)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from balkit import harness, identities, sequences
+from balkit import harness, identities, oracle, sequences
 from balkit.harness import (
     FORMATS,
     IdentityRecord,
@@ -579,6 +579,22 @@ def test_compare_methods_minimal():
     assert all(r.checked >= 1 for r in report.records)
 
 
+@pytest.mark.parametrize("route", ["term_binet", "term_doubling"])
+def test_compare_methods_records_the_first_divergence_per_kind_and_stops(monkeypatch, route):
+    real = getattr(harness, route)
+
+    def wrong_at_7(kind, n):
+        return real(kind, n) + (n == 7)
+
+    monkeypatch.setattr(harness, route, wrong_at_7)
+    report = compare_methods(20)
+    assert not report.passed
+    for kind, r in zip(SequenceKind, report.records):
+        value = stream(kind, 7, 7)[0]
+        assert r.failures == [EvalResult(r.ident, 7, None, value, value + 1, False)]
+        assert r.checked == 8 - kind.min_index
+
+
 def test_oracle_equivalence_small():
     report = oracle_equivalence(300)
     assert report.passed
@@ -593,6 +609,34 @@ def test_oracle_equivalence_limit_zero():
     by_id = {r.ident: r for r in report.records}
     assert by_id["BALANCING"].checked == 0  # empty prefix
     assert by_id["COBALANCING"].checked == 2  # the single member 0, plus witness
+
+
+def test_oracle_equivalence_reports_a_dropped_member_and_a_non_member(monkeypatch):
+    real = oracle.search_family
+
+    def faulty(family, limit):
+        members = real(family, limit)
+        if family is SequenceKind.BALANCING:
+            return members[:1] + members[2:]  # drops 6
+        return members + [3]  # appends a non-member
+
+    monkeypatch.setattr(oracle, "search_family", faulty)
+    balancing, cobalancing = oracle_equivalence(300).records
+    # Scanned 1, 35, 204 against 1, 6, 35, 204: two positions differ, and
+    # the length mismatch sits at the first missing slot.
+    assert balancing.failures == [
+        EvalResult("BALANCING", 1, None, 35, 6, False),
+        EvalResult("BALANCING", 2, None, 204, 35, False),
+        EvalResult("BALANCING", 3, None, 3, 4, False),
+    ]
+    assert balancing.checked == 3 + 3
+    # Scanned 0, 2, 14, 84, 3 against 0, 2, 14, 84: 3 has no witness, and
+    # its failure sorts before the length mismatch at slot 4.
+    assert cobalancing.failures == [
+        EvalResult("COBALANCING", 3, None, -1, -1, False),
+        EvalResult("COBALANCING", 4, None, 5, 4, False),
+    ]
+    assert cobalancing.checked == 4 + 5
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))

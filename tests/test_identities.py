@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from balkit import identities
+from balkit import identities, sequences
 from balkit.identities import (
     CONGRUENCE,
     EQUATION,
@@ -19,7 +19,9 @@ from balkit.identities import (
     lookup,
 )
 from balkit.harness import run_suite
-from balkit.sequences import DomainError, SequenceKind, TermSource, parse_kind, stream
+from balkit.sequences import (
+    DomainError, SequenceKind, TermSource, parse_kind, stream, term_recurrence,
+)
 from test_harness import reading_past_its_prefill, streamed_cases, unchecked
 
 EXPECTED_IDS = [
@@ -199,6 +201,7 @@ def test_statement_outside_the_grammar_is_refused(statement):
     ("B((n-m)/2/2) = B(n)", identities._PARITY),  # k/2: an inexact division
     ("B(n) = B(m)", "n >= 0"),  # m in an entry of one index
     ("B(n) = B(n)*m", "n >= 0"),  # and outside a subscript
+    ("B(n+C(n)) = B(n)", "n >= 0"),  # a form plus a term
 ])
 def test_a_subscript_term_tops_cannot_bound_is_refused(statement, domain):
     with pytest.raises(ValueError, match="^X: "):
@@ -225,6 +228,9 @@ def test_a_subscript_divided_then_shifted_is_a_form_in_domain_coordinates():
     entry = identities._entry("X", "B((n-m)/2 + 1) = B(n)", identities._PARITY)
     assert identities._subscript_forms(entry) == (("B", 1, 0, 1), ("B", 2, 1, 0))
     assert identities.term_tops([entry], 9) == {"B": 9}
+    # 1-n, an int minus a form, is a form too.
+    entry = identities._entry("X", "B(1-n+2n) = B(n+1)", "n >= 0")
+    assert identities._subscript_forms(entry) == (("B", 1, 0, 1),)
 
 
 def test_every_catalog_read_is_a_form_at_or_above_min_index():
@@ -385,29 +391,59 @@ def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch)
 
 
 def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
-    def prefill(self, tops):
-        raise AssertionError("prefilled")
+    # The cap counts the terms the point reads, and is checked before any
+    # of them is computed.
+    def term_doubling(kind, n):
+        raise AssertionError("computed a term")
 
-    monkeypatch.setattr(TermSource, "prefill", prefill)
-    for args in (("PARITY_B", 10**5), ("MOD16_c", 10**6), ("B_ADD", 10**9, 0)):
+    monkeypatch.setattr(identities, "term_doubling", term_doubling)
+    for args in (("PARITY_B", 4 * 10**7), ("MOD16_c", 10**7), ("B_ADD", 10**9, 0)):
         with pytest.raises(DomainError, match="above the limit of %d$" % TERM_DIGITS_MAX):
             evaluate(*args)
 
 
 def test_evaluate_holds_only_the_terms_its_point_reads(monkeypatch):
-    held = []
-    real = TermSource.prefill
+    built = []
 
-    def prefill(self, tops, keep=None):
-        real(self, tops, keep)
-        held.append({k: sorted(getattr(self, k)) for k in "BCbc"})
+    class Spy(TermSource):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
 
-    monkeypatch.setattr(TermSource, "prefill", prefill)
-    # B and C filled to the grid-wide 2*3200+2 were over the digit cap.
+    monkeypatch.setattr(identities, "TermSource", Spy)
     assert evaluate("B_ADD", 3200, 0).holds
     assert evaluate("MOD16_c", 5).holds
+    # The recording pass builds a source too, whose tables are no dicts.
+    held = [{k: sorted(getattr(t, k)) for k in "BCbc"} for t in built if type(t.B) is dict]
     assert held == [{"B": [0, 3200], "C": [0, 3200], "b": [], "c": []},
                     {"B": [], "C": [], "b": [], "c": [20]}]
+
+
+def test_evaluate_runs_every_entry_without_the_recurrence(monkeypatch):
+    report, cases = streamed_cases(40)
+    assert report.passed
+
+    def refused(*args):
+        raise AssertionError("walked the recurrence")
+
+    monkeypatch.setattr(sequences, "walk", refused)
+    monkeypatch.setattr(TermSource, "prefill", refused)
+    for d in list_identities():
+        mine = [c for c in cases if c.ident == d.ident]
+        case = mine[len(mine) // 2]
+        assert evaluate(d.ident, case.n, case.m) == case, d.ident
+
+
+@pytest.mark.parametrize("args, kind, index, lhs", [
+    (("PARITY_B", 9000), "B", 9000, lambda term: term % 2),
+    (("C2N_PLUS1", 5000), "c", 10000, lambda term: term + 1),
+    (("B_ADD", 8000, 0), "B", 8000, lambda term: term),
+])
+def test_evaluate_runs_points_whose_walk_was_over_the_digit_cap(args, kind, index, lhs):
+    # Walked to the highest index read, these passed TERM_DIGITS_MAX.
+    result = evaluate(*args)
+    assert result.holds
+    assert result.lhs == lhs(term_recurrence(parse_kind(kind), index))
 
 
 def test_evaluate_takes_indices_of_any_int_type():
@@ -423,8 +459,7 @@ def test_default_term_source_is_used_when_none_given():
 
 
 def test_one_off_evaluate_keeps_no_terms_cached():
-    # Prefilling B and C to index 6002 takes about 11 MB; evaluate must
-    # free them when it returns.
+    # evaluate must free the terms it computed when it returns.
     evaluate("B_ADD", 2, 0)  # first-call allocations outside the measure
     tracemalloc.start()
     try:

@@ -8,6 +8,11 @@ strings below are the ones those dataclasses printed.
 
 import dataclasses
 import importlib
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -86,3 +91,13 @@ def test_unknown_name_raises_attribute_error():
 def test_unknown_identity_error_is_one_class():
     assert identities.UnknownIdentityError is balkit.UnknownIdentityError
     assert issubclass(balkit.UnknownIdentityError, LookupError)
+
+
+def test_the_readme_library_example_runs():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", example], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]

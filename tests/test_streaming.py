@@ -163,7 +163,7 @@ def test_streamed_verbose_csv_of_the_negative_control_is_the_collected_report(mo
 ])
 def test_verbose_csv_refusals_write_nothing(monkeypatch, capsys, argv, message):
     # The header too waits until every refusal is behind the run.
-    def prefill(self, tops, keep=None):
+    def prefill(self, tops):
         raise AssertionError("prefilled")
 
     monkeypatch.setattr(TermSource, "prefill", prefill)
