@@ -352,55 +352,40 @@ def compare_methods(max_n: int) -> VerificationReport:
     return report
 
 
-def _oracle_record(
-    ident: str,
-    scanned: list[int],
-    generated: list[int],
-    witness,
-) -> IdentityRecord:
-    started = time.perf_counter()
-    checked = 0
-    failures: list[EvalResult] = []
-    common = min(len(scanned), len(generated))
-    for i in range(common):
-        checked += 1
-        if scanned[i] != generated[i]:
-            failures.append(EvalResult(ident, i, None, scanned[i], generated[i], False))
-    if len(scanned) != len(generated):
-        # Encode the length mismatch as a failure at the first missing slot.
-        failures.append(EvalResult(ident, common, None, len(scanned), len(generated), False))
-    for member in scanned:
-        checked += 1
-        try:
-            witness(member)
-        except (DomainError, AssertionError):
-            failures.append(EvalResult(ident, member, None, -1, -1, False))
-    failures.sort(key=lambda f: f.n)
-    wall_ms = int((time.perf_counter() - started) * 1000)
-    return IdentityRecord(ident, checked, 0, wall_ms, failures)
-
-
 def oracle_equivalence(limit: int) -> VerificationReport:
     """Brute-force members up to limit must equal the generator prefixes.
 
-    Every member found by scanning also gets its balancer or cobalancer
-    witness validated by exact summation.
+    Each family, balancing then cobalancing, gets one record, ident its
+    SequenceKind name. Its failures, sorted by n: one per position i where
+    the scanned and generated lists differ (lhs scanned[i], rhs
+    generated[i]); if their lengths differ, one at the first missing slot
+    (lhs and rhs the two lengths); and one (member, -1, -1) per scanned
+    member whose balancer or cobalancer witness fails exact summation.
+    checked is the common length plus the number of scanned members.
     """
     if limit < 0:
         raise DomainError("limit must be >= 0, got %d" % limit)
     report = VerificationReport("oracle-equivalence", limit)
-
-    scanned_b = oracle.search_family(SequenceKind.BALANCING, limit)
-    generated_b = generator_prefix(SequenceKind.BALANCING, limit)
-    report.records.append(
-        _oracle_record("BALANCING", scanned_b, generated_b, oracle.balancer_of)
-    )
-
-    scanned_c = oracle.search_family(SequenceKind.COBALANCING, limit)
-    generated_c = generator_prefix(SequenceKind.COBALANCING, limit)
-    report.records.append(
-        _oracle_record("COBALANCING", scanned_c, generated_c, oracle.cobalancer_of)
-    )
+    for family, witness in ((SequenceKind.BALANCING, oracle.balancer_of),
+                            (SequenceKind.COBALANCING, oracle.cobalancer_of)):
+        started = time.perf_counter()
+        scanned = oracle.search_family(family, limit)
+        generated = generator_prefix(family, limit)
+        common = min(len(scanned), len(generated))
+        failures = [EvalResult(family.name, i, None, scanned[i], generated[i], False)
+                    for i in range(common) if scanned[i] != generated[i]]
+        if len(scanned) != len(generated):
+            failures.append(EvalResult(family.name, common, None, len(scanned),
+                                       len(generated), False))
+        for member in scanned:
+            try:
+                witness(member)
+            except (DomainError, AssertionError):
+                failures.append(EvalResult(family.name, member, None, -1, -1, False))
+        failures.sort(key=lambda f: f.n)
+        wall_ms = int((time.perf_counter() - started) * 1000)
+        report.records.append(
+            IdentityRecord(family.name, common + len(scanned), 0, wall_ms, failures))
     return report
 
 

@@ -28,8 +28,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import sequences
 from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError
-from .sequences import digits_bound, parse_kind, term_doubling
+from .sequences import digits_bound
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
 
@@ -404,11 +405,18 @@ def domain_check(ident: str, n: int, m: Optional[int] = None) -> bool:
 # term_tops() bounds a grid's tables, each kind from min_index to its top:
 # the full catalog at max_n 1239, the largest the harness's cell cap allows,
 # holds 1.6e7 digits, and PARITY_B alone reaches the cap near max_n 8850.
-# evaluate() bounds the distinct terms its one point reads, each computed
-# by fast doubling: PARITY_B reaches the cap near n = 3.92e7, and
-# evaluate("PARITY_B", 39 * 10**6) took 266 s at 102 MB peak RSS (2-vCPU
-# Xeon VM, CPython 3.11.7).
+# evaluate() checks the distinct terms its one point reads against it
+# first; below EVAL_INDEX_MAX no catalog point reaches it (CB_MIX reads six
+# terms), so that index cap is what bounds a point.
 TERM_DIGITS_MAX = 3 * 10**7
+
+# The cap on the largest index an evaluate() point reads: each distinct
+# index costs one pair_bc(), about 3x slower per doubling of the index. The
+# slowest catalog points run two pairs near their top index and two products
+# of such terms: at the cap, C_SUB at (5e6, 2) took 38.8 and 41.1 s, B_SUB at
+# (5e6, 5e6 - 2) and B_SHIFT_SUB at (5e6, 2) 37.5 s, at 40 MB peak RSS (2-vCPU
+# Xeon VM, CPython 3.11.7). PARITY_B at 39e6, under the digit cap, took 266 s.
+EVAL_INDEX_MAX = 5 * 10**6
 
 
 def _check_digits(digits: int, max_n: int) -> None:
@@ -446,11 +454,13 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    A pass of the evaluators at n and m records the terms they read. Once
-    their digits are checked against TERM_DIGITS_MAX, a fresh TermSource,
-    freed on return, holds just those, each from one term_doubling() call.
-    A read below min_index is left out, so it raises read_error() as any
-    read outside the table does.
+    A pass of the evaluators at n and m records the terms they read. Their
+    digits are checked against TERM_DIGITS_MAX, then their largest index
+    against EVAL_INDEX_MAX, both before any term is computed. A fresh
+    TermSource, freed on return, holds just those terms: one pair_bc() call
+    per distinct index gives B and C, and b and c are bridged from it as
+    term_doubling() does. A read below min_index is left out, so it raises
+    read_error() as any read outside the table does.
     """
     desc = lookup(ident)
     _check_arity(desc, m)
@@ -463,9 +473,17 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     reads = [(short, index) for short, _, _, index in _read_forms(desc, n, m)
              if index >= _MIN_INDEX[short]]
     _check_digits(sum(digits_bound(index, index) for _, index in reads), max_n)
+    indices = dict.fromkeys(index for _, index in reads)
+    top = max(indices, default=0)
+    if top > EVAL_INDEX_MAX:
+        raise DomainError("%s at (n=%s, m=%s) reads index %d, above the limit of %d"
+                          % (ident, n, m, top, EVAL_INDEX_MAX))
+    # pair_bc is looked up on sequences, where perfbench's tracer wraps it.
+    pairs = {index: sequences.pair_bc(index) for index in indices}
     terms = TermSource()
     for short, index in reads:
-        getattr(terms, short)[index] = term_doubling(parse_kind(short), index)
+        pair = pairs[index] if short in "BC" else sequences._cobal(*pairs[index])
+        getattr(terms, short)[index] = pair[0] if short in "Bb" else pair[1]
     try:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)

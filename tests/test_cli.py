@@ -458,6 +458,17 @@ def test_bench_single_method_and_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("route, wrong, last", [
+    ("pair_bc", lambda n: (pair_bc(n)[0], pair_bc(n)[1] + 1), "pell: VIOLATED"),
+    ("term_recurrence", lambda kind, n: sequences.term_recurrence(kind, n) + 1, "equal: false"),
+])
+def test_bench_exits_1_after_a_failed_self_check(capsys, monkeypatch, route, wrong, last):
+    monkeypatch.setattr(cli, route, wrong)
+    code, out, err = run_cli(capsys, "bench", "--n", "200")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == last
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_bench_refuses_structured_formats(capsys, monkeypatch, fmt):
     monkeypatch.setattr(cli, "pair_bc", computed)

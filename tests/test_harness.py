@@ -595,6 +595,16 @@ def test_compare_methods_records_the_first_divergence_per_kind_and_stops(monkeyp
         assert r.checked == 8 - kind.min_index
 
 
+@pytest.mark.parametrize("check, bound, message", [
+    (compare_methods, 0, "max_n must be >= 1, got 0"),
+    (oracle_equivalence, -1, "limit must be >= 0, got -1"),
+])
+def test_method_and_oracle_checks_refuse_a_bound_out_of_range(check, bound, message):
+    with pytest.raises(DomainError) as info:
+        check(bound)
+    assert str(info.value) == message
+
+
 def test_oracle_equivalence_small():
     report = oracle_equivalence(300)
     assert report.passed

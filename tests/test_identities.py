@@ -11,6 +11,7 @@ from balkit import identities, sequences
 from balkit.identities import (
     CONGRUENCE,
     EQUATION,
+    EVAL_INDEX_MAX,
     TERM_DIGITS_MAX,
     UnknownIdentityError,
     domain_check,
@@ -393,13 +394,55 @@ def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch)
 def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
     # The cap counts the terms the point reads, and is checked before any
     # of them is computed.
-    def term_doubling(kind, n):
+    def pair_bc(n):
         raise AssertionError("computed a term")
 
-    monkeypatch.setattr(identities, "term_doubling", term_doubling)
+    monkeypatch.setattr(sequences, "pair_bc", pair_bc)
     for args in (("PARITY_B", 4 * 10**7), ("MOD16_c", 10**7), ("B_ADD", 10**9, 0)):
         with pytest.raises(DomainError, match="above the limit of %d$" % TERM_DIGITS_MAX):
             evaluate(*args)
+
+
+def test_evaluate_refuses_a_point_above_the_index_cap_before_any_term(monkeypatch):
+    class Computed(Exception):
+        pass
+
+    def pair_bc(n):
+        raise Computed
+
+    monkeypatch.setattr(sequences, "pair_bc", pair_bc)
+    with pytest.raises(Computed):
+        evaluate("PARITY_B", EVAL_INDEX_MAX)
+    # Both pass TERM_DIGITS_MAX; 39e6 took 266 s before the index cap.
+    for n in (EVAL_INDEX_MAX + 1, 39 * 10**6):
+        with pytest.raises(DomainError) as info:
+            evaluate("PARITY_B", n)
+        assert str(info.value) == ("PARITY_B at (n=%d, m=None) reads index %d, above the "
+                                   "limit of %d" % (n, n, EVAL_INDEX_MAX))
+
+
+@pytest.mark.parametrize("args, calls", [
+    (("B_ADD", 3200, 0), 2),  # B and C at 3200 and at 0
+    (("C_ADD", 3200, 100), 3),  # B and C at 3200 and 3100, C at 6300
+    (("C2N_PLUS1", 3000), 2),  # b and B at 3000, c at 6000
+])
+def test_evaluate_runs_one_pair_per_distinct_index(monkeypatch, args, calls):
+    indices, real = [], sequences.pair_bc
+
+    def pair_bc(n):
+        indices.append(n)
+        return real(n)
+
+    monkeypatch.setattr(sequences, "pair_bc", pair_bc)
+    result = evaluate(*args)
+    assert len(indices) == len(set(indices)) == calls
+    # The same result as from each read's term by the recurrence.
+    desc, (n, m) = lookup(args[0]), (*args[1:], None)[:2]
+    terms = TermSource()
+    for short, _, _, index in identities._read_forms(desc, n, m):
+        getattr(terms, short)[index] = term_recurrence(parse_kind(short), index)
+    lhs, rhs = desc.lhs(terms, n, m), desc.rhs(terms, n, m)
+    assert result == identities.EvalResult(args[0], n, m, lhs, rhs, True)
 
 
 def test_evaluate_holds_only_the_terms_its_point_reads(monkeypatch):

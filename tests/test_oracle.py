@@ -99,6 +99,16 @@ def test_cobalancer_witnesses():
         cobalancer_of(3)
 
 
+@pytest.mark.parametrize("witness, x, message", [
+    (balancer_of, 5, "5 is not a balancing number"),
+    (cobalancer_of, 3, "3 is not a cobalancing number"),
+])
+def test_a_non_member_error_names_the_value_and_family(witness, x, message):
+    with pytest.raises(DomainError) as info:
+        witness(x)
+    assert str(info.value) == message
+
+
 def test_witness_type_rejects_unbalanced_sums():
     with pytest.raises(AssertionError):
         BalancerWitness(n=6, r=2, left_sum=15, right_sum=16)

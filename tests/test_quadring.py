@@ -68,6 +68,11 @@ def test_qconj_worked_examples():
     assert ALPHA1.conj() == ALPHA2
 
 
+def test_str_writes_a_plus_b_sqrt2():
+    assert str(QuadInt(3, 2)) == "3+2*sqrt(2)"
+    assert str(QuadInt(1, -1)) == "1-1*sqrt(2)"
+
+
 def test_qnorm_worked_examples():
     assert QuadInt(3, 2).norm() == 1
     assert QuadInt(1, 1).norm() == -1
