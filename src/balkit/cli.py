@@ -10,6 +10,7 @@ search, verify reports) are written a value, row or record at a time.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -396,5 +397,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def run() -> int:
+    """main() for a process that exits after it (the balkit script and
+    python -m balkit.cli). gc.freeze() first moves every object loaded so
+    far out of the collector's reach, so the interpreter's final collection
+    does not walk them; main() alone leaves the collector as it is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

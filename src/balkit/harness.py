@@ -33,9 +33,9 @@ from .sequences import (
     TermSource,
     decimal_str,
     generator_prefix,
-    stream,
     term_binet,
     term_doubling,
+    walk,
 )
 
 FORMATS = ("json", "csv", "plain")
@@ -84,14 +84,14 @@ def _run_identity(
     desc: IdentityDescriptor,
     max_n: int,
     terms: TermSource,
-    on_case: Optional[Callable[[EvalResult], object]],
+    write: Optional[Callable[[str], object]],
 ) -> IdentityRecord:
-    """Evaluate desc on its domain within the grid; on_case, if given, gets
-    every evaluated case as it is evaluated."""
+    """Evaluate desc on its domain within the grid; write, if given, gets
+    each evaluated case's csv row as the case is evaluated."""
     started = time.perf_counter()
     checked = 0
     failures: list[EvalResult] = []
-    indices, lhs, rhs = desc.indices, desc.lhs, desc.rhs
+    ident, indices, lhs, rhs = desc.ident, desc.indices, desc.lhs, desc.rhs
     try:
         # Rows in n order, each with its in-domain m values ((None,) or ()
         # for a unary entry), so the failures come out in (n, m) order.
@@ -102,10 +102,9 @@ def _run_identity(
                 lv = lhs(terms, n, m)
                 rv = rhs(terms, n, m)
                 if lv != rv:
-                    failures.append(EvalResult(desc.ident, n, m, lv, rv, False))
-                if on_case is not None:
-                    on_case(failures[-1] if lv != rv
-                            else EvalResult(desc.ident, n, m, lv, rv, True))
+                    failures.append(EvalResult(ident, n, m, lv, rv, False))
+                if write is not None:
+                    write(_csv_row(ident, n, m, lv, rv, lv == rv))
     except KeyError as exc:
         raise identities.read_error(desc, n, m, exc.args[0], max_n) from None
     skipped = (max_n + 1) ** desc.arity - checked
@@ -253,8 +252,8 @@ def run_suite(
 
     write, if given, gets the csv report of every evaluated case (verify
     --format csv --verbose): the header once every refusal is behind the
-    run, then each case's row as the case is evaluated, so no case
-    outlives its row. The records keep only the failures, for passed.
+    run, then each case's row as _run_identity evaluates the case, so no
+    case outlives its row. The records keep only the failures, for passed.
 
     The run uses min(usable CPUs, entries) processes, and at most jobs
     (1..JOBS_MAX) if given; one where os.fork is missing, another thread
@@ -312,15 +311,10 @@ def run_suite(
     if workers > 1:
         report.records = _run_forked(selected, max_n, terms, workers)
         return report
-    on_case = None
     if write is not None:
         write(_CSV_HEADER)
-
-        def on_case(case: EvalResult) -> None:
-            write(_csv_row(case))
-
     for d in selected:
-        report.records.append(_run_identity(d, max_n, terms, on_case))
+        report.records.append(_run_identity(d, max_n, terms, write))
     return report
 
 
@@ -339,7 +333,7 @@ def compare_methods(max_n: int) -> VerificationReport:
         started = time.perf_counter()
         checked = 0
         failures: list[EvalResult] = []
-        for n, value in enumerate(stream(kind, kind.min_index, max_n), kind.min_index):
+        for n, value in zip(range(kind.min_index, max_n + 1), walk(kind)):
             binet = term_binet(kind, n)
             doubled = term_doubling(kind, n)
             checked += 1
@@ -392,12 +386,12 @@ def oracle_equivalence(limit: int) -> VerificationReport:
 _CSV_HEADER = "id,n,m,lhs,rhs,holds\n"
 
 
-def _csv_row(case: EvalResult) -> str:
-    """The csv report row of one case. Equal sides are rendered once."""
-    lhs = decimal_str(case.lhs)
-    rhs = lhs if case.rhs == case.lhs else decimal_str(case.rhs)
-    return "%s,%d,%s,%s,%s,%s\n" % (case.ident, case.n, "" if case.m is None else case.m,
-                                    lhs, rhs, "true" if case.holds else "false")
+def _csv_row(ident: str, n: int, m: Optional[int], lhs: int, rhs: int, holds: bool) -> str:
+    """One case's csv row. holds is given: a C4 witness failure has equal sides."""
+    lv = decimal_str(lhs)
+    rv = lv if rhs == lhs else decimal_str(rhs)
+    return "%s,%d,%s,%s,%s,%s\n" % (ident, n, "" if m is None else m,
+                                    lv, rv, "true" if holds else "false")
 
 
 def report_lines(report: VerificationReport, fmt: str) -> Iterator[str]:
@@ -429,7 +423,8 @@ def report_lines(report: VerificationReport, fmt: str) -> Iterator[str]:
     elif fmt == "csv":
         yield _CSV_HEADER
         for r in report.records:
-            yield from map(_csv_row, r.failures)
+            for f in r.failures:
+                yield _csv_row(f.ident, f.n, f.m, f.lhs, f.rhs, f.holds)
     else:
         yield "suite=%s max_n=%d\n" % (report.suite, report.max_n)
         for r in report.records:

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import json
 import math
@@ -630,6 +631,30 @@ def test_lean_commands_import_only_what_they_need():
     assert heavy.isdisjoint(result["loaded"]), sorted(heavy & set(result["loaded"]))
     assert "balkit.sequences" in result["loaded"]
     assert result["harness_after_verify"]
+
+
+def test_the_module_entry_freezes_the_collector_and_main_does_not(capsys):
+    # Frozen objects are left out of the interpreter's final collection.
+    child = textwrap.dedent(
+        """
+        import gc, runpy, sys
+        sys.argv = ["balkit", "term", "B", "5"]
+        try:
+            runpy.run_module("balkit.cli", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+        print(code, gc.get_freeze_count() > 0, file=sys.stderr)
+        """
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1189\n", "0 True\n")
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "term", "B", "5") == (0, "1189\n", "")
+    assert gc.get_freeze_count() == frozen
 
 
 def test_verify_in_one_process_imports_nothing_the_workers_need():

@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -39,6 +40,25 @@ def test_run_suite_small_full_catalog_passes():
     assert report.passed
     assert report.total_failures == 0
     assert len(report.records) == 36
+
+
+@pytest.mark.parametrize("catalog, max_n, failures", [
+    (identities.list_identities, 15, 0),
+    (corrupt_c_diff_half, 30, 225),
+])
+def test_a_verbose_run_builds_an_eval_result_only_for_a_failing_case(
+        monkeypatch, catalog, max_n, failures):
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return EvalResult(*fields)
+
+    monkeypatch.setattr(harness, "EvalResult", counted)
+    rows = []
+    report = run_suite(max_n, catalog=catalog(), write=rows.append)
+    assert len(built) == report.total_failures == failures
+    assert len(rows) == 1 + sum(r.checked for r in report.records)
 
 
 def test_run_suite_minimal_bound_enumeration():
@@ -579,6 +599,19 @@ def test_compare_methods_minimal():
     assert all(r.checked >= 1 for r in report.records)
 
 
+def test_compare_methods_walks_its_terms_without_holding_them():
+    # The recurrence terms of 0..1500 take about 440 KB as a list; walked,
+    # only the term at hand and its neighbour are alive.
+    compare_methods(10)  # the first run pays the one-time allocations
+    tracemalloc.start()
+    try:
+        assert compare_methods(1500).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
 @pytest.mark.parametrize("route", ["term_binet", "term_doubling"])
 def test_compare_methods_records_the_first_divergence_per_kind_and_stops(monkeypatch, route):
     real = getattr(harness, route)
@@ -647,6 +680,19 @@ def test_oracle_equivalence_reports_a_dropped_member_and_a_non_member(monkeypatc
         EvalResult("COBALANCING", 4, None, 5, 4, False),
     ]
     assert cobalancing.checked == 4 + 5
+
+
+def test_a_failed_witness_renders_as_a_false_csv_row_with_equal_sides(monkeypatch):
+    real = oracle.balancer_of
+
+    def no_witness_for_35(member):
+        if member == 35:
+            raise DomainError("no balancer")
+        return real(member)
+
+    monkeypatch.setattr(oracle, "balancer_of", no_witness_for_35)
+    report = oracle_equivalence(300)
+    assert emit_report(report, "csv").decode() == "id,n,m,lhs,rhs,holds\nBALANCING,35,,-1,-1,false\n"
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
