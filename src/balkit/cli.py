@@ -71,23 +71,6 @@ def _check_size(kind: SequenceKind, start: int, stop: int, method: str = "") -> 
         raise DomainError("term --method %s takes n <= %d, got n=%d" % (method, cap, stop))
 
 
-def _past(n: int, bits: int) -> bool:
-    """Whether the term at index n has an estimated bit length above bits.
-
-    Past _STR_MAX_BITS (term) or _ALWAYS_STR_BITS (seq), computing in
-    Decimal and printing with str() costs less than str() of the int.
-    """
-    return n * _LOG2_LAMBDA > bits
-
-
-def _term_value(kind: SequenceKind, n: int, method: str) -> int:
-    if method == "recurrence":
-        return term_recurrence(kind, n)
-    if method == "binet":
-        return term_binet(kind, n)
-    return term_doubling(kind, n)  # "doubling" and "auto"
-
-
 def _print_json(obj) -> None:
     import json
 
@@ -111,11 +94,13 @@ def _write_json_strings(head: str, values: Iterable[str], tail: str) -> None:
 def _cmd_term(args: argparse.Namespace) -> int:
     kind = parse_kind(args.kind)
     _check_size(kind, args.n, args.n, args.method)
-    if args.method in ("auto", "doubling") and _past(args.n, _STR_MAX_BITS):
+    # Past this estimated bit length, Decimal costs less than str() of the int.
+    if args.method in ("auto", "doubling") and args.n * _LOG2_LAMBDA > _STR_MAX_BITS:
         with exact_context() as ctx:
             text = str(term_doubling(kind, args.n, ctx.create_decimal(1)))
     else:
-        text = decimal_str(_term_value(kind, args.n, args.method))
+        route = {"recurrence": term_recurrence, "binet": term_binet}.get(args.method, term_doubling)
+        text = decimal_str(route(kind, args.n))
     if args.format == "json":
         _print_json({"kind": kind.value, "n": args.n, "value": text})
     else:
@@ -126,26 +111,26 @@ def _cmd_term(args: argparse.Namespace) -> int:
 def _cmd_seq(args: argparse.Namespace) -> int:
     kind = parse_kind(args.kind)
     _check_size(kind, args.start, args.stop)
-    if _past(args.stop, _ALWAYS_STR_BITS):
+    # Past this estimated bit length of the last term, Decimal costs less than
+    # str() of the ints; below it each term has under 640 digits, so str() is decimal_str().
+    if args.stop * _LOG2_LAMBDA > _ALWAYS_STR_BITS:
         with exact_context() as ctx:
             values = stream(kind, args.start, args.stop, ctx.create_decimal(1))
-        render = str
     else:
         values = stream(kind, args.start, args.stop)
-        render = decimal_str
     if args.format == "json":
         _write_json_strings(
             '{"kind":"%s","start":%d,"stop":%d,"values":' % (kind.value, args.start, args.stop),
-            map(render, values),
+            map(str, values),
             "}\n",
         )
     elif args.format == "csv":
         sys.stdout.write("n,value\n")
         for n, v in enumerate(values, args.start):
-            sys.stdout.write("%d,%s\n" % (n, render(v)))
+            sys.stdout.write("%d,%s\n" % (n, v))
     else:
         for v in values:
-            sys.stdout.write(render(v) + "\n")
+            sys.stdout.write(str(v) + "\n")
     return 0
 
 
@@ -177,21 +162,16 @@ def _classify(x: int) -> dict:
             continue
         out[kind.value] = {"member": True, "index": index_of(kind, x), role: decimal_str(w.r)}
 
-    # x = C(k) iff x is odd and t = (x^2 - 1)/8 is the square of a balancing
-    # number (or of 0, giving the 0th term); the square root is then B(k).
-    # x = c(k) iff x is odd and t = b*(b+1) for a cobalancing b.
-    lucas_b: Optional[int] = None
-    lucas_c: Optional[int] = None
-    if x >= 1 and x % 2 == 1:
-        t = (x * x - 1) // 8
-        y = oracle.isqrt(t)
-        if y * y == t:
-            lucas_b = index_of(SequenceKind.BALANCING, y)
-        b = (oracle.isqrt(4 * t + 1) - 1) // 2
-        if b * (b + 1) == t:
-            lucas_c = index_of(SequenceKind.COBALANCING, b)
-    for key, idx in (("lucas-balancing", lucas_b), ("lucas-cobalancing", lucas_c)):
-        out[key] = {"member": False} if idx is None else {"member": True, "index": idx}
+    # The root conditions: for odd x and t = (x^2 - 1)/8, x = C(k) iff t is a
+    # square (every solution of x^2 - 8y^2 = 1 is (C(k), B(k))), and x = c(k)
+    # iff 4t + 1 = (x^2 + 1)/2 is one (then x^2 = 8b^2 + 8b + 1, 2b + 1 its root).
+    t = (x * x - 1) // 8
+    for kind, s in ((SequenceKind.LUCAS_BALANCING, t),
+                    (SequenceKind.LUCAS_COBALANCING, 4 * t + 1)):
+        if x % 2 == 1 and oracle.isqrt(s) ** 2 == s:
+            out[kind.value] = {"member": True, "index": index_of(kind, x)}
+        else:
+            out[kind.value] = {"member": False}
     return out
 
 

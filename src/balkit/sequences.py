@@ -352,11 +352,11 @@ def exact_context():
 def decimal_str(x: int) -> str:
     """str(x), in subquadratic time for large x.
 
-    Every int the CLI prints and the harness reports serialize goes through
-    here. A large x is split recursively at powers of two,
-    x = hi * 2**h + lo, and rebuilt as a decimal.Decimal, whose libmpdec
-    multiply is subquadratic, under exact_context(), so the result is exact
-    or the conversion raises.
+    Every int the CLI prints (but seq's under 640 digits, by str() alike) and
+    the harness reports serialize goes through here. A large x is split
+    recursively at powers of two, x = hi * 2**h + lo, and rebuilt as a
+    decimal.Decimal, whose libmpdec multiply is subquadratic, under
+    exact_context(), so the result is exact or the conversion raises.
 
     str() also refuses values above the process-wide int/str digit limit
     (4300 digits by default; cli.main lifts it), so it is used only while

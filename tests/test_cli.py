@@ -313,6 +313,21 @@ def test_classify_takes_one_square_root_per_family(monkeypatch, x):
     assert len(roots) == (4 if x % 2 else 2)
 
 
+def test_classify_lucas_verdicts_are_membership_in_the_walked_terms():
+    """x in 0..5000 and every B, C, b, c term below index 200 shifted by
+    -2..+2: the Lucas verdicts name exactly the walked C and c terms."""
+    terms = {kind: stream(kind, kind.min_index, 199) for kind in SequenceKind}
+    xs = set(range(5001)) | {v + d for vs in terms.values() for v in vs
+                             for d in range(-2, 3) if v + d >= 0}
+    verdicts = {x: cli._classify(x) for x in xs}
+    for kind in (SequenceKind.LUCAS_BALANCING, SequenceKind.LUCAS_COBALANCING):
+        index = {v: k for k, v in enumerate(terms[kind], kind.min_index)}
+        for x in xs:
+            k = index.get(x)
+            expected = {"member": False} if k is None else {"member": True, "index": k}
+            assert verdicts[x][kind.value] == expected, (kind.value, x)
+
+
 def test_classify_malformed_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_classify", computed)
     with pytest.raises(Computed):

@@ -40,10 +40,9 @@ def run_cli(capsys, *argv):
 
 
 def test_thresholds_are_where_the_estimate_passes_the_render_constants():
-    assert not cli._past(TERM_T - 1, sequences._STR_MAX_BITS)
-    assert cli._past(TERM_T, sequences._STR_MAX_BITS)
-    assert not cli._past(SEQ_T - 1, sequences._ALWAYS_STR_BITS)
-    assert cli._past(SEQ_T, sequences._ALWAYS_STR_BITS)
+    lam = sequences._LOG2_LAMBDA
+    assert (TERM_T - 1) * lam <= sequences._STR_MAX_BITS < TERM_T * lam
+    assert (SEQ_T - 1) * lam <= sequences._ALWAYS_STR_BITS < SEQ_T * lam
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))

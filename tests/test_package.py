@@ -3,9 +3,11 @@
 QuadInt and BalancerWitness are __slots__ classes, and EvalResult a
 frozen dataclass with slots. Their equality, hashing, keyword construction
 and repr must behave as the frozen dataclasses without slots did; the repr
-strings below are the ones those dataclasses printed.
+strings below are the ones those dataclasses printed. The README's examples
+must print what they state, and every module must use what it imports.
 """
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -17,10 +19,12 @@ import sys
 import pytest
 
 import balkit
-from balkit import identities
+from balkit import cli, identities
 from balkit.identities import EvalResult
 from balkit.oracle import BalancerWitness
 from balkit.quadring import QuadInt
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _pair(cls, **fields):
@@ -101,3 +105,38 @@ def test_the_readme_library_example_runs():
     proc = subprocess.run([sys.executable, "-c", example], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+# Each README CLI line that states its output: the command, its comment and
+# the whole stdout that comment stands for (classify's states the first line).
+README_CLI = [
+    ("balkit term B 2", "# -> 6", "6\n"),
+    ("balkit term c 4 --method binet", "# -> 239", "239\n"),
+    ("balkit seq B 0 4", "# -> 0 1 6 35 204 (one per line)", "0\n1\n6\n35\n204\n"),
+    ("balkit classify 6", "# balancing: yes (index 2, balancer 2)",
+     "balancing: yes (index 2, balancer 2)\ncobalancing: no\n"
+     "lucas-balancing: no\nlucas-cobalancing: no\n"),
+    ("balkit search balancing --limit 300 --method oracle", "# 1 6 35 204",
+     "1\n6\n35\n204\n"),
+]
+
+
+@pytest.mark.parametrize("command, comment, out", README_CLI, ids=[c for c, _, _ in README_CLI])
+def test_the_readme_cli_examples_print_what_they_state(capsys, command, comment, out):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```$", readme, re.M | re.S).group(1)
+    assert re.search(r"^%s +%s$" % (re.escape(command), re.escape(comment)), block, re.M)
+    assert cli.main(command.split()[1:]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "balkit").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    """A name a module imports at top level appears as a name in its code."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                for alias in stmt.names}
+    assert imported - used - {"annotations"} == set()
