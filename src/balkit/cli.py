@@ -43,14 +43,13 @@ from .sequences import (
 
 # term and seq refuse, before any arithmetic, a request whose terms have
 # more than PRINT_DIGITS_MAX digits by digits_bound: 100 MB of output, about
-# B(1.3e8) or seq B 0 16160. There the doubling term takes about 16 s and
-# 400 MB (B(6e7) takes 6.7 s and 172 MB), and seq B 0 16160 takes 0.3 s and
-# 58 MB in plain, json and csv alike, as it writes one value at a time. The
-# slower term routes are capped by index near a minute's work: recurrence is
-# quadratic (B(2e5) takes 3.5 s) and binet grows about as n**1.6 (B(4e6)
-# takes 4.7 s). Measured on a 2-core x86-64 host with CPython 3.11.
+# B(1.3e8) or seq B 0 16160. There term B and term c take 28 and 24 s by
+# doubling and 41 and 30 s by the closed form, in 301 to 358 MB; seq B 0
+# 16160 takes 0.3 s and 58 MB in any format, as it writes one value at a
+# time. The quadratic recurrence is capped by index near a minute's work
+# (B(2e5) takes 3.5 s). Measured on a 2-core x86-64 host, CPython 3.11.
 PRINT_DIGITS_MAX = 10**8
-TERM_N_MAX = {"recurrence": 5 * 10**5, "binet": 10**7}
+TERM_N_MAX = {"recurrence": 5 * 10**5}
 # bench refuses n above its method's cap before timing anything. Its
 # recurrence shares term's; its int doubling grows about as n**1.6, and at
 # n = 10**7 takes 17 s, and the whole run with its digit count and Pell check
@@ -94,12 +93,12 @@ def _write_json_strings(head: str, values: Iterable[str], tail: str) -> None:
 def _cmd_term(args: argparse.Namespace) -> int:
     kind = parse_kind(args.kind)
     _check_size(kind, args.n, args.n, args.method)
-    # Past this estimated bit length, Decimal costs less than str() of the int.
-    if args.method in ("auto", "doubling") and args.n * _LOG2_LAMBDA > _STR_MAX_BITS:
+    route = {"recurrence": term_recurrence, "binet": term_binet}.get(args.method, term_doubling)
+    # Past this estimated bit length, Decimal products cost less than str() of the int.
+    if args.method != "recurrence" and args.n * _LOG2_LAMBDA > _STR_MAX_BITS:
         with exact_context() as ctx:
-            text = str(term_doubling(kind, args.n, ctx.create_decimal(1)))
+            text = str(route(kind, args.n, ctx.create_decimal(1)))
     else:
-        route = {"recurrence": term_recurrence, "binet": term_binet}.get(args.method, term_doubling)
         text = decimal_str(route(kind, args.n))
     if args.format == "json":
         _print_json({"kind": kind.value, "n": args.n, "value": text})
@@ -250,7 +249,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if companion is not None:
         # Self-check the doubling result against the Pell relation.
         b_val = values["doubling"]
-        pell_ok = companion * companion - 8 * b_val * b_val == 1
+        pell_ok = companion * companion - 8 * (b_val * b_val) == 1
         sys.stdout.write("pell: %s\n" % ("ok" if pell_ok else "VIOLATED"))
         if not pell_ok:
             return 1

@@ -50,16 +50,16 @@ class QuadInt:
         )
 
     def __pow__(self, k: int) -> QuadInt:
-        # Left to right over the bits of k: square with three products,
-        # (a + b*s)^2 = (a^2 + 2b^2) + 2ab*s, and on a set bit multiply by
-        # self. For a small base such as a Pell unit that multiply is linear
+        # Left to right over the bits of k: square with two squares and a
+        # product, (a + b*s)^2 = (a^2 + 2b^2) + 2ab*s, and on a set bit
+        # multiply by self. For a small base such as a Pell unit that multiply is linear
         # time, so each bit costs about one big squaring.
         if k < 0:
             raise ValueError("exponent must be nonnegative, got %d" % k)
         x, y = self.a, self.b
         a, b = 1, 0
         for i in range(k.bit_length() - 1, -1, -1):
-            a, b = a * a + 2 * b * b, 2 * a * b
+            a, b = a * a + 2 * (b * b), 2 * (a * b)
             if (k >> i) & 1:
                 a, b = a * x + 2 * b * y, a * y + b * x
         return QuadInt(a, b)
@@ -70,7 +70,7 @@ class QuadInt:
 
     def norm(self) -> int:
         """Field norm a^2 - 2*b^2; multiplicative over products."""
-        return self.a * self.a - 2 * self.b * self.b
+        return self.a * self.a - 2 * (self.b * self.b)
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}*sqrt(2)"

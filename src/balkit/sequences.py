@@ -6,21 +6,20 @@ companions (1, 3, 17, 99, 577, ...), b(n) the cobalancing numbers
 B and C are indexed from 0, b and c from 1; requests outside those domains
 are errors, not extrapolations.
 
-Every term can be produced by linear recurrence iteration, by an exact
-closed form in Z[sqrt(2)], or by logarithmic-time fast doubling. The three
-routes are algebraically equal, and the verification harness checks that
-this implementation keeps them equal. decimal_str renders the (possibly
-huge) values for the CLI and the harness reports.
+Every term can be produced by linear recurrence iteration (walk, stream),
+by an exact closed form in Z[sqrt(2)] (term_binet), or by logarithmic-time
+fast doubling (_pair_bc), each in the number type of its seed, 1 or
+Decimal(1). The three routes are algebraically equal, and the verification
+harness checks that this implementation keeps them equal. decimal_str
+renders the (possibly huge) values for the CLI and the harness reports.
 
-Fast doubling (_pair_bc) and the recurrence (walk, stream) compute in the
-number type of their seed, 1 or Decimal(1). The int route serves the
-library, TermSource, the harness and classify. The CLI's term (by
-doubling) and seq compute large values as exact Decimals under
-exact_context() and print them with str(), which is linear, where str() of
-an int is quadratic before CPython 3.12: term once the term's estimated
-bit length passes _STR_MAX_BITS (index 12886), seq once its last term's
-passes _ALWAYS_STR_BITS (index 755). Smaller requests stay on int and never
-import decimal.
+The int route serves the library, TermSource, the harness and classify.
+The CLI's term (by doubling or the closed form) and seq compute large
+values as exact Decimals under exact_context() and print them with str(),
+which is linear, where str() of an int is quadratic before CPython 3.12:
+term once the term's estimated bit length passes _STR_MAX_BITS (index
+12886), seq once its last term's passes _ALWAYS_STR_BITS (index 755).
+Smaller requests stay on int and never import decimal.
 
 All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
 seed pair. _KINDS holds each kind's short symbol, min_index, seeds and add,
@@ -38,7 +37,7 @@ from enum import Enum
 from itertools import islice, takewhile
 from typing import Iterator, Optional
 
-from .quadring import ALPHA1, LAMBDA1, qpow
+from .quadring import QuadInt, qpow
 
 
 class DomainError(ValueError):
@@ -126,25 +125,27 @@ def term_recurrence(kind: SequenceKind, n: int) -> int:
     return stream(kind, n, n)[0]
 
 
-def term_binet(kind: SequenceKind, n: int) -> int:
+def term_binet(kind: SequenceKind, n: int, one=1):
     """n-th term from the closed form, expanded exactly in Z[sqrt(2)].
 
     With (3 + 2*sqrt(2))**n = a + b*sqrt(2) the conjugate power is
     a - b*sqrt(2), so the closed forms collapse to C(n) = a and B(n) = b/2.
     With (1 + sqrt(2))**(2n-1) = p + q*sqrt(2) they give c(n) = p and
-    b(n) = (q - 1)/2. The divisibility of the extracted coefficients is
-    forced algebraically; it is checked rather than assumed, also under
-    python -O, and a violation raises AssertionError.
+    b(n) = (q - 1)/2, in the number type of one: ints, or with one=Decimal(1)
+    exact Decimals under exact_context(). The divisibility of the extracted
+    coefficients is forced algebraically; it is checked rather than assumed,
+    also under python -O, and a violation raises AssertionError.
     """
     _check_index(kind, n)
+    _check_exact(one)
     if kind is SequenceKind.BALANCING or kind is SequenceKind.LUCAS_BALANCING:
-        u = qpow(LAMBDA1, n)
+        u = qpow(QuadInt(3 * one, 2 * one), n)
         if kind is SequenceKind.LUCAS_BALANCING:
             return u.a
         if u.b % 2:
             raise AssertionError("sqrt(2) coefficient of (3+2*sqrt(2))^n must be even")
         return u.b // 2
-    u = qpow(ALPHA1, 2 * n - 1)
+    u = qpow(QuadInt(one, one), 2 * n - 1)
     if kind is SequenceKind.LUCAS_COBALANCING:
         return u.a
     if u.b % 2 != 1:
@@ -168,7 +169,7 @@ def _pair_bc(n: int, one):
     """
     bn, cn = 0 * one, one  # index k = 0
     for i in range(n.bit_length() - 1, -1, -1):
-        bn, cn = 2 * bn * cn, 2 * cn * cn - 1
+        bn, cn = 2 * (bn * cn), 2 * (cn * cn) - 1
         if (n >> i) & 1:
             bn, cn = 3 * bn + cn, 8 * bn + 3 * cn
     return bn, cn
@@ -252,7 +253,7 @@ def walk(kind: SequenceKind, one=1) -> Iterator:
     x, y = x * one, y * one
     while True:
         yield x
-        x, y = y, 6 * y - x + add
+        x, y = y, 6 * y - x + add if add else 6 * y - x
 
 
 def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list:

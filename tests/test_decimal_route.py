@@ -23,6 +23,7 @@ from balkit.sequences import (
     digits_bound,
     exact_context,
     stream,
+    term_binet,
     term_doubling,
 )
 
@@ -53,6 +54,7 @@ def test_doubling_and_walk_agree_across_number_types(kind):
         for n in (lo, lo + 1, TERM_T - 1, TERM_T, TERM_T + 1):
             text = str(term_doubling(kind, n, one))
             assert DIGITS.fullmatch(text) and text == decimal_str(term_doubling(kind, n))
+            assert str(term_binet(kind, n, one)) == text == decimal_str(term_binet(kind, n))
         dec = stream(kind, lo, SEQ_T + 1, one)
     ints = stream(kind, lo, SEQ_T + 1)
     assert list(map(str, dec)) == list(map(decimal_str, ints))
@@ -62,7 +64,8 @@ def test_doubling_and_walk_agree_across_number_types(kind):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Records the number type each term_doubling and stream call computes in."""
+    """Records the number type each term_doubling, term_binet and stream call
+    computes in."""
     seen = []
 
     def spy(fn):
@@ -72,6 +75,7 @@ def routes(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "term_doubling", spy(sequences.term_doubling))
+    monkeypatch.setattr(cli, "term_binet", spy(sequences.term_binet))
     monkeypatch.setattr(cli, "stream", spy(sequences.stream))
     return seen
 
@@ -81,12 +85,13 @@ def test_term_prints_the_int_route_text_around_the_threshold(kind, routes, capsy
     lo = kind.min_index
     for n in (lo, lo + 1, TERM_T - 1, TERM_T, TERM_T + 1):
         text = decimal_str(term_doubling(kind, n))
-        for method in ("auto", "doubling"):
+        for method in ("auto", "doubling", "binet"):
             del routes[:]
             code, out, err = run_cli(capsys, "term", kind.short, str(n), "--method", method)
             assert (code, out, err) == (0, text + "\n", "")
             assert routes == ["Decimal" if n >= TERM_T else "int"]
-            code, out, _ = run_cli(capsys, "term", kind.short, str(n), "--format", "json")
+            code, out, _ = run_cli(capsys, "term", kind.short, str(n), "--method", method,
+                                   "--format", "json")
             assert code == 0 and json.loads(out) == {"kind": kind.value, "n": n, "value": text}
     # The recurrence route stays on int on both sides of the threshold.
     del routes[:]
@@ -196,13 +201,17 @@ def test_term_past_the_digit_cap_exits_2_before_arithmetic(no_arithmetic, capsys
     top = _top(lambda n: digits_bound(n, n) <= cli.PRINT_DIGITS_MAX)
     assert 1.3 * 10**8 < top < 1.31 * 10**8
     for kind in ("B", "c"):
-        with pytest.raises(Computed):
-            cli.main(["term", kind, str(top)])
-        for n in (top + 1, 10**400):
-            code, out, err = run_cli(capsys, "term", kind, str(n))
-            assert (code, out) == (2, "")
-            assert err.startswith("error: %s(%d) has up to " % (kind, n))
-            assert err.endswith("digits, above the limit of 100000000\n")
+        for method in ("auto", "binet"):
+            with pytest.raises(Computed):
+                cli.main(["term", kind, str(top), "--method", method])
+            for n in (top + 1, 10**400):
+                code, out, err = run_cli(capsys, "term", kind, str(n), "--method", method)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: %s(%d) has up to " % (kind, n))
+                assert err.endswith("digits, above the limit of 100000000\n")
+    # The closed form has no index cap of its own below the digit cap.
+    with pytest.raises(Computed):
+        cli.main(["term", "b", "10000001", "--method", "binet"])
 
 
 @pytest.mark.parametrize("method, cap", sorted(cli.TERM_N_MAX.items()))

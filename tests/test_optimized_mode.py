@@ -3,7 +3,7 @@
 Under python -O asserts are stripped, so the library's invariant checks
 are explicit raises. A child interpreter started with -O forces each of
 them and expects AssertionError, on the int and the Decimal route of fast
-doubling; another runs term and seq past their Decimal thresholds and must
+doubling and of the closed form; another runs term and seq past their Decimal thresholds and must
 print what this process prints. A static check keeps assert statements
 out of the package. A second static check keeps eval, exec and compile
 out of the package, except in the builder that compiles the identity
@@ -46,6 +46,14 @@ CHILD = textwrap.dedent(
     sequences.qpow = lambda base, e: QuadInt(1, 2)  # even sqrt(2) coefficient
     out["binet_cobalancing_parity"] = raises(
         lambda: sequences.term_binet(SequenceKind.COBALANCING, 3))
+    with sequences.exact_context() as ctx:  # the same checks on Decimal coefficients
+        one = ctx.create_decimal(1)
+        sequences.qpow = lambda base, e: QuadInt(one, one)
+        out["decimal_binet_balancing_parity"] = raises(
+            lambda: sequences.term_binet(SequenceKind.BALANCING, 3, one))
+        sequences.qpow = lambda base, e: QuadInt(one, 2 * one)
+        out["decimal_binet_cobalancing_parity"] = raises(
+            lambda: sequences.term_binet(SequenceKind.COBALANCING, 3, one))
     sequences.pair_bc = lambda n: (0, 0)  # C - 2B - 1 = -1 is odd
     out["pair_cobal_parity"] = raises(lambda: sequences.pair_cobal(3))
     with sequences.exact_context() as ctx:  # the same bridge on the Decimal route
@@ -89,7 +97,7 @@ def test_invariant_raises_fire_under_python_O():
     assert proc.returncode == 0, proc.stderr[-3000:]
     out = json.loads(proc.stdout)
     assert out.pop("optimize") == 1
-    assert out == dict.fromkeys(out, True) and len(out) == 6, out
+    assert out == dict.fromkeys(out, True) and len(out) == 8, out
 
 
 def test_decimal_route_prints_the_same_under_python_O(capsys):
