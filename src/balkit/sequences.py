@@ -253,7 +253,7 @@ def walk(kind: SequenceKind, one=1) -> Iterator:
     x, y = x * one, y * one
     while True:
         yield x
-        x, y = y, 6 * y - x + add if add else 6 * y - x
+        x, y = y, 6 * y - x + add if add else 6 * y - x  # + 0 would copy a big int
 
 
 def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list:
