@@ -52,12 +52,12 @@ class QuadInt:
     def __pow__(self, k: int) -> QuadInt:
         # Left to right over the bits of k: square with two squares and a
         # product, (a + b*s)^2 = (a^2 + 2b^2) + 2ab*s, and on a set bit
-        # multiply by self. For a small base such as a Pell unit that multiply is linear
-        # time, so each bit costs about one big squaring.
+        # multiply by self. For a small base such as a Pell unit that
+        # multiply is linear time, so each bit costs about one ring squaring.
         if k < 0:
             raise ValueError("exponent must be nonnegative, got %d" % k)
         x, y = self.a, self.b
-        a, b = 1, 0
+        a, b = x - x + 1, y - y  # the identity, in the number type of self
         for i in range(k.bit_length() - 1, -1, -1):
             a, b = a * a + 2 * (b * b), 2 * (a * b)
             if (k >> i) & 1:

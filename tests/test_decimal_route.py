@@ -54,7 +54,9 @@ def test_doubling_and_walk_agree_across_number_types(kind):
         for n in (lo, lo + 1, TERM_T - 1, TERM_T, TERM_T + 1):
             text = str(term_doubling(kind, n, one))
             assert DIGITS.fullmatch(text) and text == decimal_str(term_doubling(kind, n))
-            assert str(term_binet(kind, n, one)) == text == decimal_str(term_binet(kind, n))
+            value = term_binet(kind, n, one)
+            assert isinstance(value, decimal.Decimal), (kind, n)
+            assert str(value) == text == decimal_str(term_binet(kind, n))
         dec = stream(kind, lo, SEQ_T + 1, one)
     ints = stream(kind, lo, SEQ_T + 1)
     assert list(map(str, dec)) == list(map(decimal_str, ints))
