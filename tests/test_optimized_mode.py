@@ -3,11 +3,11 @@
 Under python -O asserts are stripped, so the library's invariant checks
 are explicit raises. A child interpreter started with -O forces each of
 them and expects AssertionError, on the int and the Decimal route of fast
-doubling and of the closed form; another runs term and seq past their Decimal thresholds and must
-print what this process prints. A static check keeps assert statements
-out of the package. A second static check keeps eval, exec and compile
-out of the package, except in the builder that compiles the identity
-catalog's statements.
+doubling and of the closed form; another runs term and seq past their
+Decimal thresholds and must print what this process prints. A static check
+keeps assert statements out of the package. A second static check keeps
+eval, exec and compile out of the package, except in the builder that
+compiles the identity catalog's statements.
 """
 
 import ast
