@@ -17,7 +17,6 @@ _HOME = {
     "DomainError": "sequences",
     "EvalResult": "identities",
     "IdentityDescriptor": "identities",
-    "QuadInt": "quadring",
     "SequenceKind": "sequences",
     "TermSource": "sequences",
     "UnknownIdentityError": "sequences",

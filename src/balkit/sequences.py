@@ -7,7 +7,8 @@ B and C are indexed from 0, b and c from 1; requests outside those domains
 are errors, not extrapolations.
 
 Every term can be produced by linear recurrence iteration (walk, stream),
-by an exact closed form in Z[sqrt(2)] (term_binet), or by logarithmic-time
+by an exact closed form in Z[sqrt(2)] (term_binet, whose ring power is
+qpow on the coefficient pair of a + b*sqrt(2)), or by logarithmic-time
 fast doubling (_pair_bc), each in the number type of its seed, 1 or
 Decimal(1). The three routes are algebraically equal, and the verification
 harness checks that this implementation keeps them equal. decimal_str
@@ -36,8 +37,6 @@ import sys
 from enum import Enum
 from itertools import islice, takewhile
 from typing import Iterator, Optional
-
-from .quadring import QuadInt, qpow
 
 
 class DomainError(ValueError):
@@ -125,6 +124,25 @@ def term_recurrence(kind: SequenceKind, n: int) -> int:
     return stream(kind, n, n)[0]
 
 
+def qpow(x, y, k: int):
+    """The pair (a, b) with a + b*sqrt(2) = (x + y*sqrt(2))**k, k >= 0, in the
+    number type of x and y; k = 0 gives the identity (1, 0).
+
+    Left to right over the bits of k: square with two squares and a product,
+    (a + b*s)**2 = (a**2 + 2*b**2) + 2ab*s, and on a set bit multiply by the
+    base. For a small base such as a Pell unit that multiply is linear time,
+    so each bit costs about one squaring in Z[sqrt(2)].
+    """
+    if k < 0:
+        raise ValueError("exponent must be nonnegative, got %d" % k)
+    a, b = x - x + 1, y - y  # the identity, in the number type of the base
+    for i in range(k.bit_length() - 1, -1, -1):
+        a, b = a * a + 2 * (b * b), 2 * (a * b)
+        if (k >> i) & 1:
+            a, b = a * x + 2 * b * y, a * y + b * x
+    return a, b
+
+
 def term_binet(kind: SequenceKind, n: int, one=1):
     """n-th term from the closed form, expanded exactly in Z[sqrt(2)].
 
@@ -139,18 +157,18 @@ def term_binet(kind: SequenceKind, n: int, one=1):
     _check_index(kind, n)
     _check_exact(one)
     if kind is SequenceKind.BALANCING or kind is SequenceKind.LUCAS_BALANCING:
-        u = qpow(QuadInt(3 * one, 2 * one), n)
+        a, b = qpow(3 * one, 2 * one, n)
         if kind is SequenceKind.LUCAS_BALANCING:
-            return u.a
-        if u.b % 2:
+            return a
+        if b % 2:
             raise AssertionError("sqrt(2) coefficient of (3+2*sqrt(2))^n must be even")
-        return u.b // 2
-    u = qpow(QuadInt(one, one), 2 * n - 1)
+        return b // 2
+    p, q = qpow(one, one, 2 * n - 1)
     if kind is SequenceKind.LUCAS_COBALANCING:
-        return u.a
-    if u.b % 2 != 1:
+        return p
+    if q % 2 != 1:
         raise AssertionError("sqrt(2) coefficient of (1+sqrt(2))^(2n-1) must be odd")
-    return (u.b - 1) // 2
+    return (q - 1) // 2
 
 
 def _pair_bc(n: int, one):
@@ -279,8 +297,9 @@ class TermSource:
     t.b[i] and t.c[i]: plain dicts from index to term. prefill() fills them
     from min_index up with no gap, for a grid; identities.evaluate() sets
     just the terms its one point reads. A read outside them, below
-    min_index included, is a plain KeyError. Give each thread its own
-    source.
+    min_index included, is a plain KeyError. harness.run_suite() prefills
+    one source before it forks any worker, and the workers only read it;
+    identities.evaluate() builds its own.
     """
 
     __slots__ = ("B", "C", "b", "c")

@@ -644,7 +644,9 @@ def test_lean_commands_import_only_what_they_need():
     assert result["codes"] == [0] * (len(commands) + 1)
     heavy = {"dataclasses", "decimal", "inspect", "json", "balkit.harness", "balkit.identities"}
     assert heavy.isdisjoint(result["loaded"]), sorted(heavy & set(result["loaded"]))
-    assert "balkit.sequences" in result["loaded"]
+    # Exactly these, so a new import into a lean command's path shows here.
+    balkit_loaded = {name for name in result["loaded"] if name.split(".")[0] == "balkit"}
+    assert balkit_loaded == {"balkit", "balkit.cli", "balkit.oracle", "balkit.sequences"}
     assert result["harness_after_verify"]
 
 

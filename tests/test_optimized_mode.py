@@ -27,7 +27,6 @@ CHILD = textwrap.dedent(
     """
     import json, sys
     from balkit import oracle, sequences
-    from balkit.quadring import QuadInt
     from balkit.sequences import SequenceKind
 
     def raises(fn):
@@ -40,18 +39,18 @@ CHILD = textwrap.dedent(
     out = {"optimize": sys.flags.optimize}
     out["witness_negative_r"] = raises(lambda: oracle.BalancerWitness(6, -1, 15, 15))
     out["witness_unequal_sums"] = raises(lambda: oracle.BalancerWitness(6, 2, 15, 14))
-    sequences.qpow = lambda base, e: QuadInt(1, 1)  # odd sqrt(2) coefficient
+    sequences.qpow = lambda x, y, k: (1, 1)  # odd sqrt(2) coefficient
     out["binet_balancing_parity"] = raises(
         lambda: sequences.term_binet(SequenceKind.BALANCING, 3))
-    sequences.qpow = lambda base, e: QuadInt(1, 2)  # even sqrt(2) coefficient
+    sequences.qpow = lambda x, y, k: (1, 2)  # even sqrt(2) coefficient
     out["binet_cobalancing_parity"] = raises(
         lambda: sequences.term_binet(SequenceKind.COBALANCING, 3))
     with sequences.exact_context() as ctx:  # the same checks on Decimal coefficients
         one = ctx.create_decimal(1)
-        sequences.qpow = lambda base, e: QuadInt(one, one)
+        sequences.qpow = lambda x, y, k: (one, one)
         out["decimal_binet_balancing_parity"] = raises(
             lambda: sequences.term_binet(SequenceKind.BALANCING, 3, one))
-        sequences.qpow = lambda base, e: QuadInt(one, 2 * one)
+        sequences.qpow = lambda x, y, k: (one, 2 * one)
         out["decimal_binet_cobalancing_parity"] = raises(
             lambda: sequences.term_binet(SequenceKind.COBALANCING, 3, one))
     sequences.pair_bc = lambda n: (0, 0)  # C - 2B - 1 = -1 is odd

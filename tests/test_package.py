@@ -1,10 +1,10 @@
 """The package surface: lazily resolved exports and the plain value classes.
 
-QuadInt and BalancerWitness are __slots__ classes, and EvalResult a
-frozen dataclass with slots. Their equality, hashing, keyword construction
-and repr must behave as the frozen dataclasses without slots did; the repr
-strings below are the ones those dataclasses printed. The README's examples
-must print what they state, and every module must use what it imports.
+BalancerWitness is a __slots__ class, and EvalResult a frozen dataclass
+with slots. Their equality, hashing, keyword construction and repr must
+behave as the frozen dataclasses without slots did; the repr strings below
+are the ones those dataclasses printed. The README's examples must print
+what they state, and every module must use what it imports.
 """
 
 import ast
@@ -22,7 +22,6 @@ import balkit
 from balkit import cli, identities
 from balkit.identities import EvalResult
 from balkit.oracle import BalancerWitness
-from balkit.quadring import QuadInt
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -33,7 +32,6 @@ def _pair(cls, **fields):
 
 
 @pytest.mark.parametrize("cls, fields, other", [
-    (QuadInt, {"a": 3, "b": 2}, {"a": 3, "b": -2}),
     (BalancerWitness, {"n": 6, "r": 2, "left_sum": 15, "right_sum": 15},
      {"n": 35, "r": 14, "left_sum": 595, "right_sum": 595}),
     (EvalResult, {"ident": "B_ADD", "n": 2, "m": None, "lhs": 6, "rhs": 6, "holds": True},
@@ -55,8 +53,6 @@ def test_value_class_equality_and_hash(cls, fields, other):
 
 
 def test_value_class_reprs_are_the_dataclass_reprs():
-    assert repr(QuadInt(3, 2)) == "QuadInt(a=3, b=2)"
-    assert repr(QuadInt(a=-5, b=0)) == "QuadInt(a=-5, b=0)"
     assert repr(BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)) == (
         "BalancerWitness(n=6, r=2, left_sum=15, right_sum=15)")
     assert repr(EvalResult("MOD16_C", 3, None, 1, 1, True)) == (

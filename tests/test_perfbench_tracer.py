@@ -37,6 +37,7 @@ def test_traced_commands_run_and_record_doubling():
     commands = [
         ["term", "b", "500"],
         ["term", "B", "100", "--method", "binet"],
+        ["term", "B", "300", "--method", "recurrence"],
         ["verify", "--max-n", "5", "--jobs", "2"],
         # Reads only b and c: the prefilled tables are set on the tracer's
         # TermSource subclass.
@@ -66,9 +67,13 @@ def test_traced_commands_run_and_record_doubling():
     # harness and evaluator spans the verify workload's; the per-identity
     # span is installed only if harness._run_identity exists, and the
     # prefill span only if run_suite builds harness.TermSource and calls its
-    # prefill. The stream span feeds the bigterm workload's seq requests.
+    # prefill. The stream span feeds the bigterm workload's seq requests, and
+    # the term_binet, quadring.pow and term_recurrence spans its binet and
+    # recurrence metrics; quadring.pow wraps sequences.qpow, which term_binet
+    # must look up as that module global.
     for name in ("sequences.pair_bc", "oracle.search_family", "oracle.witness",
                  "harness.run_suite", "harness.identity", "identities.eval",
-                 "sequences.termsource.prefill", "sequences.stream"):
+                 "sequences.termsource.prefill", "sequences.stream",
+                 "quadring.pow", "sequences.term_binet", "sequences.term_recurrence"):
         calls, total_s, _ = result["stats"][name]
         assert calls > 0 and total_s > 0, name
