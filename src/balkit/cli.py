@@ -45,9 +45,10 @@ from .sequences import (
 # more than PRINT_DIGITS_MAX digits by digits_bound: 100 MB of output, about
 # B(1.3e8) or seq B 0 16160. There term B and term c take 28 and 24 s by
 # doubling and 41 and 30 s by the closed form, in 301 to 358 MB; seq B 0
-# 16160 takes 0.3 s and 58 MB in any format, as it writes one value at a
-# time. The quadratic recurrence is capped by index near a minute's work
-# (B(2e5) takes 3.5 s). Measured on a 2-core x86-64 host, CPython 3.11.
+# 16160 takes 0.4 s and 15 MB in any format, as it computes and writes one
+# value at a time. The quadratic recurrence is capped by index near a
+# minute's work (B(2e5) takes 3.5 s). Measured on a 2-core x86-64 host,
+# CPython 3.11.
 PRINT_DIGITS_MAX = 10**8
 TERM_N_MAX = {"recurrence": 5 * 10**5}
 # bench refuses n above its method's cap before timing anything. Its
@@ -112,11 +113,17 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     _check_size(kind, args.start, args.stop)
     # Past this estimated bit length of the last term, Decimal costs less than
     # str() of the ints; below it each term has under 640 digits, so str() is decimal_str().
+    # stream() returns a view that computes each term as it is written, so
+    # the Decimal terms are written inside the context they are computed in.
     if args.stop * _LOG2_LAMBDA > _ALWAYS_STR_BITS:
         with exact_context() as ctx:
-            values = stream(kind, args.start, args.stop, ctx.create_decimal(1))
+            _write_seq(args, kind, stream(kind, args.start, args.stop, ctx.create_decimal(1)))
     else:
-        values = stream(kind, args.start, args.stop)
+        _write_seq(args, kind, stream(kind, args.start, args.stop))
+    return 0
+
+
+def _write_seq(args: argparse.Namespace, kind: SequenceKind, values: Iterable) -> None:
     if args.format == "json":
         _write_json_strings(
             '{"kind":"%s","start":%d,"stop":%d,"values":' % (kind.value, args.start, args.stop),
@@ -130,7 +137,6 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     else:
         for v in values:
             sys.stdout.write(str(v) + "\n")
-    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

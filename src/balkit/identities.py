@@ -387,20 +387,6 @@ def lookup(ident: str) -> IdentityDescriptor:
         raise UnknownIdentityError("unknown identity id %r" % ident) from None
 
 
-def _check_arity(desc: IdentityDescriptor, m: Optional[int]) -> None:
-    if desc.arity == 2 and m is None:
-        raise DomainError("%s takes two indices (n, m)" % desc.ident)
-    if desc.arity == 1 and m is not None:
-        raise DomainError("%s takes a single index n" % desc.ident)
-
-
-def domain_check(ident: str, n: int, m: Optional[int] = None) -> bool:
-    """True iff (n, m) lies in the identity's domain."""
-    desc = lookup(ident)
-    _check_arity(desc, m)
-    return desc.domain(n, m)
-
-
 # The cap on the digits of the terms a caller holds, about 12 MB of ints.
 # term_tops() bounds a grid's tables, each kind from min_index to its top:
 # the full catalog at max_n 1239, the largest the harness's cell cap allows,
@@ -463,7 +449,10 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     read_error() as any read outside the table does.
     """
     desc = lookup(ident)
-    _check_arity(desc, m)
+    if desc.arity == 2 and m is None:
+        raise DomainError("%s takes two indices (n, m)" % ident)
+    if desc.arity == 1 and m is not None:
+        raise DomainError("%s takes a single index n" % ident)
     if not desc.domain(n, m):
         raise DomainError(
             "(n=%s, m=%s) is outside the domain of %s (%s)"

@@ -85,25 +85,6 @@ def isqrt(x: int) -> int:
     return math.isqrt(x)
 
 
-def _is_square(x: int) -> bool:
-    return x >= 0 and math.isqrt(x) ** 2 == x
-
-
-def is_balancing(x: int) -> bool:
-    """True iff x >= 1 and 8*x**2 + 1 is a perfect square."""
-    return x >= 1 and _is_square(8 * x * x + 1)
-
-
-def is_cobalancing(x: int) -> bool:
-    """True iff x >= 0 and 8*x**2 + 8*x + 1 is a perfect square."""
-    return x >= 0 and _is_square(8 * x * x + 8 * x + 1)
-
-
-def is_triangular(x: int) -> bool:
-    """True iff x = k*(k+1)/2 for some k >= 0, i.e. 8*x + 1 is a square."""
-    return x >= 0 and _is_square(8 * x + 1)
-
-
 def _witness(x: int, a: int, lo: int, family: str) -> BalancerWitness:
     """The witness r for x >= lo with 8*x**2 + a*x + 1 a perfect square.
 

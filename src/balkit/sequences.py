@@ -24,10 +24,11 @@ Smaller requests stay on int and never import decimal.
 
 All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
 seed pair. _KINDS holds each kind's short symbol, min_index, seeds and add,
-and walk() is the one place that steps the recurrence: stream(),
-generator_prefix() (the generator search) and the TermSource tables all
-read its terms. A TermSource is four plain dicts that prefill() fills from
-walk() up to a top index per kind; nothing grows on a read.
+and walk() is the one place that steps the recurrence: stream() (a sized
+view that walks afresh on each iteration, as seq writes), generator_prefix()
+(the generator search) and the TermSource tables all read its terms. A
+TermSource is four plain dicts that prefill() fills from walk() up to a top
+index per kind; nothing grows on a read.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def term_recurrence(kind: SequenceKind, n: int) -> int:
     O(n) big-integer operations; the reference route the other evaluators
     are compared against. It is the one-term case of stream().
     """
-    return stream(kind, n, n)[0]
+    return next(iter(stream(kind, n, n)))
 
 
 def qpow(x, y, k: int):
@@ -274,14 +275,32 @@ def walk(kind: SequenceKind, one=1) -> Iterator:
         x, y = y, 6 * y - x + add if add else 6 * y - x  # + 0 would copy a big int
 
 
-def stream(kind: SequenceKind, start: int, stop: int, one=1) -> list:
+class Terms:
+    """kind's terms start..stop (inclusive) as a sized, re-iterable view, as
+    range is of its indices. Each iter() runs one fresh recurrence pass, so
+    no list of the terms is ever held; len() is the number of terms."""
+
+    __slots__ = ("kind", "start", "stop", "one")
+
+    def __init__(self, kind: SequenceKind, start: int, stop: int, one) -> None:
+        self.kind, self.start, self.stop, self.one = kind, start, stop, one
+
+    def __len__(self) -> int:
+        return self.stop - self.start + 1
+
+    def __iter__(self) -> Iterator:
+        _check_exact(self.one)  # again: the view may outlive the context it was made in
+        lo = self.kind.min_index
+        return islice(walk(self.kind, self.one), self.start - lo, self.stop - lo + 1)
+
+
+def stream(kind: SequenceKind, start: int, stop: int, one=1) -> Terms:
     """The values of kind's terms start..stop (inclusive), in index order,
-    from one recurrence pass: ints, or with one=Decimal(1) exact Decimals
-    under exact_context()."""
+    one recurrence pass per iteration: ints, or with one=Decimal(1) exact
+    Decimals, iterated under exact_context(). list(stream(...)) holds them."""
     check_range(kind, start, stop)
     _check_exact(one)
-    lo = kind.min_index
-    return list(islice(walk(kind, one), start - lo, stop - lo + 1))
+    return Terms(kind, start, stop, one)
 
 
 def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:

@@ -21,6 +21,13 @@ PINNED = [
     ("seq c 1 30 --format json", "b500f0356c8720a91a1520def4f9425f08201775"),
     ("seq C 700 800 --format csv", "188c5201c838fe0fe53be32fb34f72e44f4d1aee"),
     ("seq B 5000 5050 --format json", "c9dbceaa7fa1400135af42e793c429c0ddd948e4"),
+    # seq on both routes in every format: int below index 755, Decimal above.
+    ("seq B 0 700", "ad2ecb5d50b61896441efe859b5be72a9788f186"),
+    ("seq B 0 700 --format csv", "0926aca3125da0443db3ddd021053440942b7544"),
+    ("seq B 0 700 --format json", "44121ccca5041d63895967ef6b8a4c6fc1f75912"),
+    ("seq B 0 800", "d0446bb91f3212c7306ca5e44288608be71be0a3"),
+    ("seq c 4000 5000 --format csv", "07e5854e7b460655e95edb4e5404809542de3673"),
+    ("seq B 4661 5568 --format json", "0d010adaee11b6f378843b3fffba1c6819ac459c"),
     ("term b 20000 --format json", "06beec64edb4c166085c28f5e195118f4a0638f3"),
     ("term C 300 --method binet --format json", "caabbd171c3d93bf6ade85a1e82e28fca8a8c537"),
     ("term B 15000 --method recurrence", "31d01e33c90c0c7bf80d398b9fe6a6a71139ec42"),

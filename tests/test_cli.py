@@ -571,7 +571,7 @@ def test_term_above_render_threshold_matches_str(capsys):
 
 def test_seq_above_render_threshold_matches_str(capsys):
     start, stop = 13000, 13003
-    values = stream(SequenceKind.BALANCING, start, stop)
+    values = list(stream(SequenceKind.BALANCING, start, stop))
     assert values[0].bit_length() > T
     code, out, _ = run_cli(capsys, "seq", "B", str(start), str(stop))
     assert (code, out) == (0, "".join(str(v) + "\n" for v in values))

@@ -57,7 +57,7 @@ def test_doubling_and_walk_agree_across_number_types(kind):
             value = term_binet(kind, n, one)
             assert isinstance(value, decimal.Decimal), (kind, n)
             assert str(value) == text == decimal_str(term_binet(kind, n))
-        dec = stream(kind, lo, SEQ_T + 1, one)
+        dec = list(stream(kind, lo, SEQ_T + 1, one))
     ints = stream(kind, lo, SEQ_T + 1)
     assert list(map(str, dec)) == list(map(decimal_str, ints))
     assert len(dec) == SEQ_T + 2 - lo
@@ -129,6 +129,19 @@ def test_decimal_seed_outside_the_exact_context_is_refused():
         stream(SequenceKind.BALANCING, 0, 5, one)
     with pytest.raises(DomainError, match="exact_context"):
         term_doubling(SequenceKind.COBALANCING, 5, one)
+
+
+def test_a_decimal_view_iterated_outside_its_context_is_refused():
+    # stream() computes nothing until its view is iterated, and decimal's
+    # default context would round the terms past 28 digits there.
+    with exact_context() as ctx:
+        view = stream(SequenceKind.BALANCING, 0, 100, ctx.create_decimal(1))
+        inside = list(map(str, view))
+    with pytest.raises(DomainError, match="exact_context"):
+        iter(view)
+    with exact_context():
+        assert list(map(str, view)) == inside
+    assert inside == list(map(str, stream(SequenceKind.BALANCING, 0, 100)))
 
 
 def test_exact_context_traps_rounding():

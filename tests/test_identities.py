@@ -14,7 +14,6 @@ from balkit.identities import (
     EVAL_INDEX_MAX,
     TERM_DIGITS_MAX,
     UnknownIdentityError,
-    domain_check,
     evaluate,
     list_identities,
     lookup,
@@ -63,25 +62,28 @@ def test_congruence_entries_carry_moduli():
             assert d.modulus is None
 
 
-def test_domain_check_examples():
-    assert domain_check("B_DIFF_HALF", 3, 2) is False  # parity mismatch
-    assert domain_check("B_DIFF_HALF", 5, 3) is True
-    assert domain_check("B_COB_DIFF_GT", 2, 2) is False  # needs n > m
-    assert domain_check("B_COB_DIFF_GT", 3, 2) is True
-    assert domain_check("B_SUB", 2, 3) is False
-    assert domain_check("LC_PROD", 1, 1) is True
-    assert domain_check("LC_PROD", 1, 0) is False
-    assert domain_check("C2N_PLUS1", 0) is False
-    assert domain_check("PARITY_B", 0) is True
+def test_domain_examples():
+    def domain(ident, n, m=None):
+        return lookup(ident).domain(n, m)
+
+    assert domain("B_DIFF_HALF", 3, 2) is False  # parity mismatch
+    assert domain("B_DIFF_HALF", 5, 3) is True
+    assert domain("B_COB_DIFF_GT", 2, 2) is False  # needs n > m
+    assert domain("B_COB_DIFF_GT", 3, 2) is True
+    assert domain("B_SUB", 2, 3) is False
+    assert domain("LC_PROD", 1, 1) is True
+    assert domain("LC_PROD", 1, 0) is False
+    assert domain("C2N_PLUS1", 0) is False
+    assert domain("PARITY_B", 0) is True
 
 
-def test_domain_check_arity_mismatch():
-    with pytest.raises(DomainError):
-        domain_check("B_ADD", 3)
-    with pytest.raises(DomainError):
-        domain_check("C2N_PLUS1", 3, 1)
+def test_evaluate_refuses_an_arity_mismatch():
+    with pytest.raises(DomainError, match=r"^B_ADD takes two indices \(n, m\)$"):
+        evaluate("B_ADD", 3)
+    with pytest.raises(DomainError, match="^C2N_PLUS1 takes a single index n$"):
+        evaluate("C2N_PLUS1", 3, 1)
     with pytest.raises(UnknownIdentityError):
-        domain_check("NO_SUCH", 1, 1)
+        evaluate("NO_SUCH", 1, 1)
 
 
 def test_evaluate_worked_examples():
@@ -97,7 +99,7 @@ def test_evaluate_worked_examples():
 
 
 def test_evaluate_b_sub_at_m_zero_is_identity_on_b():
-    bs = stream(SequenceKind.BALANCING, 0, 30)
+    bs = list(stream(SequenceKind.BALANCING, 0, 30))
     for n in (0, 1, 2, 7, 30):
         r = evaluate("B_SUB", n, 0)
         assert r.holds and r.lhs == bs[n]
@@ -146,7 +148,7 @@ def test_consistency_triangle_even_laws_specialize_half_laws():
 
 
 def test_consistency_triangle_c_add_plus_c_sub():
-    cs = stream(SequenceKind.LUCAS_BALANCING, 0, 200)
+    cs = list(stream(SequenceKind.LUCAS_BALANCING, 0, 200))
     add, sub = _cases("C_ADD", 100), _cases("C_SUB", 100)
     assert add.keys() == sub.keys() and len(add) == 101 * 102 // 2
     for (n, m), a in add.items():

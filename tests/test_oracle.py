@@ -14,18 +14,36 @@ from balkit.oracle import (
     _BLOCK,
     _GROUPS,
     BalancerWitness,
-    _is_square,
     _rows,
     _square_residues,
     balancer_of,
     cobalancer_of,
-    is_balancing,
-    is_cobalancing,
-    is_triangular,
     isqrt,
     search_family,
 )
 from balkit.sequences import DomainError, SequenceKind, stream
+
+
+# Reference membership predicates, written out from the defining equations
+# (the oracle itself decides membership by balancer_of, cobalancer_of and
+# search_family).
+def _is_square(x: int) -> bool:
+    return x >= 0 and math.isqrt(x) ** 2 == x
+
+
+def is_balancing(x: int) -> bool:
+    """x >= 1 and 8*x**2 + 1 is a square."""
+    return x >= 1 and _is_square(8 * x * x + 1)
+
+
+def is_cobalancing(x: int) -> bool:
+    """x >= 0 and 8*x**2 + 8*x + 1 is a square."""
+    return x >= 0 and _is_square(8 * x * x + 8 * x + 1)
+
+
+def is_triangular(x: int) -> bool:
+    """x = k*(k+1)/2 for some k >= 0: 8*x + 1 is a square."""
+    return x >= 0 and _is_square(8 * x + 1)
 
 
 def test_isqrt_boundaries():

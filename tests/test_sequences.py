@@ -121,7 +121,7 @@ def test_pell_invariants_up_to_500():
 
 def test_monotonicity():
     for kind in SequenceKind:
-        values = stream(kind, kind.min_index, 300)
+        values = list(stream(kind, kind.min_index, 300))
         assert all(x < y for x, y in zip(values, values[1:]))
 
 
@@ -132,9 +132,9 @@ def test_growth_ratio_between_5_and_6():
 
 
 def test_stream_examples():
-    assert stream(B, 0, 4) == [0, 1, 6, 35, 204]
-    assert stream(b, 1, 4) == [0, 2, 14, 84]
-    assert stream(B, 3, 3) == [35]
+    assert list(stream(B, 0, 4)) == [0, 1, 6, 35, 204]
+    assert list(stream(b, 1, 4)) == [0, 2, 14, 84]
+    assert list(stream(B, 3, 3)) == [35]
 
 
 def test_stream_ranges_and_indices():
@@ -143,6 +143,22 @@ def test_stream_ranges_and_indices():
         stream(B, 4, 2)
     with pytest.raises(DomainError):
         stream(b, 0, 5)
+
+
+def test_stream_is_a_sized_view_that_iterates_afresh():
+    seeds = {B: (0, 1, 0), C: (1, 3, 0), b: (0, 2, 2), c: (1, 7, 0)}  # two terms and add
+    for kind in SequenceKind:
+        lo = kind.min_index
+        ref = _reference(*seeds[kind], 301)  # the terms lo..lo + 300
+        for start, stop in ((lo, lo), (3, 9), (lo, 300)):
+            view = stream(kind, start, stop)
+            assert len(view) == stop - start + 1
+            first = list(view)
+            assert first == ref[start - lo:stop - lo + 1]
+            assert list(view) == first  # each iter() walks again from the seeds
+    view = stream(B, 0, 10**6)
+    assert len(view) == 10**6 + 1  # sized without computing a term
+    assert next(iter(view)) == 0
 
 
 @pytest.mark.parametrize("kind", [b, c])

@@ -208,8 +208,7 @@ def _traced_peak(monkeypatch, argv):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_seq_json_and_csv_hold_no_more_than_plain(monkeypatch, fmt):
-    # seq B 0 3000 writes 3.4 MB. The terms that stream() returns take about
-    # 0.6 of that in any format, so the structured formats are measured
+    # seq B 0 3000 writes 3.4 MB. The structured formats are measured
     # against plain, which has always written one value at a time: holding
     # the rendered list, its dump or the joined rows would add 1-3 times
     # the output on top.
@@ -239,6 +238,36 @@ def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+# Spawns each command with stdout on /dev/null and prints its exit code and
+# ru_maxrss. A child's ru_maxrss also covers its spawner's memory up to the
+# exec, so this small process spawns them, not pytest.
+RSS_SPAWNER = """
+import os, sys
+devnull = os.open(os.devnull, os.O_WRONLY)
+for argv in COMMANDS:
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "balkit.cli", *argv],
+                         os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, devnull, 1)])
+    _, status, usage = os.wait4(pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_seq_peak_rss_does_not_grow_with_the_range():
+    # seq B 0 8000 writes 24 MB. Holding its 8001 Decimal terms took about
+    # 10 MB more than term B 0; computed as they are written, they take none.
+    commands = [["term", "B", "0"], ["seq", "B", "0", "8000"],
+                ["seq", "B", "0", "8000", "--format", "json"]]
+    proc = subprocess.run([sys.executable, "-c", "COMMANDS = %r\n%s" % (commands, RSS_SPAWNER)],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    rows = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    assert [code for code, _ in rows] == [0, 0, 0]
+    base_kb = rows[0][1]
+    for argv, (_, kb) in zip(commands[1:], rows[1:]):
+        assert kb - base_kb < 2048, (argv, kb, base_kb)
 
 
 @pytest.mark.parametrize("argv", [
