@@ -2,9 +2,10 @@
 
 Exit codes are part of the contract: 0 for success (or an all-pass
 verification), 1 when a verification run found failures, 2 for usage or
-domain errors, 141 (128 + SIGPIPE) when the reader of stdout closed it
-early. Data goes to stdout, diagnostics to stderr. Long outputs (seq,
-search, verify reports) are written a value, row or record at a time.
+domain errors, 3 when a verify worker process died without a result, 141
+(128 + SIGPIPE) when the reader of stdout closed it early. Data goes to
+stdout, diagnostics to stderr. Long outputs (seq, search, verify reports)
+are written a value, row or record at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .sequences import (
     DomainError,
     SequenceKind,
     UnknownIdentityError,
+    WorkerError,
     check_range,
     decimal_digits,
     decimal_str,
@@ -380,6 +382,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DomainError, UnknownIdentityError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except WorkerError as exc:
+        # Not 1: the run is incomplete, so it says nothing of the identities.
+        sys.stderr.write("error: %s\n" % exc)
+        return 3
 
 
 def run() -> int:

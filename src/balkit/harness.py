@@ -31,6 +31,7 @@ from .sequences import (
     DomainError,
     SequenceKind,
     TermSource,
+    WorkerError,
     decimal_str,
     generator_prefix,
     term_binet,
@@ -207,8 +208,8 @@ def _run_forked(
             _, status = os.waitpid(pid, 0)
             del children[pid]
             if result is None or status != 0:
-                raise RuntimeError("a verify worker exited without a result (status %d)"
-                                   % os.waitstatus_to_exitcode(status))
+                raise WorkerError("a verify worker exited without a result (status %d)"
+                                  % os.waitstatus_to_exitcode(status))
             results.append(result)
     except BaseException:
         # A second Ctrl-C waits until every child is reaped.
@@ -261,18 +262,16 @@ def run_suite(
     cell count, and every share but the calling process's own runs in a
     forked child on the same prefilled terms. If entries raise, the one
     first in order is re-raised, as with jobs=1; a worker that dies without
-    a result raises RuntimeError.
+    a result raises WorkerError, a RuntimeError.
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
     above what identities.term_tops() allows, is refused with DomainError
-    before any term is computed, process started or text written; so is,
-    with ValueError, an entry whose evaluators read a subscript that is no
-    integer form in its domain's coordinates k, j, or can fall below its
-    first index. term_tops() prefills exactly the indices they read on the
-    grid, found by running them on those symbols, so only an evaluator
-    that reads other indices on ints than on the symbols can read outside
-    the prefill; that raises DomainError naming the entry, the cell and
-    the index, rather than wrapping, after the rows before it are written.
+    before any term is computed, process started or text written.
+    term_tops() prefills exactly the indices the entries' statements read
+    on the grid, their reads, so only an entry whose lhs or rhs a caller
+    replaced (by dataclasses.replace, say) can read outside the prefill;
+    that raises DomainError naming the entry, the cell and the index,
+    rather than wrapping, after the rows before it are written.
     """
     if jobs is not None and jobs < 1:
         raise DomainError("workers must be >= 1, got %d" % jobs)

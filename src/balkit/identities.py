@@ -7,13 +7,14 @@ ranges and coordinates come from one table of domains, so what is printed
 is what gets checked. An evaluator reads its terms by subscript from the
 four plain dict tables of a TermSource, t.B[i], t.C[i], t.b[i] and t.c[i],
 and calls nothing. Each domain maps k, j >= 0 onto its cells (the parity
-domain is n = 2k+j, m = j); run once on k and j as symbols, an entry's two
-evaluators record each subscript as a form a*k + b*j + c, and _entry
-refuses any other subscript, and any with a < 0, b < 0 or c below the
-kind's first index. term_tops() takes each kind's highest index on a grid
-from the forms at the grid's corners, which the harness prefills, and
-evaluate() computes by fast doubling only the terms its one point reads.
-Adding an entry means adding a table row.
+domain is n = 2k+j, m = j). One pass over the syntax tree of each printed
+side checks the grammar, gives the evaluator's source and folds each
+subscript into its form a*k + b*j + c; _entry refuses any other
+subscript, and any with a < 0, b < 0 or c below the kind's first index,
+and keeps the forms as the entry's reads. term_tops() takes each kind's
+highest index on a grid from the reads at the grid's corners, which the
+harness prefills, and evaluate() computes by fast doubling only the terms
+its one point reads. Adding an entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -23,8 +24,9 @@ residue (negative expectations are normalized into 0..k-1).
 
 from __future__ import annotations
 
-import operator
+import ast
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,11 +47,18 @@ class IdentityDescriptor:
     ident is the stable id used by the CLI and report formats. statement and
     domain_desc are the printed forms an entry is written as; every other
     field is derived from them. lhs and rhs are compiled from statement,
-    arity and indices are looked up from domain_desc, and domain(n, m) is
-    the membership test read off indices. kind and modulus come from the
-    statement's form; modulus is set on congruence entries only. note
-    records a known discrepancy between this entry's implemented reading
-    and an alternative printed form, where one exists.
+    and reads lists the terms statement reads, in the order first read, as
+    (short, a, b, c) for the index a*k + b*j + c at the domain's cell of k
+    and j; term_tops() bounds a grid's prefill by them. arity and indices
+    are looked up from domain_desc, and domain(n, m) is the membership test
+    read off indices. kind and modulus come from the statement's form;
+    modulus is set on congruence entries only. note records a known
+    discrepancy between this entry's implemented reading and an alternative
+    printed form, where one exists.
+
+    An entry a caller builds with other lhs or rhs (by dataclasses.replace,
+    say) keeps the reads of its statement, so a grid is prefilled for
+    those; a read outside them raises read_error()'s DomainError.
     """
 
     ident: str
@@ -60,6 +69,7 @@ class IdentityDescriptor:
     indices: Callable[[int, int], Sequence[Optional[int]]] = field(repr=False)
     lhs: Evaluator = field(repr=False)
     rhs: Evaluator = field(repr=False)
+    reads: tuple[tuple[str, int, int, int], ...] = field(repr=False)
     modulus: Optional[int] = None
     note: Optional[str] = None
 
@@ -89,202 +99,125 @@ _PARITY = "n >= m >= 0, n and m of the same parity"
 
 # Printed domain -> (arity, rows, cell, corners). rows(n, hi), 0 <= n <= hi,
 # gives the m in 0..hi with (n, m) in the domain, or for a unary entry (None,)
-# if n is in it, else (). cell(k, j) maps k, j >= 0 one to one onto the
-# domain (a unary one ignores j and has m None). Every a*k + b*j + c with
-# a, b >= 0 takes its largest value on the grid n, m <= N at a corners(N).
+# if n is in it, else (). cell gives n and m as forms (a, b, c), that is
+# a*k + b*j + c, which map k, j >= 0 one to one onto the domain (a unary one
+# has no j and m None). Every a*k + b*j + c with a, b >= 0 takes its largest
+# value on the grid n, m <= N at a corners(N).
 _DOMAINS: dict[str, tuple] = {
     "n >= 0, m >= 0": (2, lambda n, hi: range(hi + 1 if n >= 0 else 0),
-                       lambda k, j: (k, j), lambda N: [(N, N)]),
+                       ((1, 0, 0), (0, 1, 0)), lambda N: [(N, N)]),
     "n >= m >= 0": (2, lambda n, hi: range(min(n, hi) + 1),
-                    lambda k, j: (k + j, j), lambda N: [(N, 0), (0, N)]),
+                    ((1, 1, 0), (0, 1, 0)), lambda N: [(N, 0), (0, N)]),
     _PARITY: (2, lambda n, hi: range(n % 2, min(n, hi) + 1, 2),
-              lambda k, j: (2 * k + j, j), lambda N: [(N // 2, N % 2), (0, N)]),
+              ((2, 1, 0), (0, 1, 0)), lambda N: [(N // 2, N % 2), (0, N)]),
     "n >= m >= 1": (2, lambda n, hi: range(1, min(n, hi) + 1),
-                    lambda k, j: (k + j + 1, j + 1), lambda N: [(N - 1, 0), (0, N - 1)]),
+                    ((1, 1, 1), (0, 1, 1)), lambda N: [(N - 1, 0), (0, N - 1)]),
     "n > m >= 1": (2, lambda n, hi: range(1, min(n, hi + 1)),
-                   lambda k, j: (k + j + 2, j + 1), lambda N: [(N - 2, 0), (0, N - 2)]),
+                   ((1, 1, 2), (0, 1, 1)), lambda N: [(N - 2, 0), (0, N - 2)]),
     "1 <= n <= m": (2, lambda n, hi: range(n, hi + 1) if n >= 1 else range(0),
-                    lambda k, j: (k + 1, k + j + 1), lambda N: [(N - 1, 0), (0, N - 1)]),
+                    ((1, 0, 1), (1, 1, 1)), lambda N: [(N - 1, 0), (0, N - 1)]),
     "n >= 0": (1, lambda n, hi: (None,) if n >= 0 else (),
-               lambda k, j: (k, None), lambda N: [(N, 0)]),
+               ((1, 0, 0), None), lambda N: [(N, 0)]),
     "n >= 1": (1, lambda n, hi: (None,) if n >= 1 else (),
-               lambda k, j: (k + 1, None), lambda N: [(N - 1, 0)]),
+               ((1, 0, 1), None), lambda N: [(N - 1, 0)]),
 }
 
 _CONGRUENCE_FORM = re.compile(r"(.+) == (.+) \(mod ([1-9][0-9]*)\)")
-# A side alternates operands and the binary operators + - * /. An operand is
-# one atom (an integer, n, m, or an integer times n or m written as 2n) after
-# any run of "(", "-", "B(", "C(", "b(" and "c(" and before any run of ")";
-# compile() then checks that the parentheses pair up.
-_OPERAND = r"(?:[-(]|[BCbc]\()*(?:[0-9]+[nm]?|[nm])\)*"
-_SIDE = re.compile(r"{0}(?: *[-+*/] *{0})*".format(_OPERAND))
-
-
-def _subscripts(src: str) -> str:
-    """src with the parentheses of each B( ... ) made brackets, B[ ... ].
-
-    Parentheses pair up by nesting; an unpaired ")" is left for compile()
-    to refuse.
-    """
-    out, reads = [], []
-    for prev, ch in zip(" " + src, src):
-        if ch == "(":
-            reads.append(prev in "BCbc")
-            ch = "[" if reads[-1] else ch
-        elif ch == ")" and reads:
-            ch = "]" if reads.pop() else ch
-        out.append(ch)
-    return "".join(out)
-
-
-def _evaluator(ident: str, side: str, modulus: Optional[int]) -> Evaluator:
-    """Compile one printed side into lambda t, n, m over a TermSource t.
-
-    2n becomes 2*n, (n-m)/2 becomes (n-m)//2 and B(i) becomes the subscript
-    t.B[i], so evaluating a side calls nothing; a congruence side is reduced
-    modulo its modulus. A side outside the grammar raises ValueError. The
-    lambda sees no builtins.
-    """
-    if _SIDE.fullmatch(side):
-        src = re.sub(r"([0-9])([nm])", r"\1*\2", side).replace("/", "//")
-        src = re.sub(r"([BCbc])\[", r"t.\1[", _subscripts(src))
-        if modulus is not None:
-            src = "(%s) %% %d" % (src, modulus)
-        try:
-            code = compile("lambda t, n, m: " + src, "<identity %s>" % ident, "eval")
-        except SyntaxError:
-            pass
-        else:
-            return eval(code, {"__builtins__": {}})
-    raise ValueError("%s: %r is outside the statement grammar" % (ident, side))
-
-
-def _term(self, other=0):
-    """_TERM, or NotImplemented for an operand that is no int, form or term
-    (m, None in an entry of one index), so that Python raises TypeError."""
-    return _TERM if other.__class__ in (int, _Form, _Term) else NotImplemented
-
-
-class _Form:
-    """The index a*k + b*j + c that a subscript evaluates to when
-    _subscript_forms runs a compiled side on the coordinates k and j.
-
-    Sums and differences of forms and ints, multiples by an int and floor
-    divisions by an int d >= 1 that divides a and b (flooring only c, which
-    is exact) stay forms. Any other arithmetic (a product of two forms, an
-    inexact division such as k/2, a residue) gives _TERM, which a table
-    refuses as a subscript.
-    """
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int) -> None:
-        self.a, self.b, self.c = a, b, c
-
-    def __str__(self) -> str:
-        """The form as a subscript is printed, like 2k+j-1."""
-        text = re.sub(r"[+-]0[kj]|\+0$", "", "%+dk%+dj%+d" % (self.a, self.b, self.c))
-        return re.sub(r"([+-])1([kj])", r"\1\2", text).lstrip("+") or "0"
-
-    def __add__(self, other):
-        if other.__class__ is int:
-            other = _Form(0, 0, other)
-        if other.__class__ is _Form:
-            return _Form(self.a + other.a, self.b + other.b, self.c + other.c)
-        return _term(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        if other.__class__ is int:
-            return _Form(self.a * other, self.b * other, self.c * other)
-        return _term(self, other)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        if other.__class__ is int and other >= 1 and self.a % other == self.b % other == 0:
-            return _Form(self.a // other, self.b // other, self.c // other)
-        return _term(self, other)
-
-    __rfloordiv__ = __mod__ = __rmod__ = _term
-
-
-class _Term(int):
-    """What a symbolic read returns: a term, or any arithmetic on one or
-    on forms that is no index. It is the int 0, so that code wrapped
-    around an evaluator that measures its result (the benchmark's tracer
-    takes abs(result).bit_length()) runs on symbols too; arithmetic keeps
-    it a _Term, and a table refuses it as a subscript."""
-
-    __slots__ = ()
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _term
-    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _term
-    __neg__ = __pos__ = __abs__ = _term
-
-
-_TERM = _Term()
+# The characters a side may use; its syntax tree decides the rest.
+_ALPHABET = frozenset("0123456789nmBCbc+-*/() ")
 _MIN_INDEX = {k.short: k.min_index for k in SequenceKind}
 
 
-class _Table:
-    """One table of a recording TermSource: t.B[i] records ("B", a, b, c)
-    for the form of i (an integer i, of any int type, is the form c = i)
-    and returns _TERM; any other i, _TERM included, raises TypeError."""
-
-    __slots__ = ("short", "forms")
-
-    def __init__(self, short: str, forms: list) -> None:
-        self.short, self.forms = short, forms
-
-    def __getitem__(self, index):
-        if index.__class__ is not _Form:
-            if index.__class__ is _Term:
-                raise TypeError
-            index = _Form(0, 0, operator.index(index))
-        self.forms.append((self.short, index.a, index.b, index.c))
-        return _TERM
+def _form(form: Optional[tuple]) -> str:
+    """The form (a, b, c) as a subscript is printed, like 2k+j-1."""
+    if form is None:
+        return "None"
+    text = re.sub(r"[+-]0[kj]|\+0$", "", "%+dk%+dj%+d" % form)
+    return re.sub(r"([+-])1([kj])", r"\1\2", text).lstrip("+") or "0"
 
 
-def _read_forms(desc: IdentityDescriptor, n, m) -> tuple:
-    """Every distinct read desc.lhs and desc.rhs make at (n, m), as (short,
-    a, b, c) in the order first read; TypeError if a subscript is no form."""
-    forms: list = []
-    t = TermSource()
-    t.B, t.C, t.b, t.c = (_Table(short, forms) for short in "BCbc")
-    desc.lhs(t, n, m)
-    desc.rhs(t, n, m)
-    return tuple(dict.fromkeys(forms))
+def _side(ident: str, side: str, cell: tuple, reads: list) -> str:
+    """One printed side as the Python source of its evaluator.
 
-
-def _subscript_forms(desc: IdentityDescriptor) -> tuple:
-    """_read_forms at the symbols k and j of desc's domain cell(k, j), in
-    about 12 us. ValueError for a subscript that is no form, or has a < 0,
-    b < 0 or c below min_index; so no in-domain cell reads below min_index.
-    An entry built with other lhs or rhs (by dataclasses.replace, say) is
-    bounded and checked by what those read."""
-    n, m = _DOMAINS[desc.domain_desc][2](_Form(1, 0, 0), _Form(0, 1, 0))
+    2n becomes 2*n, each read B(i) the subscript t.B[i] and / becomes //,
+    so the evaluator calls nothing. One pass over the side's syntax tree
+    admits only the grammar: integer literals, n, m, B, C, b and c read at
+    one index, unary -, the binary operators + - * / and parentheses, with
+    spaces only next to a binary operator; any other side raises
+    ValueError. The same pass folds each value into a form (a, b, c) at
+    the domain's cell, where it is one: a sum or difference of forms, a
+    form times an integer, or a form floor-divided by an integer d that
+    divides a and b. It appends each read's (short, a, b, c) to reads, and
+    None for a subscript that is no form or an m the domain does not have.
+    """
+    src = re.sub(r"([0-9])([nm])", r"\1*\2", side)
+    grammar = "%s: %r is outside the statement grammar" % (ident, side)
+    if not _ALPHABET.issuperset(src):
+        raise ValueError(grammar)
     try:
-        forms = _read_forms(desc, n, m)
-    except TypeError:
-        raise ValueError(
-            "%s: a subscript is not an integer form a*k + b*j + c at (n, m) = (%s, %s), k, j "
-            ">= 0 (a nested read, a product of n and m, an inexact division, or m where the "
-            "domain takes n alone)" % (desc.ident, n, m)) from None
-    for short, a, b, c in forms:
-        if a < 0 or b < 0 or c < _MIN_INDEX[short]:
-            raise ValueError("%s: reads %s(%s) at (n, m) = (%s, %s), k, j >= 0, below the first "
-                             "index of %s" % (desc.ident, short, _Form(a, b, c), n, m, short))
-    return forms
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError:
+        raise ValueError(grammar) from None
+    out = list(src)
+    spaces = 0
+
+    def fold(node) -> Optional[tuple]:
+        """node's value as a form (a, b, c), or None where it is no form."""
+        nonlocal spaces
+        kind = type(node)
+        if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _MIN_INDEX
+                and len(node.args) == 1 and not node.keywords
+                and node.col_offset == node.func.col_offset
+                and src[node.func.end_col_offset] == "("):
+            x = fold(node.args[0])
+            reads.append(x and (node.func.id, *x))
+            out[node.col_offset] = "t." + node.func.id
+            out[node.func.end_col_offset] = "["
+            out[node.end_col_offset - 1] = "]"
+            return None
+        if kind is ast.Name and node.id in ("n", "m"):
+            if cell[node.id == "m"] is None:
+                reads.append(None)
+            return cell[node.id == "m"]
+        if kind is ast.BinOp and type(node.op) in (ast.Add, ast.Sub, ast.Mult, ast.Div):
+            operation = type(node.op)
+            x, y = fold(node.left), fold(node.right)
+            # Between the operands: their parentheses, the operator and
+            # the spaces next to it.
+            op = src[node.left.end_col_offset:node.right.col_offset].lstrip(")").rstrip("(")
+            if len(op.strip(" ")) != 1:
+                raise ValueError(grammar)
+            spaces += op.count(" ")
+            if x is None or y is None:
+                return None
+            if operation is ast.Add:
+                return x[0] + y[0], x[1] + y[1], x[2] + y[2]
+            if operation is ast.Sub:
+                return x[0] - y[0], x[1] - y[1], x[2] - y[2]
+            if operation is ast.Mult:
+                if x[:2] == (0, 0):
+                    x, y = y, x
+                return (x[0] * y[2], x[1] * y[2], x[2] * y[2]) if y[:2] == (0, 0) else None
+            d = y[2] if y[:2] == (0, 0) else 0
+            return (x[0] // d, x[1] // d, x[2] // d) if d and x[0] % d == x[1] % d == 0 else None
+        if kind is ast.Constant and src[node.col_offset:node.end_col_offset].isdigit():
+            return 0, 0, node.value
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            x = fold(node.operand)
+            return None if x is None else (-x[0], -x[1], -x[2])
+        raise ValueError(grammar)
+
+    fold(tree.body)
+    if spaces != src.count(" "):
+        raise ValueError(grammar)
+    return "".join(out).replace("/", "//")
+
+
+def _evaluator(ident: str, source: str) -> Evaluator:
+    """Compile source, an expression over t, n and m, into lambda t, n, m;
+    the lambda sees no builtins."""
+    return eval(compile("lambda t, n, m: " + source, "<identity %s>" % ident, "eval"),
+                {"__builtins__": {}})
 
 
 def _entry(
@@ -295,9 +228,10 @@ def _entry(
     A statement outside the grammar, or one with a subscript that is not an
     integer form a*k + b*j + c in the domain's coordinates, or that can
     read below its kind's first index, is refused with ValueError naming
-    the entry and the form (see _subscript_forms).
+    the entry and the form (see _side). Any other form is at least c on
+    the whole domain, so no in-domain cell reads below a first index.
     """
-    arity, indices = _DOMAINS[domain][:2]
+    arity, indices, cell = _DOMAINS[domain][:3]
     congruence = _CONGRUENCE_FORM.fullmatch(statement)
     if congruence:
         lhs, rhs, k = congruence.groups()
@@ -308,12 +242,24 @@ def _entry(
             raise ValueError(
                 "%s: %r is neither 'L = R' nor 'L == R (mod k)'" % (ident, statement))
         (lhs, rhs), kind, modulus = sides, EQUATION, None
-    desc = IdentityDescriptor(
-        ident, arity, kind, statement, domain, indices,
-        _evaluator(ident, lhs, modulus), _evaluator(ident, rhs, modulus), modulus, note,
+    reads: list = []
+    lhs, rhs = _side(ident, lhs, cell, reads), _side(ident, rhs, cell, reads)
+    if None in reads:
+        raise ValueError(
+            "%s: a subscript is not an integer form a*k + b*j + c at (n, m) = (%s, %s), k, j "
+            ">= 0 (a nested read, a product of n and m, an inexact division, or m where the "
+            "domain takes n alone)" % (ident, _form(cell[0]), _form(cell[1])))
+    for short, a, b, c in reads:
+        if a < 0 or b < 0 or c < _MIN_INDEX[short]:
+            raise ValueError("%s: reads %s(%s) at (n, m) = (%s, %s), k, j >= 0, below the first "
+                             "index of %s" % (ident, short, _form((a, b, c)), _form(cell[0]),
+                                              _form(cell[1]), short))
+    if modulus is not None:
+        lhs, rhs = ("(%s) %% %d" % (side, modulus) for side in (lhs, rhs))
+    return IdentityDescriptor(
+        ident, arity, kind, statement, domain, indices, _evaluator(ident, lhs),
+        _evaluator(ident, rhs), tuple(dict.fromkeys(reads)), modulus, note,
     )
-    _subscript_forms(desc)
-    return desc
 
 
 _CATALOG: list[IdentityDescriptor] = [
@@ -416,14 +362,11 @@ def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, in
     """Top index to prefill per kind the entries read on the grid 0..max_n:
     the highest index any of their in-domain cells reads (c(4n) reads c up
     to 4*max_n, PARITY_B reads B only up to max_n). Each is the largest
-    value a subscript form of an entry's own lhs and rhs takes at the
-    corners of its domain in the grid. A kind no cell reads gets no top.
-    Raises DomainError if the tops hold more than TERM_DIGITS_MAX digits in
-    all; ValueError for an entry whose evaluators read a subscript that is
-    no integer form or can fall below min_index."""
+    value one of an entry's reads takes at the corners of its domain in
+    the grid. A kind no cell reads gets no top. Raises DomainError if the
+    tops hold more than TERM_DIGITS_MAX digits in all."""
     # Sorted, each kind's highest index comes last, and the kinds in "BCbc" order.
-    tops = dict(sorted((short, a * k + b * j + c) for d in entries
-                       for short, a, b, c in _subscript_forms(d)
+    tops = dict(sorted((short, a * k + b * j + c) for d in entries for short, a, b, c in d.reads
                        for k, j in _DOMAINS[d.domain_desc][3](max_n) if k >= 0 and j >= 0))
     _check_digits(sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items()), max_n)
     return tops
@@ -440,9 +383,10 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    A pass of the evaluators at n and m records the terms they read. Their
-    digits are checked against TERM_DIGITS_MAX, then their largest index
-    against EVAL_INDEX_MAX, both before any term is computed. A fresh
+    A pass of the evaluators at n and m, on tables that record each index
+    read and return 0, finds the terms they read. Their digits are checked
+    against TERM_DIGITS_MAX, then their largest index against
+    EVAL_INDEX_MAX, both before any term is computed. A fresh
     TermSource, freed on return, holds just those terms: one pair_bc() call
     per distinct index gives B and C, and b and c are bridged from it as
     term_doubling() does. A read below min_index is left out, so it raises
@@ -459,7 +403,11 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
             % (n, m, ident, desc.domain_desc)
         )
     max_n = n if m is None else max(n, m)
-    reads = [(short, index) for short, _, _, index in _read_forms(desc, n, m)
+    seen = TermSource()
+    seen.B, seen.C, seen.b, seen.c = (defaultdict(int) for _ in "BCbc")
+    desc.lhs(seen, n, m)
+    desc.rhs(seen, n, m)
+    reads = [(short, index) for short in "BCbc" for index in getattr(seen, short)
              if index >= _MIN_INDEX[short]]
     _check_digits(sum(digits_bound(index, index) for _, index in reads), max_n)
     indices = dict.fromkeys(index for _, index in reads)

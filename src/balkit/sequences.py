@@ -52,6 +52,12 @@ class UnknownIdentityError(LookupError):
     """
 
 
+class WorkerError(RuntimeError):
+    """A verify worker process exited without a result. Defined here, as
+    UnknownIdentityError is, so that the CLI can catch it without loading
+    the harness."""
+
+
 class SequenceKind(Enum):
     BALANCING = "balancing"
     LUCAS_BALANCING = "lucas-balancing"

@@ -161,6 +161,22 @@ def test_verify_forks_one_worker_less_than_it_uses(capsys, monkeypatch, argv, cp
     assert len(forks) == expected
 
 
+def test_verify_exits_3_when_a_worker_dies_without_a_result(capsys, monkeypatch):
+    # The run is incomplete, so it exits neither 1 (failures found) nor 2.
+    fork_spy(monkeypatch, 2)
+    parent, run_identity = os.getpid(), harness._run_identity
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(0)  # leaves without writing a result
+        return run_identity(*args)
+
+    monkeypatch.setattr(harness, "_run_identity", dying)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "10", "--jobs", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: a verify worker exited without a result (status 0)\n"
+
+
 def test_verify_rejects_jobs_below_one(capsys):
     code, out, err = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "0")
     assert (code, out, err) == (2, "", "error: workers must be >= 1, got 0\n")

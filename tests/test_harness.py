@@ -190,33 +190,25 @@ def streamed_cases(max_n, **kwargs):
 
 
 def with_statement(desc, statement):
-    """desc with the evaluators of another statement, as a caller builds
-    an entry: its statement field no longer says what it reads."""
-    compiled = identities._entry(desc.ident, statement, desc.domain_desc)
-    return dataclasses.replace(desc, lhs=compiled.lhs, rhs=compiled.rhs)
+    """desc with the evaluators of another equation, compiled without the
+    checks of _entry, which may refuse it, as a caller builds an entry: it
+    keeps the reads of desc's own statement, which bound its prefill."""
+    cell = identities._DOMAINS[desc.domain_desc][2]
+    lhs, rhs = (identities._evaluator(desc.ident, identities._side(desc.ident, side, cell, []))
+                for side in statement.split(" = "))
+    return dataclasses.replace(desc, lhs=lhs, rhs=rhs)
 
 
 def unchecked(ident, statement, domain="n >= 0"):
-    """An entry with the evaluators compiled from statement, built as a
-    caller can build one: without _entry's check of what they read."""
-    lhs, rhs = (identities._evaluator(ident, side, None) for side in statement.split(" = "))
+    """with_statement on the entry of B(n) = B(n), printed as statement."""
     entry = identities._entry(ident, "B(n) = B(n)", domain)
-    return dataclasses.replace(entry, statement=statement, lhs=lhs, rhs=rhs)
+    return dataclasses.replace(with_statement(entry, statement), statement=statement)
 
 
 def reading_past_its_prefill(ident, statement, domain="n >= 0"):
-    """An entry whose evaluators read as B(2n) = B(2n) on the symbols of
-    identities._subscript_forms, so that B is prefilled to 2*max_n, but
-    evaluate statement on ints: an entry the harness runs that reads
-    outside its prefill."""
-    shown = identities._entry(ident, "B(2n) = B(2n)", domain)
-    real = unchecked(ident, statement, domain)
-
-    def two_faced(on_symbols, on_ints):
-        return lambda t, n, m: (on_ints if n.__class__ is int else on_symbols)(t, n, m)
-
-    return dataclasses.replace(shown, lhs=two_faced(shown.lhs, real.lhs),
-                               rhs=two_faced(shown.rhs, real.rhs))
+    """with_statement on the entry of B(2n) = B(2n), whose B is prefilled
+    to 2*max_n: an entry the harness runs that reads outside its prefill."""
+    return with_statement(identities._entry(ident, "B(2n) = B(2n)", domain), statement)
 
 
 @pytest.mark.parametrize("statement, max_n, cell, index", [
@@ -230,26 +222,25 @@ def test_out_of_table_read_names_entry_cell_and_index(statement, max_n, cell, in
     assert message.startswith("X at %s reads index %d," % (cell, index)), message
 
 
-def test_a_caller_built_entry_is_prefilled_for_what_its_evaluators_read(monkeypatch):
+def test_a_caller_built_entry_is_prefilled_for_what_its_evaluators_read():
     # Its statement says B(2n), its evaluators read B(3n): the run prefills
-    # B to 3*max_n and writes every row.
+    # B to 2*max_n, what the statement reads. The first read past that
+    # raises DomainError naming the entry, the cell and the index, after
+    # the rows before that cell are written.
     entry = with_statement(identities._entry("X", "B(2n) = B(2n)", "n >= 0"), "B(3n) = B(3n)")
-    report, cases = streamed_cases(20, catalog=[entry])
-    assert report.passed and len(cases) == 21
-    assert identities.term_tops([entry], 20) == {"B": 60}
-    # Evaluators that can read below min_index, or whose reads are no
-    # integer form in the domain's coordinates, are refused by the form
-    # before any term is computed or any text written.
-    monkeypatch.setattr(sequences.TermSource, "prefill", None)
+    assert identities.term_tops([entry], 20) == {"B": 40}
+    message = "X at (n=%d, m=None) reads index %d, outside the terms prefilled for max_n=20"
     out = []
-    below = dataclasses.replace(entry, lhs=lambda t, n, m: t.B[n - 1])
-    with pytest.raises(ValueError, match=r"^X: reads B\(k-1\) at \(n, m\) = \(k, None\), "):
-        run_suite(20, catalog=[below], write=out.append)
-    assert out == []
-    unbounded = dataclasses.replace(entry, rhs=lambda t, n, m: t.B[n * n])
-    with pytest.raises(ValueError, match="^X: a subscript is not an integer form"):
-        run_suite(20, catalog=[unbounded], write=out.append)
-    assert out == []
+    with pytest.raises(DomainError) as info:
+        run_suite(20, catalog=[entry], write=out.append)
+    assert str(info.value) == message % (14, 42)
+    assert len(out) == 15  # the header and the rows of n = 0..13
+    # Evaluators that read below min_index, or at an index that is no
+    # integer form in the domain's coordinates, fail the same way.
+    for lhs, n, index in ((lambda t, n, m: t.B[n - 1], 0, -1), (lambda t, n, m: t.B[n * n], 7, 49)):
+        with pytest.raises(DomainError) as info:
+            run_suite(20, catalog=[dataclasses.replace(entry, lhs=lhs)])
+        assert str(info.value) == message % (n, index)
 
 
 @pytest.mark.parametrize("ids, filled", [
@@ -297,14 +288,10 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
 
 def test_a_read_of_an_unprefilled_kind_names_entry_cell_and_index():
     d = identities.lookup("PARITY_B")
-    # Its statement reads only B, its lhs C: C is prefilled for what the
-    # lhs reads, and the run fails on the odd C(n) at even n.
+    # Its statement reads only B, its lhs C: only B is prefilled, and the
+    # first read of C names the entry, the cell and the index.
     stray = dataclasses.replace(d, lhs=lambda t, n, m: t.C[n] % 2)
-    assert identities.term_tops([stray], 5) == {"C": 5}
-    assert run_suite(5, catalog=[stray]).total_failures == 3
-    # An lhs that reads B on symbols but C on ints reads C unprefilled.
-    stray = dataclasses.replace(
-        d, lhs=lambda t, n, m: (t.C[n] if n.__class__ is int else t.B[n]) % 2)
+    assert identities.term_tops([stray], 5) == {"B": 5}
     with pytest.raises(DomainError) as info:
         run_suite(5, catalog=[stray])
     assert str(info.value) == (

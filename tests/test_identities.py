@@ -191,10 +191,36 @@ def test_cobalancing_sum_swapped_reading_is_documented_and_correct():
     "B(n) = ()",
     "B(n) = (",
     "B(n) = B(n))",
+    # Spellings a Python parser accepts and the grammar does not.
+    "B(n) = 1_000",
+    "B(n) = 0x10",
+    "B(n) = 0b1",
+    "B(n) = +n",
+    "B(n) = B(n, m)",
+    "B(n) = B(nm)",
+    "B(n) = n2",
+    "B(n) = B(n)//2",
+    "B(n) = B(n)%2",
+    "B(n) = B(n) # 2",
+    "B(n) = B( n )",
+    "B(n) = B (n)",
+    "B(n) = (B)(n)",
+    "B(n) = - B(n)",
+    "B(n) = ( B(n))",
 ])
 def test_statement_outside_the_grammar_is_refused(statement):
     with pytest.raises(ValueError):
         identities._entry("X", statement, "n >= 0")
+
+
+@pytest.mark.parametrize("statement, domain", [
+    *((d.statement, d.domain_desc) for d in list_identities()),
+    ("B(1-n+2n) = B(n+1)", "n >= 0"),
+    ("-(-B(n)) = B(n)", "n >= 0"),
+    ("B(n)  *  (-C(n)) = -(B(n)*C(n))", "n >= 0"),  # spaces next to a binary operator
+])
+def test_statement_inside_the_grammar_is_accepted(statement, domain):
+    assert identities._entry("X", statement, domain).statement == statement
 
 
 @pytest.mark.parametrize("statement, domain", [
@@ -229,16 +255,16 @@ def test_entry_refuses_a_read_that_is_no_form_or_can_fall_below_min_index(
 def test_a_subscript_divided_then_shifted_is_a_form_in_domain_coordinates():
     # (n-m)/2 + 1 on the parity domain n = 2k+j, m = j is k+1.
     entry = identities._entry("X", "B((n-m)/2 + 1) = B(n)", identities._PARITY)
-    assert identities._subscript_forms(entry) == (("B", 1, 0, 1), ("B", 2, 1, 0))
+    assert entry.reads == (("B", 1, 0, 1), ("B", 2, 1, 0))
     assert identities.term_tops([entry], 9) == {"B": 9}
     # 1-n, an int minus a form, is a form too.
     entry = identities._entry("X", "B(1-n+2n) = B(n+1)", "n >= 0")
-    assert identities._subscript_forms(entry) == (("B", 1, 0, 1),)
+    assert entry.reads == (("B", 1, 0, 1),)
 
 
 def test_every_catalog_read_is_a_form_at_or_above_min_index():
     for d in list_identities():
-        for short, a, b, c in identities._subscript_forms(d):
+        for short, a, b, c in d.reads:
             assert a >= 0 and b >= 0 and c >= parse_kind(short).min_index, (d.ident, short)
 
 
@@ -248,11 +274,15 @@ def test_each_domain_map_gives_its_rows_and_corners_reach_every_maximum(domain):
     # image is exactly the cells its rows give, each once, and every form
     # a*k + b*j with a, b in 0..4 (which covers the catalog's) takes its
     # largest value on those cells at one of the corners.
-    arity, rows, cell, corners = identities._DOMAINS[domain]
+    arity, rows, forms_nm, corners = identities._DOMAINS[domain]
+
+    def cell(k, j):
+        return tuple(f and f[0] * k + f[1] * j + f[2] for f in forms_nm)
+
     forms = {(a, b) for a in range(5) for b in range(5 if arity == 2 else 1)}
     for d in list_identities():
         if d.domain_desc == domain:
-            assert {(a, b) for _, a, b, _ in identities._subscript_forms(d)} <= forms
+            assert {(a, b) for _, a, b, _ in d.reads} <= forms
     for N in range(1, 41):
         points = [(k, j) for k in range(N + 1) for j in range(N + 1 if arity == 2 else 1)
                   if max(cell(k, j)[0], cell(k, j)[1] or 0) <= N]
@@ -266,8 +296,8 @@ def test_each_domain_map_gives_its_rows_and_corners_reach_every_maximum(domain):
 
 
 def test_evaluators_wrapped_to_measure_their_result_keep_their_forms():
-    # A wrapper that measures each result, as the benchmark's tracer does,
-    # runs on the symbols too, and the wrapped entry reads what it did.
+    # An entry whose evaluators are wrapped to measure each result, as the
+    # benchmark's tracer does, keeps the reads of its statement.
     def measured(side):
         def wrapper(t, n, m):
             result = side(t, n, m)
@@ -278,7 +308,7 @@ def test_evaluators_wrapped_to_measure_their_result_keep_their_forms():
     measured.bits = 0
     for d in list_identities():
         wrapped = dataclasses.replace(d, lhs=measured(d.lhs), rhs=measured(d.rhs))
-        assert identities._subscript_forms(wrapped) == identities._subscript_forms(d)
+        assert wrapped.reads == d.reads
         assert identities.term_tops([wrapped], 30) == identities.term_tops([d], 30)
     assert run_suite(30, catalog=[wrapped]).passed and measured.bits > 0
 
@@ -286,7 +316,7 @@ def test_evaluators_wrapped_to_measure_their_result_keep_their_forms():
 def test_products_and_residues_outside_subscripts_are_accepted():
     entry = identities._entry("X", "B(n)*n*m + n/2 = B(n)*(n*m) + n/2", "n >= m >= 0")
     # B(n) is B(k+j) at (n, m) = (k+j, j).
-    assert identities._subscript_forms(entry) == (("B", 1, 1, 0),)
+    assert entry.reads == (("B", 1, 1, 0),)
     assert run_suite(6, catalog=[entry]).passed
 
 
@@ -357,6 +387,34 @@ def test_compiled_evaluators_subscript_t_and_call_nothing():
             assert not [i for i in code if i.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF")]
 
 
+# The evaluators of one entry per grammar feature, written out: a sum of
+# products, an exact halving (/ becomes //), 2n, nested parentheses, an
+# integer times a parenthesised difference, and a negative residue (the
+# compiler folds (-1) % 8 to 7).
+WRITTEN_OUT = {
+    "B_ADD": (lambda t, n, m: t.B[n+m],
+              lambda t, n, m: t.B[n]*t.C[m] + t.B[m]*t.C[n]),
+    "B_DIFF_HALF": (lambda t, n, m: t.B[n] - t.B[m],
+                    lambda t, n, m: 2*t.B[(n-m)//2]*t.C[(n+m)//2]),
+    "B_2N_MINUS6": (lambda t, n, m: t.B[2*n] - 6,
+                    lambda t, n, m: 2*t.B[n-1]*t.C[n+1]),
+    "COB_PROD": (lambda t, n, m: t.C[n+m-1] + t.C[n-m],
+                 lambda t, n, m: 16*t.b[n]*t.b[m] + 8*(t.b[n] + t.b[m]) + 4),
+    "CB_MIX_MINUS": (lambda t, n, m: 16*(t.C[n]*t.C[m] - t.B[n]*t.B[m]),
+                     lambda t, n, m: 7*t.C[n+m] + 9*t.C[n-m]),
+    "MOD8_c": (lambda t, n, m: (t.c[2*n]) % 8,
+               lambda t, n, m: (-1) % 8),
+}
+
+
+@pytest.mark.parametrize("ident", sorted(WRITTEN_OUT))
+def test_compiled_evaluators_are_the_written_out_lambdas(ident):
+    d = lookup(ident)
+    for side, written in zip((d.lhs, d.rhs), WRITTEN_OUT[ident]):
+        for attr in ("co_code", "co_consts", "co_names"):
+            assert getattr(side.__code__, attr) == getattr(written.__code__, attr), (ident, attr)
+
+
 @pytest.mark.parametrize("statement, domain, n, m, index, max_n", [
     ("B(n-1) = b(n-1)", "n >= 0", 0, None, -1, 0),  # below min_index on the left
     ("B(n-1) = b(n-1)", "n >= 0", 1, None, 0, 1),  # and on the right
@@ -371,10 +429,12 @@ def test_evaluate_words_an_out_of_table_read_as_the_harness_does(
         evaluate("X", n, m)
     message = "X at (n=%s, m=%s) reads index %d, outside the terms prefilled for max_n=%d"
     assert str(info.value) == message % (n, m, index, max_n)
-    # The harness refuses the entry by its form before any term is computed.
-    monkeypatch.setattr(TermSource, "prefill", None)
-    with pytest.raises(ValueError, match=r"^X: reads B\(.*, below the first index of B$"):
+    # The harness prefills B for the statement the entry was built from,
+    # B(n) = B(n), and words its first read outside that the same way.
+    first = {"B(n-1) = b(n-1)": (0, None, -1), "B(n) = B(m-3n)": (1, 1, -2)}[statement]
+    with pytest.raises(DomainError) as info:
         run_suite(max(n, 1), catalog=[entry])
+    assert str(info.value) == message % (*first, max(n, 1))
 
 
 def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch):
@@ -387,7 +447,7 @@ def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch)
     with pytest.raises(DomainError) as info:
         evaluate("X", 3)
     assert str(info.value) == message % (4, 3)
-    # Evaluators that read B(5n) on ints but B(2n) on symbols.
+    # Evaluators that read B(5n) in an entry whose statement reads B(2n).
     with pytest.raises(DomainError) as info:
         run_suite(5, catalog=[reading_past_its_prefill("X", "B(5n) = B(5n)")])
     assert str(info.value) == message % (15, 5)
@@ -423,6 +483,18 @@ def test_evaluate_refuses_a_point_above_the_index_cap_before_any_term(monkeypatc
                                    "limit of %d" % (n, n, EVAL_INDEX_MAX))
 
 
+class RecurrenceTable(dict):
+    """A term table that computes each term it lacks by the recurrence."""
+
+    def __init__(self, short):
+        super().__init__()
+        self.kind = parse_kind(short)
+
+    def __missing__(self, index):
+        self[index] = term_recurrence(self.kind, index)
+        return self[index]
+
+
 @pytest.mark.parametrize("args, calls", [
     (("B_ADD", 3200, 0), 2),  # B and C at 3200 and at 0
     (("C_ADD", 3200, 100), 3),  # B and C at 3200 and 3100, C at 6300
@@ -441,8 +513,7 @@ def test_evaluate_runs_one_pair_per_distinct_index(monkeypatch, args, calls):
     # The same result as from each read's term by the recurrence.
     desc, (n, m) = lookup(args[0]), (*args[1:], None)[:2]
     terms = TermSource()
-    for short, _, _, index in identities._read_forms(desc, n, m):
-        getattr(terms, short)[index] = term_recurrence(parse_kind(short), index)
+    terms.B, terms.C, terms.b, terms.c = (RecurrenceTable(short) for short in "BCbc")
     lhs, rhs = desc.lhs(terms, n, m), desc.rhs(terms, n, m)
     assert result == identities.EvalResult(args[0], n, m, lhs, rhs, True)
 
