@@ -237,6 +237,15 @@ def test_a_subscript_term_tops_cannot_bound_is_refused(statement, domain):
         identities._entry("X", statement, domain)
 
 
+@pytest.mark.parametrize("statement", [
+    "B(n) = m",  # m in an entry of one index, outside any subscript
+    "B(1/0) = B(n)",  # no form, rather than a ZeroDivisionError
+])
+def test_a_bare_m_of_a_unary_entry_and_a_zero_divisor_are_no_form(statement):
+    with pytest.raises(ValueError, match="^X: a subscript is not an integer form"):
+        identities._entry("X", statement, "n >= 0")
+
+
 @pytest.mark.parametrize("statement, domain, message", [
     ("B(n/2) = B(n)", "n >= 0",
      "X: a subscript is not an integer form a*k + b*j + c at (n, m) = (k, None), k, j >= 0 "),
