@@ -73,12 +73,6 @@ def _check_size(kind: SequenceKind, start: int, stop: int, method: str = "") -> 
         raise DomainError("term --method %s takes n <= %d, got n=%d" % (method, cap, stop))
 
 
-def _print_json(obj) -> None:
-    import json
-
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-
-
 def _write_json_strings(head: str, values: Iterable[str], tail: str) -> None:
     """Write head, a JSON array of the strings in values, then tail, one
     value per write, so a long list is never held whole as text. Callers
@@ -103,10 +97,13 @@ def _cmd_term(args: argparse.Namespace) -> int:
             text = str(route(kind, args.n, ctx.create_decimal(1)))
     else:
         text = decimal_str(route(kind, args.n))
+    # In slices, so the whole value is never copied; keys in json.dumps(sort_keys=True) order.
+    write = sys.stdout.write
     if args.format == "json":
-        _print_json({"kind": kind.value, "n": args.n, "value": text})
-    else:
-        sys.stdout.write(text + "\n")
+        write('{"kind":"%s","n":%d,"value":"' % (kind.value, args.n))
+    for i in range(0, len(text), 65536):
+        write(text[i:i + 65536])
+    write('"}\n' if args.format == "json" else "\n")
     return 0
 
 
@@ -187,7 +184,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise DomainError("classify expects a nonnegative integer, got %d" % args.value)
     result = _classify(args.value)
     if args.format == "json":
-        _print_json(result)
+        import json
+        sys.stdout.write(json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         for key in ("balancing", "cobalancing", "lucas-balancing", "lucas-cobalancing"):
             info = result[key]

@@ -14,7 +14,7 @@ subscript, and any with a < 0, b < 0 or c below the kind's first index,
 and keeps the forms as the entry's reads. term_tops() takes each kind's
 highest index on a grid from the reads at the grid's corners, which the
 harness prefills, and evaluate() computes by fast doubling only the terms
-its one point reads. Adding an entry means adding a table row.
+its one point reads, at its (k, j). Adding an entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ast
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -378,19 +377,27 @@ def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n:
                        "max_n=%d" % (desc.ident, n, m, index, max_n))
 
 
+def _coordinates(cell: tuple, n: int, m: Optional[int]) -> tuple[int, int]:
+    """The (k, j) at which a domain's cell forms give its point (n, m), by
+    Cramer's rule; a unary domain, which has no m, takes m = j = 0."""
+    (a, b, c), (d, e, f), m = cell[0], cell[1] or (0, 1, 0), m or 0
+    det = a * e - b * d
+    return ((n - c) * e - b * (m - f)) // det, (a * (m - f) - d * (n - c)) // det
+
+
 def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     """Evaluate both sides exactly at (n, m); out-of-domain inputs are errors.
 
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
-    A pass of the evaluators at n and m, on tables that record each index
-    read and return 0, finds the terms they read. Their digits are checked
+    The point's coordinates (k, j) in its domain give the index of each of
+    the entry's reads, a*k + b*j + c. Those terms' digits are checked
     against TERM_DIGITS_MAX, then their largest index against
     EVAL_INDEX_MAX, both before any term is computed. A fresh
     TermSource, freed on return, holds just those terms: one pair_bc() call
     per distinct index gives B and C, and b and c are bridged from it as
-    term_doubling() does. A read below min_index is left out, so it raises
-    read_error() as any read outside the table does.
+    term_doubling() does. An evaluator that reads outside its statement's
+    reads raises read_error()'s DomainError, as in the harness.
     """
     desc = lookup(ident)
     if desc.arity == 2 and m is None:
@@ -403,12 +410,8 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
             % (n, m, ident, desc.domain_desc)
         )
     max_n = n if m is None else max(n, m)
-    seen = TermSource()
-    seen.B, seen.C, seen.b, seen.c = (defaultdict(int) for _ in "BCbc")
-    desc.lhs(seen, n, m)
-    desc.rhs(seen, n, m)
-    reads = [(short, index) for short in "BCbc" for index in getattr(seen, short)
-             if index >= _MIN_INDEX[short]]
+    k, j = _coordinates(_DOMAINS[desc.domain_desc][2], n, m)
+    reads = dict.fromkeys((short, a * k + b * j + c) for short, a, b, c in desc.reads)
     _check_digits(sum(digits_bound(index, index) for _, index in reads), max_n)
     indices = dict.fromkeys(index for _, index in reads)
     top = max(indices, default=0)
@@ -425,7 +428,5 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)
     except KeyError as exc:
-        # A read below min_index, or one that depends on the terms' values,
-        # which are all 0 in the recording pass, gets here.
         raise read_error(desc, n, m, exc.args[0], max_n) from None
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

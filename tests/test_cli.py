@@ -573,16 +573,17 @@ def test_decimal_str_split_route_on_small_values(monkeypatch, no_int_str_limit):
 
 
 def test_term_above_render_threshold_matches_str(capsys):
-    n = 20000
-    value = pair_bc(n)[0]
-    assert value.bit_length() > T
-    code, out, _ = run_cli(capsys, "term", "B", str(n))
-    assert (code, out) == (0, str(value) + "\n")
-    code, out, _ = run_cli(capsys, "term", "B", str(n), "--format", "json")
-    assert code == 0
-    assert out == json.dumps(
-        {"kind": "balancing", "n": n, "value": str(value)},
-        sort_keys=True, separators=(",", ":")) + "\n"
+    # B(180000) has 137,799 digits, which term writes in three slices.
+    for n in (20000, 180000):
+        value = pair_bc(n)[0]
+        assert value.bit_length() > T
+        code, out, _ = run_cli(capsys, "term", "B", str(n))
+        assert (code, out) == (0, str(value) + "\n")
+        code, out, _ = run_cli(capsys, "term", "B", str(n), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(
+            {"kind": "balancing", "n": n, "value": str(value)},
+            sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_seq_above_render_threshold_matches_str(capsys):

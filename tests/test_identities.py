@@ -280,9 +280,10 @@ def test_every_catalog_read_is_a_form_at_or_above_min_index():
 @pytest.mark.parametrize("domain", list(identities._DOMAINS))
 def test_each_domain_map_gives_its_rows_and_corners_reach_every_maximum(domain):
     # The two descriptions of a domain agree: on every grid 0..N the map's
-    # image is exactly the cells its rows give, each once, and every form
-    # a*k + b*j with a, b in 0..4 (which covers the catalog's) takes its
-    # largest value on those cells at one of the corners.
+    # image is exactly the cells its rows give, each once, _coordinates
+    # takes each cell back to its (k, j), and every form a*k + b*j with
+    # a, b in 0..4 (which covers the catalog's) takes its largest value on
+    # those cells at one of the corners.
     arity, rows, forms_nm, corners = identities._DOMAINS[domain]
 
     def cell(k, j):
@@ -297,6 +298,8 @@ def test_each_domain_map_gives_its_rows_and_corners_reach_every_maximum(domain):
                   if max(cell(k, j)[0], cell(k, j)[1] or 0) <= N]
         cells = [(n, m) for n in range(N + 1) for m in rows(n, N)]
         assert sorted(cell(k, j) for k, j in points) == cells, (domain, N)
+        assert all(identities._coordinates(forms_nm, *cell(k, j)) == (k, j)
+                   for k, j in points), (domain, N)
         tops = [(k, j) for k, j in corners(N) if k >= 0 and j >= 0]
         assert set(tops) <= set(points), (domain, N)
         for a, b in forms:
@@ -342,7 +345,9 @@ class RecordingTable:
 
 def test_term_tops_are_the_indices_a_recording_source_sees():
     # Every read of every entry on every in-domain cell of the grids
-    # 0..1 to 0..40: term_tops gives each kind's highest index exactly.
+    # 0..1 to 0..40: term_tops gives each kind's highest index exactly,
+    # and the indices read per kind at each cell are those the entry's
+    # reads give at the cell's (k, j), which is what evaluate computes.
     full = TermSource()
     full.prefill({k: 170 for k in "BCbc"})
     seen = {k: [] for k in "BCbc"}
@@ -354,11 +359,16 @@ def test_term_tops_are_the_indices_a_recording_source_sees():
     for d in list_identities():
         # The highest index per kind read at each cell of the grid 0..40.
         at_cell = {}
+        cell = identities._DOMAINS[d.domain_desc][2]
         for n in range(41):
             for m in d.indices(n, 40):
                 d.lhs(recording, n, m)
                 d.rhs(recording, n, m)
                 at_cell[n, m] = {k: max(v) for k, v in seen.items() if v}
+                x, y = identities._coordinates(cell, n, m)
+                assert {k: set(v) for k, v in seen.items()} == {
+                    k: {a * x + b * y + c for short, a, b, c in d.reads if short == k}
+                    for k in "BCbc"}, (d.ident, n, m)
                 assert all(min(v) >= parse_kind(k).min_index
                            for k, v in seen.items() if v), (d.ident, n, m)
                 for v in seen.values():
@@ -447,8 +457,8 @@ def test_evaluate_words_an_out_of_table_read_as_the_harness_does(
 
 
 def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch):
-    # A read that depends on a term's value: the pass that finds the point's
-    # reads, where every term is 0, sees B(3) only, and B(4) is read outside.
+    # A read that depends on a term's value: the statement B(n) = B(n)
+    # reads B(3) at n = 3, and the evaluator, as B(3) > 0, reads B(4) outside it.
     entry = dataclasses.replace(
         identities._entry("X", "B(n) = B(n)", "n >= 0"), lhs=lambda t, n, m: t.B[n + (t.B[n] > 0)])
     monkeypatch.setitem(identities._BY_ID, "X", entry)
@@ -538,8 +548,7 @@ def test_evaluate_holds_only_the_terms_its_point_reads(monkeypatch):
     monkeypatch.setattr(identities, "TermSource", Spy)
     assert evaluate("B_ADD", 3200, 0).holds
     assert evaluate("MOD16_c", 5).holds
-    # The recording pass builds a source too, whose tables are no dicts.
-    held = [{k: sorted(getattr(t, k)) for k in "BCbc"} for t in built if type(t.B) is dict]
+    held = [{k: sorted(getattr(t, k)) for k in "BCbc"} for t in built]
     assert held == [{"B": [0, 3200], "C": [0, 3200], "b": [], "c": []},
                     {"B": [], "C": [], "b": [], "c": [20]}]
 
