@@ -6,16 +6,22 @@ domain errors, 3 when a verify worker process died without a result, 141
 (128 + SIGPIPE) when the reader of stdout closed it early. Data goes to
 stdout, diagnostics to stderr. Long outputs (seq, search, verify reports)
 are written a value, row or record at a time.
+
+COMMANDS states each command's inputs once, and parse_args reads a command
+line against it by argparse's rules and messages, without importing
+argparse (with gettext and locale, about 0.5 MB and several ms of every
+process's start). A refused line exits 2 with a usage line and
+"balkit <command>: error: ..." on stderr; -h shows the help.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import time
-from typing import Iterable, Optional
+from types import SimpleNamespace
+from typing import Iterable, NoReturn, Optional
 
 # Only the modules every command needs load here: verify imports harness
 # (and with it identities) when it runs.
@@ -87,7 +93,7 @@ def _write_json_strings(head: str, values: Iterable[str], tail: str) -> None:
     write("]" + tail)
 
 
-def _cmd_term(args: argparse.Namespace) -> int:
+def _cmd_term(args: SimpleNamespace) -> int:
     kind = parse_kind(args.kind)
     _check_size(kind, args.n, args.n, args.method)
     route = {"recurrence": term_recurrence, "binet": term_binet}.get(args.method, term_doubling)
@@ -107,7 +113,7 @@ def _cmd_term(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_seq(args: argparse.Namespace) -> int:
+def _cmd_seq(args: SimpleNamespace) -> int:
     kind = parse_kind(args.kind)
     _check_size(kind, args.start, args.stop)
     # Past this estimated bit length of the last term, Decimal costs less than
@@ -122,7 +128,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_seq(args: argparse.Namespace, kind: SequenceKind, values: Iterable) -> None:
+def _write_seq(args: SimpleNamespace, kind: SequenceKind, values: Iterable) -> None:
     if args.format == "json":
         _write_json_strings(
             '{"kind":"%s","start":%d,"stop":%d,"values":' % (kind.value, args.start, args.stop),
@@ -138,7 +144,7 @@ def _write_seq(args: argparse.Namespace, kind: SequenceKind, values: Iterable) -
             sys.stdout.write(str(v) + "\n")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from . import harness
 
     if args.verbose and args.format == "csv":
@@ -179,7 +185,7 @@ def _classify(x: int) -> dict:
     return out
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> int:
     if args.value < 0:
         raise DomainError("classify expects a nonnegative integer, got %d" % args.value)
     result = _classify(args.value)
@@ -198,7 +204,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     family = parse_kind(args.family)
     if args.limit < 0:
         raise DomainError("limit must be >= 0, got %d" % args.limit)
@@ -226,7 +232,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: SimpleNamespace) -> int:
     if args.n < 1:
         raise DomainError("n must be >= 1, got %d" % args.n)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -267,105 +273,233 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="balkit",
-        description=(
-            "Exact computation and verification for balancing, cobalancing "
-            "and their Pell companion sequences."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Arg:
+    """One input of a command: an option if its name starts with "--" (its
+    dest is the name without the dashes, "-" read as "_"), else a required
+    positional. type int converts the text with int(), so " 7", "+3" and
+    "1_0" parse; bool makes a flag that stores True, and list an option
+    that repeats and collects its texts."""
 
-    def add_command(
-        name: str, help_text: str, formats: tuple[str, ...]
-    ) -> argparse.ArgumentParser:
-        # A command offers exactly the formats it writes; argparse refuses
-        # any other with exit 2 before the command runs.
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=formats, default="plain",
-                       help="output format (default: plain)")
-        return p
+    __slots__ = ("name", "positional", "dest", "type", "choices", "default", "required",
+                 "help", "metavar")
 
-    all_formats = ("plain", "json", "csv")
-    p_term = add_command("term", "print one sequence term", ("plain", "json"))
-    p_term.add_argument("kind", help="B, C, b, c or a long sequence name")
-    p_term.add_argument("n", type=int, help="index")
-    p_term.add_argument(
-        "--method",
-        choices=("auto", "recurrence", "binet", "doubling"),
-        default="auto",
-        help="evaluation route (auto: doubling)",
-    )
-    p_term.set_defaults(func=_cmd_term)
+    def __init__(self, name: str, type: type = str, choices: Optional[tuple] = None,
+                 default: object = None, required: bool = False, help: str = "",
+                 metavar: Optional[str] = None) -> None:
+        self.name, self.type, self.choices, self.help = name, type, choices, help
+        self.positional = not name.startswith("-")
+        self.dest = name.lstrip("-").replace("-", "_")
+        self.default = False if type is bool else default
+        self.required = required or self.positional
+        if choices is not None:
+            metavar = "{%s}" % ",".join(choices)
+        self.metavar = metavar or (name if self.positional else self.dest.upper())
 
-    p_seq = add_command("seq", "print consecutive sequence terms", all_formats)
-    p_seq.add_argument("kind", help="B, C, b, c or a long sequence name")
-    p_seq.add_argument("start", type=int, help="first index (inclusive)")
-    p_seq.add_argument("stop", type=int, help="last index (inclusive)")
-    p_seq.set_defaults(func=_cmd_seq)
+    def form(self) -> str:
+        """The input as usage and help show it: kind, --id IDENT, --verbose."""
+        if self.positional:
+            return self.metavar
+        return self.name if self.type is bool else "%s %s" % (self.name, self.metavar)
 
-    p_verify = add_command("verify", "run the identity verification suite", all_formats)
-    p_verify.add_argument("--max-n", type=int, default=50, dest="max_n", metavar="N")
-    p_verify.add_argument(
-        "--id",
-        action="append",
-        metavar="IDENT",
-        help="restrict to this identity id (repeatable; default: all)",
-    )
-    p_verify.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="run the identities on at most N processes (default: one per usable "
-        "CPU); never more than one per identity, and one with --format csv "
-        "--verbose; the report does not depend on N",
-    )
-    p_verify.add_argument(
-        "--verbose",
-        action="store_true",
-        help="with --format csv, emit one row per evaluated case",
-    )
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_classify = add_command("classify", "membership tests for one integer", ("plain", "json"))
-    p_classify.add_argument("value", type=int, help="nonnegative decimal integer")
-    p_classify.set_defaults(func=_cmd_classify)
+_KIND_HELP = "B, C, b, c or a long sequence name"
+_ALL_FORMATS = ("plain", "json", "csv")
 
-    p_search = add_command("search", "list family members up to a bound", all_formats)
-    p_search.add_argument("family", choices=("balancing", "cobalancing"))
-    p_search.add_argument("--limit", type=int, required=True, metavar="N")
-    p_search.add_argument(
-        "--method",
-        choices=("oracle", "generator"),
-        default="generator",
-        help="brute-force square-test scan, or the fast generator (default)",
-    )
-    p_search.set_defaults(func=_cmd_search)
+# Each command's help line, the formats it writes (its --format choices,
+# plain the default) and its other inputs.
+COMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[Arg, ...]]] = {
+    "term": ("print one sequence term", ("plain", "json"), (
+        Arg("kind", help=_KIND_HELP),
+        Arg("n", int, help="index"),
+        Arg("--method", choices=("auto", "recurrence", "binet", "doubling"), default="auto",
+            help="evaluation route (auto: doubling)"),
+    )),
+    "seq": ("print consecutive sequence terms", _ALL_FORMATS, (
+        Arg("kind", help=_KIND_HELP),
+        Arg("start", int, help="first index (inclusive)"),
+        Arg("stop", int, help="last index (inclusive)"),
+    )),
+    "verify": ("run the identity verification suite", _ALL_FORMATS, (
+        Arg("--max-n", int, default=50, metavar="N",
+            help="check each identity on the index grid 0..N (default: 50)"),
+        Arg("--id", list, metavar="IDENT",
+            help="restrict to this identity id (repeatable; default: all)"),
+        Arg("--jobs", int, metavar="N",
+            help="run the identities on at most N processes (default: one per usable "
+                 "CPU); never more than one per identity, and one with --format csv "
+                 "--verbose; the report does not depend on N"),
+        Arg("--verbose", bool, help="with --format csv, emit one row per evaluated case"),
+    )),
+    "classify": ("membership tests for one integer", ("plain", "json"), (
+        Arg("value", int, help="nonnegative decimal integer"),
+    )),
+    "search": ("list family members up to a bound", _ALL_FORMATS, (
+        Arg("family", choices=("balancing", "cobalancing"), help="the family to list"),
+        Arg("--limit", int, required=True, metavar="N", help="list the members <= N"),
+        Arg("--method", choices=("oracle", "generator"), default="generator",
+            help="brute-force square-test scan, or the fast generator (default)"),
+    )),
+    "bench": ("time evaluation methods on B(n)", ("plain",), (
+        Arg("--n", int, required=True, metavar="N", help="the index n of the timed B(n)"),
+        Arg("--methods", default="recurrence,doubling",
+            help="comma-separated subset of recurrence,doubling"),
+    )),
+}
 
-    p_bench = add_command("bench", "time evaluation methods on B(n)", ("plain",))
-    p_bench.add_argument("--n", type=int, required=True, metavar="N")
-    p_bench.add_argument(
-        "--methods",
-        default="recurrence,doubling",
-        help="comma-separated subset of recurrence,doubling",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
+_HELP = Arg("-h/--help", bool, help="show this help message and exit")
 
-    return parser
+
+def _is_number(text: str) -> bool:
+    """Whether "-" + text is a negative number to argparse: -5, -.5, -1.5."""
+    whole, dot, frac = text.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return frac.isdecimal() and (whole == "" or whole.isdecimal())
+
+
+def _fail(usage: str, prog: str, message: str) -> NoReturn:
+    sys.stderr.write("%s\n%s: error: %s\n" % (usage, prog, message))
+    raise SystemExit(2)
+
+
+def _help(usage: str, text: str, sections: dict[str, list[Arg]]) -> NoReturn:
+    width = max(len(a.form()) for rows in sections.values() for a in rows)
+    lines = [usage, "", text]
+    for title, rows in sections.items():
+        if rows:
+            lines += ["", title + ":"] + ["  %-*s  %s" % (width, a.form(), a.help) for a in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _parse_command(command: str, tokens: list[str]) -> SimpleNamespace:
+    help_line, formats, table = COMMANDS[command]
+    args = (Arg("--format", choices=formats, default="plain",
+                help="output format (default: plain)"),) + table
+    positionals = [a for a in args if a.positional]
+    options = {"-h": _HELP, "--help": _HELP}
+    options.update((a.name, a) for a in args if not a.positional)
+    prog = "balkit " + command
+    usage = "usage: %s [-h] %s" % (prog, " ".join(
+        a.form() if a.required else "[%s]" % a.form()
+        for a in sorted(args, key=lambda a: a.positional)))
+
+    def fail(message: str) -> NoReturn:
+        _fail(usage, prog, message)
+
+    def read(token: str) -> Optional[tuple[Optional[Arg], Optional[str]]]:
+        # None for a value, else the option the token names (None for an
+        # unknown one) and its "=" value: --opt=value, a unique prefix of a
+        # long option, or -hx for -h x.
+        if token[:1] != "-" or token == "-":
+            return None
+        head, eq, value = token.partition("=")
+        if token in options:
+            return options[token], None
+        if eq and head in options:
+            return options[head], value
+        if token[1] == "-":
+            names = [name for name in options if name.startswith(head)]
+            if len(names) > 1:
+                fail("ambiguous option: %s could match %s" % (token, ", ".join(names)))
+            if names:
+                return options[names[0]], value if eq else None
+        elif token[:2] in options:
+            return options[token[:2]], token[2:]
+        if _is_number(token[1:]) or " " in token:
+            return None
+        return None, None
+
+    # Every token before the first "--" is read before any is used, as
+    # argparse does, so an ambiguous prefix is refused, and -h shows the
+    # help, wherever they stand. The "--" reads as False, every token after
+    # it as a value.
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    readings = [read(t) for t in tokens[:end]] + [False] + [None] * len(tokens[end + 1:])
+    if (_HELP, None) in readings:
+        _help(usage, help_line, {"positional arguments": positionals,
+                                 "options": [_HELP] + [a for a in args if not a.positional]})
+
+    ns = SimpleNamespace(command=command, func=globals()["_cmd_" + command],
+                         **{a.dest: a.default for a in args})
+
+    def store(arg: Arg, text: Optional[str]) -> None:
+        if arg.type is bool:
+            if text is not None:
+                fail("argument %s: ignored explicit argument %r" % (arg.name, text))
+            value: object = True
+        elif arg.type is list:
+            value = (getattr(ns, arg.dest) or []) + [text]
+        else:
+            try:
+                value = int(text) if arg.type is int else text
+            except ValueError:
+                fail("argument %s: invalid int value: %r" % (arg.name, text))
+            if arg.choices is not None and value not in arg.choices:
+                fail("argument %s: invalid choice: %r (choose from %s)"
+                     % (arg.name, value, ", ".join(map(repr, arg.choices))))
+        setattr(ns, arg.dest, value)
+
+    seen, unknown = [], []
+    waiting = iter(positionals)
+    i = 0
+    while i < len(tokens):
+        token, reading = tokens[i], readings[i]
+        i += 1
+        if reading is False:
+            continue
+        arg, text = (next(waiting, None), token) if reading is None else reading
+        if arg is None:
+            unknown.append(token)
+            continue
+        if text is None and arg.type is not bool:
+            # The value is the next token, which must not read as an option.
+            if i == len(tokens) or readings[i] is not None:
+                fail("argument %s: expected one argument" % arg.name)
+            text = tokens[i]
+            i += 1
+        seen.append(arg)
+        store(arg, text)
+    missing = [a.name for a in args if a.required and a not in seen]
+    if missing:
+        fail("the following arguments are required: %s" % ", ".join(missing))
+    if unknown:
+        fail("unrecognized arguments: %s" % " ".join(unknown))
+    return ns
+
+
+def parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
+    """Read a balkit command line (sys.argv[1:] by default) against COMMANDS
+    by argparse's rules: options anywhere after the command, as --opt value,
+    --opt=value or a unique prefix of --opt; "--" ends them; "-" and
+    negative numbers are values. Returns the inputs by dest, with command
+    and func, the command's handler. A refused line writes a usage line and
+    "balkit <command>: error: ..." to stderr and raises SystemExit(2); -h or
+    --help writes the help to stdout and raises SystemExit(0)."""
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    if tokens and tokens[0] in COMMANDS:
+        return _parse_command(tokens[0], tokens[1:])
+    usage = "usage: balkit [-h] {%s} ..." % ",".join(COMMANDS)
+    if tokens and (tokens[0] == "-h" or len(tokens[0]) > 2 and "--help".startswith(tokens[0])):
+        _help(usage, "Exact computation and verification for balancing, cobalancing "
+              "and their Pell companion sequences.", {
+                  "commands": [Arg(name, help=entry[0]) for name, entry in COMMANDS.items()],
+                  "options": [_HELP]})
+    if not tokens:
+        _fail(usage, "balkit", "the following arguments are required: command")
+    _fail(usage, "balkit", "argument command: invalid choice: %r (choose from %s)"
+          % (tokens[0], ", ".join(map(repr, COMMANDS))))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # terms can run to hundreds of thousands of digits
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse before Python 3.12 can hand a positional an empty list when
-    # "--" is repeated (`term B -- --`); no option here takes a list that way.
-    empty = [name for name, value in vars(args).items() if value == []]
-    if empty:
-        parser.error("argument %s: expected one argument" % empty[0])
+    # A classify value may have more digits than int() and str() take by
+    # default (4300), and terms run to hundreds of thousands: the limit is
+    # lifted while the command line is read and run, and then put back.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so a reader gone by now is caught too
         return code
@@ -384,6 +518,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Not 1: the run is incomplete, so it says nothing of the identities.
         sys.stderr.write("error: %s\n" % exc)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> int:

@@ -404,8 +404,9 @@ def decimal_str(x: int) -> str:
     exact_context(), so the result is exact or the conversion raises.
 
     str() also refuses values above the process-wide int/str digit limit
-    (4300 digits by default; cli.main lifts it), so it is used only while
-    bits <= 3 * limit: a decimal digit carries log2(10) > 3 bits.
+    (4300 digits by default; cli.main lifts it while it runs and then puts
+    it back), so it is used only while bits <= 3 * limit: a decimal digit
+    carries log2(10) > 3 bits.
     """
     bits = x.bit_length()
     if bits <= _ALWAYS_STR_BITS:

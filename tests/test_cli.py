@@ -203,9 +203,7 @@ _FORMAT_ARGV = {
 
 
 def _format_choices(command):
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in sub.choices[command]._actions if a.dest == "format")
+    return cli.COMMANDS[command][1]
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
@@ -420,7 +418,7 @@ def test_generator_search_index_bound_holds_at_every_member(kind):
             assert len(sequences.generator_prefix(kind, limit)) <= limit.bit_length() // 2 + 1
 
 
-def test_generator_search_is_capped_as_seq_is(capsys, monkeypatch):
+def test_generator_search_is_capped_as_seq_is(capsys, monkeypatch, no_int_str_limit):
     monkeypatch.setattr(sequences, "walk", computed)
     top = max(k for k in range(16000, 16400)
               if sequences.digits_bound(1, k) <= cli.PRINT_DIGITS_MAX)
@@ -533,7 +531,8 @@ T = sequences._STR_MAX_BITS
 
 @pytest.fixture
 def no_int_str_limit():
-    # The reference str() calls need the digit limit off, as cli.main sets it.
+    # The reference str() calls need the digit limit off, as cli.main has it
+    # while it runs.
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -572,7 +571,7 @@ def test_decimal_str_split_route_on_small_values(monkeypatch, no_int_str_limit):
         assert sequences.decimal_str(x) == str(x)
 
 
-def test_term_above_render_threshold_matches_str(capsys):
+def test_term_above_render_threshold_matches_str(capsys, no_int_str_limit):
     # B(180000) has 137,799 digits, which term writes in three slices.
     for n in (20000, 180000):
         value = pair_bc(n)[0]
@@ -586,7 +585,7 @@ def test_term_above_render_threshold_matches_str(capsys):
             sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_seq_above_render_threshold_matches_str(capsys):
+def test_seq_above_render_threshold_matches_str(capsys, no_int_str_limit):
     start, stop = 13000, 13003
     values = list(stream(SequenceKind.BALANCING, start, stop))
     assert values[0].bit_length() > T
@@ -598,6 +597,25 @@ def test_seq_above_render_threshold_matches_str(capsys):
     code, out, _ = run_cli(capsys, "seq", "B", str(start), str(stop), "--format", "json")
     assert code == 0
     assert json.loads(out)["values"] == [str(v) for v in values]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "1" + "0" * 6000], 0),  # read and run with the limit lifted
+    (["term", "B", "x"], 2),  # refused by the parser: SystemExit(2)
+    (["term", "b", "0"], 2),  # DomainError
+], ids=["success", "usage-error", "domain-error"])
+def test_main_puts_back_the_callers_digit_limit(capsys, argv, code):
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert (got, sys.get_int_max_str_digits()) == (code, 5000)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
@@ -631,7 +649,7 @@ IMPORT_GUARD_CHILD = textwrap.dedent(
     codes.append(cli.main(["verify", "--max-n", "2"]))
     sys.stdout = real_stdout
     print(repr({"codes": codes, "loaded": loaded,
-                "harness_after_verify": "balkit.harness" in sys.modules}))
+                "loaded_after_verify": sorted(set(sys.modules) - before)}))
     """
 )
 
@@ -659,12 +677,15 @@ def test_lean_commands_import_only_what_they_need():
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = ast.literal_eval(proc.stdout)
     assert result["codes"] == [0] * (len(commands) + 1)
-    heavy = {"dataclasses", "decimal", "inspect", "json", "balkit.harness", "balkit.identities"}
+    parser = {"argparse", "gettext", "locale"}
+    heavy = {"dataclasses", "decimal", "inspect", "json", "balkit.harness",
+             "balkit.identities"} | parser
     assert heavy.isdisjoint(result["loaded"]), sorted(heavy & set(result["loaded"]))
     # Exactly these, so a new import into a lean command's path shows here.
     balkit_loaded = {name for name in result["loaded"] if name.split(".")[0] == "balkit"}
     assert balkit_loaded == {"balkit", "balkit.cli", "balkit.oracle", "balkit.sequences"}
-    assert result["harness_after_verify"]
+    assert "balkit.harness" in result["loaded_after_verify"]
+    assert parser.isdisjoint(result["loaded_after_verify"])
 
 
 def test_the_module_entry_freezes_the_collector_and_main_does_not(capsys):
@@ -790,3 +811,204 @@ def test_cli_contract_on_generated_argv(argv):
         assert out.getvalue() == "", argv
     if "unknown identity" in err.getvalue():
         assert (code, err.getvalue()) == (2, "error: unknown identity id(s): NOPE\n"), argv
+
+
+# -- the parser against argparse ---------------------------------------------
+
+def build_parser():
+    """The argparse parser cli.parse_args replaced, kept as its reference."""
+    parser = argparse.ArgumentParser(prog="balkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_command(name, formats):
+        p = sub.add_parser(name)
+        p.add_argument("--format", choices=formats, default="plain")
+        p.set_defaults(func=getattr(cli, "_cmd_" + name))
+        return p
+
+    all_formats = ("plain", "json", "csv")
+    p = add_command("term", ("plain", "json"))
+    p.add_argument("kind")
+    p.add_argument("n", type=int)
+    p.add_argument("--method", choices=("auto", "recurrence", "binet", "doubling"),
+                   default="auto")
+    p = add_command("seq", all_formats)
+    p.add_argument("kind")
+    p.add_argument("start", type=int)
+    p.add_argument("stop", type=int)
+    p = add_command("verify", all_formats)
+    p.add_argument("--max-n", type=int, default=50, dest="max_n", metavar="N")
+    p.add_argument("--id", action="append", metavar="IDENT")
+    p.add_argument("--jobs", type=int, metavar="N")
+    p.add_argument("--verbose", action="store_true")
+    p = add_command("classify", ("plain", "json"))
+    p.add_argument("value", type=int)
+    p = add_command("search", all_formats)
+    p.add_argument("family", choices=("balancing", "cobalancing"))
+    p.add_argument("--limit", type=int, required=True, metavar="N")
+    p.add_argument("--method", choices=("oracle", "generator"), default="generator")
+    p = add_command("bench", ("plain",))
+    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--methods", default="recurrence,doubling")
+    return parser
+
+
+_REFERENCE = build_parser()
+
+
+def _reference_parse(argv):
+    args = _REFERENCE.parse_args(argv)
+    # argparse before 3.12 can hand a positional an empty list when "--" is
+    # repeated (`term B -- --`); balkit's main refused that line.
+    if [] in vars(args).values():
+        _REFERENCE.error("expected one argument")
+    return args
+
+
+def _parsed(parse, argv):
+    """The inputs parse reads from argv, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+# Tokens that read as -h or --help.
+_HELP_TOKENS = {"-h", "--h", "--he", "--hel", "--help"}
+
+
+def _agrees_with_argparse(argv):
+    mine, reference = _parsed(cli.parse_args, argv), _parsed(_reference_parse, argv)
+    if mine == reference:
+        return
+    # The two documented differences, where argparse exits 2 and parse_args
+    # does not: -h before "--" shows the help even after an invalid token...
+    assert reference == 2, (argv, mine, reference)
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    if mine == 0:
+        assert _HELP_TOKENS & set(head), argv
+    # ...and a "--" that ends the line is accepted wherever it stands.
+    else:
+        assert argv.index("--") == len(argv) - 1, (argv, mine)
+        assert _parsed(_reference_parse, argv[:-1]) == mine, argv
+
+
+# One argv for each argparse rule the parser keeps.
+@pytest.mark.parametrize("argv", [
+    ["term", "B", "5", "--format", "json"],
+    ["term", "--format", "json", "B", "5"],  # options anywhere after the command
+    ["term", "B", "--format=json", "5"],
+    ["term", "B", "5", "--form", "json"],  # a unique prefix
+    ["term", "B", "5", "--f=json", "--meth", "binet"],
+    ["verify", "--max", "5", "--verb", "--i", "B_ADD", "--id=EVEN_b", "--j", "2"],
+    ["bench", "--n", "5", "--m", "doubling"],
+    ["term", "B", "5", "--=json"],  # an ambiguous prefix
+    ["term", "B", "5", "--format", "csv"],  # invalid choice
+    ["search", "lucas", "--limit", "5"],
+    ["term", "B", "x"],  # invalid int
+    ["term", "B", " 7"], ["term", "B", "+3"], ["term", "B", "1_0"],
+    ["term", "B", "-5"], ["term", "B", "-.5"], ["term", "B", "-1.5"], ["term", "B", "-1e3"],
+    ["term", "-", "-5"],  # "-" is a value
+    ["search", "balancing", "--limit", "-5"],
+    ["term", "B", "5", "--method", "-5"],
+    ["term", "B", "5", "--format", "--method", "auto"],  # expected one argument
+    ["term", "B", "5", "--format", "--", "json"],
+    ["term", "B", "5", "--format"],
+    ["verify", "--verbose=x"],
+    ["term", "--", "B", "-5"],  # "--" ends the options
+    ["term", "B", "--", "--format"],
+    ["term", "--", "--", "5"],
+    ["term", "B", "--", "--"],
+    ["term", "B", "5", "--"],
+    ["seq", "B", "1", "--", "--"],
+    ["term", "B"],  # required arguments
+    ["search", "--limit", "3"],
+    ["search", "balancing"],
+    ["bench"],
+    ["term", "B", "5", "6"],  # unrecognized arguments
+    ["term", "B", "5", "--bogus"],
+    ["term", "B", "5", "-x"],
+    ["term", "B", "5", "-hx"],
+    ["verify", "--jobs", "2", "--jobs", "3", "--id", "A", "--id", "B"],  # last wins, --id repeats
+    ["term", "-h"], ["search", "--he"], ["-h"], ["--help"],
+    [], ["x"], ["-5"], ["--", "term", "B", "5"],
+], ids=repr)
+def test_parser_keeps_the_argparse_rules(argv):
+    _agrees_with_argparse(argv)
+
+
+def test_help_wins_even_after_an_invalid_token(capsys):
+    # argparse acts on the tokens in order and stops at the first bad one;
+    # parse_args reads every token before "--" first, and -h among them wins.
+    for argv in (["term", "B", "x", "-h"],
+                 ["term", "B", "5", "--format", "xml", "--help"],
+                 ["bench", "--methods", "-h"]):
+        assert _parsed(_reference_parse, argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith("usage: balkit %s [-h] " % argv[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--"],
+    ["term", "B", "5", "--format", "json", "--"],
+    ["search", "balancing", "--limit", "5", "--method", "oracle", "--"],
+], ids=repr)
+def test_a_double_dash_that_ends_the_line_is_accepted(argv):
+    # argparse 3.11 refuses a "--" that no positional takes up: one the
+    # positional just before it does not absorb (`term B 5 --` passes).
+    # parse_args reads it as the end of the options wherever it stands.
+    assert _parsed(_reference_parse, argv) == 2
+    assert _parsed(cli.parse_args, argv) == _parsed(_reference_parse, argv[:-1]) != 2
+
+
+# Every option of every command, exact, by a prefix and in the "=" form, and
+# values of each kind the commands take, good and bad.
+_TOKEN = st.sampled_from([
+    "-h", "--help", "--he", "--format", "--form", "--f", "--method", "--meth", "--m",
+    "--max-n", "--max", "--id", "--i", "--jobs", "--j", "--verbose", "--verb",
+    "--limit", "--lim", "--n", "--methods", "--format=json", "--form=csv",
+    "--method=oracle", "--max-n=3", "--id=B_ADD", "--verbose=x", "--n=5", "--lim=10",
+    "--=x", "--", "-", "-5", "-.5", "-1.5", "-1e3", "-x", "-hx", "--bogus",
+    "B", "c", "balancing", "cobalancing", "lucas", "plain", "json", "csv", "xml", "auto",
+    "binet", "doubling", "recurrence", "oracle", "generator", "B_ADD", "recurrence,doubling",
+    "0", "3", "12", " 7", "+3", "1_0", "x", "", "1.5",
+])
+_TOKENS_ARGV = st.tuples(st.sampled_from(sorted(cli.COMMANDS)), st.lists(_TOKEN, max_size=7)).map(
+    lambda t: [t[0], *t[1]])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_TOKENS_ARGV, _ARGV))
+def test_parser_agrees_with_argparse_on_generated_argv(argv):
+    _agrees_with_argparse(argv)
+
+
+def _reference_names(command):
+    """The command names, or a command's option strings and choices, as the
+    reference parser has them."""
+    sub = next(a for a in _REFERENCE._actions if isinstance(a, argparse._SubParsersAction))
+    if command is None:
+        return list(sub.choices)
+    names = []
+    for action in sub.choices[command]._actions:
+        names += action.option_strings or [action.dest]
+        names += action.choices or []
+    return names
+
+
+@pytest.mark.parametrize("command", [None, *sorted(cli.COMMANDS)])
+def test_help_names_every_command_option_and_choice(capsys, command):
+    argv = ["-h"] if command is None else [command, "-h"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: balkit ")
+    words = set(out.translate(str.maketrans(",{}/", "    ")).split())
+    assert [name for name in _reference_names(command) if name not in words] == []
+    if command is not None:
+        assert all(a.help for a in cli.COMMANDS[command][2]), command

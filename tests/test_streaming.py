@@ -40,7 +40,7 @@ def _run(monkeypatch, argv):
     """Run one command's handler (main would also flush) into a WriteOnly."""
     sink = WriteOnly()
     monkeypatch.setattr(sys, "stdout", sink)
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     code = args.func(args)
     monkeypatch.undo()
     return code, sink.pieces
@@ -113,7 +113,7 @@ def _report_units(fmt: str, text: str) -> list[str]:
 ])
 def test_verify_streams_emit_report(monkeypatch, argv, corrupted):
     catalog = corrupt_c_diff_half() if corrupted else identities.list_identities()
-    args = cli.build_parser().parse_args(["verify", *argv])
+    args = cli.parse_args(["verify", *argv])
     if args.verbose:
         written = []
         report = harness.run_suite(args.max_n, ids=args.id, catalog=catalog,
@@ -195,7 +195,7 @@ class CountingSink:
 def _traced_peak(monkeypatch, argv):
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     tracemalloc.start()
     try:
         assert args.func(args) == 0
