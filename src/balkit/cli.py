@@ -147,12 +147,11 @@ def _write_seq(args: SimpleNamespace, kind: SequenceKind, values: Iterable) -> N
 def _cmd_verify(args: SimpleNamespace) -> int:
     from . import harness
 
-    if args.verbose and args.format == "csv":
-        # The run writes each case's row as it evaluates the case.
-        report = harness.run_suite(args.max_n, ids=args.id, jobs=args.jobs,
-                                   write=sys.stdout.write)
-    else:
-        report = harness.run_suite(args.max_n, ids=args.id, jobs=args.jobs)
+    # A verbose csv run writes each case's row as it evaluates the case.
+    streamed = args.verbose and args.format == "csv"
+    report = harness.run_suite(args.max_n, ids=args.id, jobs=args.jobs,
+                               write=sys.stdout.write if streamed else None)
+    if not streamed:
         for piece in harness.report_lines(report, args.format):
             sys.stdout.write(piece)
     return 0 if report.passed else 1

@@ -35,9 +35,6 @@ from .sequences import digits_bound
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
 
-EQUATION = "equation"
-CONGRUENCE = "congruence"
-
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
@@ -50,8 +47,8 @@ class IdentityDescriptor:
     (short, a, b, c) for the index a*k + b*j + c at the domain's cell of k
     and j; term_tops() bounds a grid's prefill by them. arity and indices
     are looked up from domain_desc, and domain(n, m) is the membership test
-    read off indices. kind and modulus come from the statement's form;
-    modulus is set on congruence entries only. note records a known
+    read off indices. modulus marks a congruence: it is the k of a
+    statement "L == R (mod k)", and None on an equation. note records a known
     discrepancy between this entry's implemented reading and an alternative
     printed form, where one exists.
 
@@ -62,7 +59,6 @@ class IdentityDescriptor:
 
     ident: str
     arity: int
-    kind: str
     statement: str
     domain_desc: str
     indices: Callable[[int, int], Sequence[Optional[int]]] = field(repr=False)
@@ -234,13 +230,13 @@ def _entry(
     congruence = _CONGRUENCE_FORM.fullmatch(statement)
     if congruence:
         lhs, rhs, k = congruence.groups()
-        kind, modulus = CONGRUENCE, int(k)
+        modulus = int(k)
     else:
         sides = statement.split(" = ")
         if len(sides) != 2:
             raise ValueError(
                 "%s: %r is neither 'L = R' nor 'L == R (mod k)'" % (ident, statement))
-        (lhs, rhs), kind, modulus = sides, EQUATION, None
+        (lhs, rhs), modulus = sides, None
     reads: list = []
     lhs, rhs = _side(ident, lhs, cell, reads), _side(ident, rhs, cell, reads)
     if None in reads:
@@ -256,7 +252,7 @@ def _entry(
     if modulus is not None:
         lhs, rhs = ("(%s) %% %d" % (side, modulus) for side in (lhs, rhs))
     return IdentityDescriptor(
-        ident, arity, kind, statement, domain, indices, _evaluator(ident, lhs),
+        ident, arity, statement, domain, indices, _evaluator(ident, lhs),
         _evaluator(ident, rhs), tuple(dict.fromkeys(reads)), modulus, note,
     )
 

@@ -14,7 +14,7 @@ every candidate a verdict, in order. It walks the candidates in blocks,
 one bit per candidate, and ANDs per block residue rows built from the
 squares mod 63, 65 and 11 and mod each prime from 17 to 59. A candidate
 rejected by a row is a non-square mod one of those moduli. Each survivor
-is confirmed by an exact math.isqrt. This is the table-driven square test
+is confirmed by an exact isqrt. This is the table-driven square test
 of H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 1993, section 1.7, applied to a block at a time.
 """
@@ -77,8 +77,8 @@ class _NotMember(DomainError):
 def isqrt(x: int) -> int:
     """Floor square root: the r with r**2 <= x < (r+1)**2.
 
-    math.isqrt with a DomainError for negative x. The square tests below
-    call math.isqrt directly, so a tested candidate costs one C call.
+    math.isqrt with a DomainError for negative x. Every square root the
+    oracle takes goes through here.
     """
     if x < 0:
         raise DomainError("square root of negative number %d" % x)
@@ -96,7 +96,7 @@ def _witness(x: int, a: int, lo: int, family: str) -> BalancerWitness:
     sums and fails loudly on mismatch.
     """
     target = 8 * x * x + a * x + 1  # >= 1 for every integer x
-    root = math.isqrt(target)
+    root = isqrt(target)
     if x < lo or root * root != target:
         raise _NotMember(x, family)
     r = (-(2 * x + 1) + root) // 2
@@ -163,7 +163,6 @@ def _scan(a: int, start: int, limit: int) -> list[int]:
     # Bit i of live stands for x = lo + i and stays set only if every row
     # admits x; only those x get the exact square test.
     rows = _rows(a)
-    floor_sqrt = math.isqrt  # not the module's isqrt wrapper
     out = []
     for lo in range(start, limit + 1, _BLOCK):
         live = (1 << min(_BLOCK, limit + 1 - lo)) - 1
@@ -174,7 +173,7 @@ def _scan(a: int, start: int, limit: int) -> list[int]:
             live ^= low
             x = lo + low.bit_length() - 1
             t = 8 * x * x + a * x + 1
-            r = floor_sqrt(t)
+            r = isqrt(t)
             if r * r == t:
                 out.append(x)
     return out
@@ -195,7 +194,7 @@ def search_family(family: SequenceKind, limit: int) -> list[int]:
     order. The residue rows reject each candidate whose polynomial is a
     non-square mod one of their moduli. Of the first 10**6 candidates, 41
     balancing and 59 cobalancing ones survive, the members among them, and
-    only the survivors get the exact math.isqrt test. A limit above
+    only the survivors get the exact isqrt test. A limit above
     SEARCH_LIMIT_MAX raises DomainError before anything is scanned.
     """
     if limit > SEARCH_LIMIT_MAX:

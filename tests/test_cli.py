@@ -654,7 +654,7 @@ IMPORT_GUARD_CHILD = textwrap.dedent(
 )
 
 
-def test_lean_commands_import_only_what_they_need():
+def test_lean_commands_import_only_what_they_need(child_env):
     # Compared with a snapshot, not by absolute membership: the interpreter's
     # site hooks may preload modules such as typing or threading.
     commands = [
@@ -668,11 +668,8 @@ def test_lean_commands_import_only_what_they_need():
         ["term", "c", "12885"],
         ["seq", "C", "0", "754"],
     ]
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = "COMMANDS = %r\n%s" % (commands, IMPORT_GUARD_CHILD)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = ast.literal_eval(proc.stdout)
@@ -688,7 +685,7 @@ def test_lean_commands_import_only_what_they_need():
     assert parser.isdisjoint(result["loaded_after_verify"])
 
 
-def test_the_module_entry_freezes_the_collector_and_main_does_not(capsys):
+def test_the_module_entry_freezes_the_collector_and_main_does_not(capsys, child_env):
     # Frozen objects are left out of the interpreter's final collection.
     child = textwrap.dedent(
         """
@@ -701,10 +698,7 @@ def test_the_module_entry_freezes_the_collector_and_main_does_not(capsys):
         print(code, gc.get_freeze_count() > 0, file=sys.stderr)
         """
     )
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", child], env=env,
+    proc = subprocess.run([sys.executable, "-c", child], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1189\n", "0 True\n")
     frozen = gc.get_freeze_count()
@@ -712,7 +706,7 @@ def test_the_module_entry_freezes_the_collector_and_main_does_not(capsys):
     assert gc.get_freeze_count() == frozen
 
 
-def test_verify_in_one_process_imports_nothing_the_workers_need():
+def test_verify_in_one_process_imports_nothing_the_workers_need(child_env):
     # pickle is loaded only once a run forks, not by --jobs 1 or one worker.
     child = textwrap.dedent(
         """
@@ -729,10 +723,7 @@ def test_verify_in_one_process_imports_nothing_the_workers_need():
         print(" ".join(sorted(set(sys.modules) - one)))
         """
     )
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", child], env=env,
+    proc = subprocess.run([sys.executable, "-c", child], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "pickle" in proc.stdout.split()

@@ -9,8 +9,6 @@ import pytest
 
 from balkit import identities, sequences
 from balkit.identities import (
-    CONGRUENCE,
-    EQUATION,
     EVAL_INDEX_MAX,
     TERM_DIGITS_MAX,
     UnknownIdentityError,
@@ -40,8 +38,8 @@ def test_catalog_shape():
     cat = list_identities()
     assert len(cat) == 36
     assert [d.ident for d in cat] == EXPECTED_IDS
-    assert sum(1 for d in cat if d.kind == EQUATION) == 27
-    assert sum(1 for d in cat if d.kind == CONGRUENCE) == 9
+    assert sum(1 for d in cat if d.modulus is None) == 27
+    assert sum(1 for d in cat if d.modulus is not None) == 9
     # Stable order on repeated calls.
     assert [d.ident for d in list_identities()] == EXPECTED_IDS
 
@@ -55,10 +53,15 @@ def test_lookup_and_arities():
 
 
 def test_congruence_entries_carry_moduli():
+    # An entry has a modulus iff its statement reads "L == R (mod k)", and
+    # the modulus is that k; an equation "L = R" has none.
     for d in list_identities():
-        if d.kind == CONGRUENCE:
-            assert d.modulus in (2, 4, 8, 16)
+        relation, mod, k = d.statement.partition(" (mod ")
+        if mod:
+            assert " == " in relation and k.endswith(")")
+            assert d.modulus == int(k[:-1]) and d.modulus in (2, 4, 8, 16)
         else:
+            assert " = " in d.statement and " == " not in d.statement
             assert d.modulus is None
 
 
@@ -207,6 +210,8 @@ def test_cobalancing_sum_swapped_reading_is_documented_and_correct():
     "B(n) = (B)(n)",
     "B(n) = - B(n)",
     "B(n) = ( B(n))",
+    "B(n) = (B(n) ) + 1",
+    "B(n) = B(n) +( 1)",
 ])
 def test_statement_outside_the_grammar_is_refused(statement):
     with pytest.raises(ValueError):

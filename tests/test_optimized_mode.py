@@ -12,7 +12,6 @@ compiles the identity catalog's statements.
 
 import ast
 import json
-import os
 import subprocess
 import sys
 import textwrap
@@ -85,13 +84,10 @@ ROUTE_CHILD = textwrap.dedent(
 )
 
 
-def test_invariant_raises_fire_under_python_O():
-    env = dict(os.environ)
-    src = str(PACKAGE.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+def test_invariant_raises_fire_under_python_O(child_env):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", CHILD],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     out = json.loads(proc.stdout)
@@ -99,13 +95,10 @@ def test_invariant_raises_fire_under_python_O():
     assert out == dict.fromkeys(out, True) and len(out) == 8, out
 
 
-def test_decimal_route_prints_the_same_under_python_O(capsys):
-    env = dict(os.environ)
-    src = str(PACKAGE.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+def test_decimal_route_prints_the_same_under_python_O(capsys, child_env):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", ROUTE_CHILD, json.dumps(ROUTE_COMMANDS)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     out = json.loads(proc.stdout)

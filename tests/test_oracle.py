@@ -1,7 +1,6 @@
 """First-principles oracle: square tests, witnesses and the brute-force scan."""
 
 import math
-import os
 import subprocess
 import sys
 
@@ -289,7 +288,7 @@ def test_search_needs_no_generator(monkeypatch):
     assert search_family(SequenceKind.COBALANCING, 10**5) == [0, 2, 14, 84, 492, 2870, 16730, 97512]
 
 
-def test_sieve_tables_are_built_on_first_search_only():
+def test_sieve_tables_are_built_on_first_search_only(child_env):
     # classify and term never build the tables, about 1 ms per family.
     code = (
         "import contextlib, io\n"
@@ -302,10 +301,7 @@ def test_sieve_tables_are_built_on_first_search_only():
         "oracle.search_family(oracle.SequenceKind.BALANCING, 10)\n"
         "print(oracle._rows.cache_info().currsize)\n"
     )
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert proc.stdout.split() == ["0", "1"]

@@ -8,7 +8,6 @@ benchmark's counting stdout counts only write calls.
 """
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -233,13 +232,6 @@ def test_verify_verbose_csv_holds_no_more_than_without_verbose(monkeypatch):
     assert peak - quiet_peak < sink.chars / 50, (peak, quiet_peak, sink.chars)
 
 
-def _env():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
 # Spawns each command with stdout on /dev/null and prints its exit code and
 # ru_maxrss. A child's ru_maxrss also covers its spawner's memory up to the
 # exec, so this small process spawns them, not pytest.
@@ -255,13 +247,13 @@ for argv in COMMANDS:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_seq_peak_rss_does_not_grow_with_the_range():
+def test_seq_peak_rss_does_not_grow_with_the_range(child_env):
     # seq B 0 8000 writes 24 MB. Holding its 8001 Decimal terms took about
     # 10 MB more than term B 0; computed as they are written, they take none.
     commands = [["term", "B", "0"], ["seq", "B", "0", "8000"],
                 ["seq", "B", "0", "8000", "--format", "json"]]
     proc = subprocess.run([sys.executable, "-c", "COMMANDS = %r\n%s" % (commands, RSS_SPAWNER)],
-                          env=_env(), capture_output=True, text=True, timeout=120)
+                          env=child_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
     rows = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
     assert [code for code, _ in rows] == [0, 0, 0]
@@ -275,10 +267,10 @@ def test_seq_peak_rss_does_not_grow_with_the_range():
     ["seq", "B", "0", "5000", "--format", "json"],
     ["verify", "--max-n", "60", "--format", "csv", "--verbose"],
 ])
-def test_closed_pipe_exits_141_without_a_traceback(argv):
+def test_closed_pipe_exits_141_without_a_traceback(argv, child_env):
     # Each output is megabytes, far more than a pipe buffers, so the writer
     # is still writing when the reader goes away after its first line.
-    proc = subprocess.Popen([sys.executable, "-m", "balkit.cli", *argv], env=_env(),
+    proc = subprocess.Popen([sys.executable, "-m", "balkit.cli", *argv], env=child_env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     first = proc.stdout.readline(4096)
     proc.stdout.close()
