@@ -346,13 +346,6 @@ TERM_DIGITS_MAX = 3 * 10**7
 EVAL_INDEX_MAX = 5 * 10**6
 
 
-def _check_digits(digits: int, max_n: int) -> None:
-    """Raise DomainError if digits, a bound on terms to hold, is above TERM_DIGITS_MAX."""
-    if digits > TERM_DIGITS_MAX:
-        raise DomainError("max_n=%d reads terms of up to %d digits in all, above the limit of %d"
-                          % (max_n, digits, TERM_DIGITS_MAX))
-
-
 def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
     """Top index to prefill per kind the entries read on the grid 0..max_n:
     the highest index any of their in-domain cells reads (c(4n) reads c up
@@ -363,7 +356,10 @@ def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, in
     # Sorted, each kind's highest index comes last, and the kinds in "BCbc" order.
     tops = dict(sorted((short, a * k + b * j + c) for d in entries for short, a, b, c in d.reads
                        for k, j in _DOMAINS[d.domain_desc][3](max_n) if k >= 0 and j >= 0))
-    _check_digits(sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items()), max_n)
+    digits = sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items())
+    if digits > TERM_DIGITS_MAX:
+        raise DomainError("max_n=%d reads terms of up to %d digits in all, above the limit of %d"
+                          % (max_n, digits, TERM_DIGITS_MAX))
     return tops
 
 
@@ -405,15 +401,17 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
             "(n=%s, m=%s) is outside the domain of %s (%s)"
             % (n, m, ident, desc.domain_desc)
         )
-    max_n = n if m is None else max(n, m)
     k, j = _coordinates(_DOMAINS[desc.domain_desc][2], n, m)
     reads = dict.fromkeys((short, a * k + b * j + c) for short, a, b, c in desc.reads)
-    _check_digits(sum(digits_bound(index, index) for _, index in reads), max_n)
+    point = "%s at (n=%s, m=%s) reads" % (ident, n, m)
+    digits = sum(digits_bound(index, index) for _, index in reads)
+    if digits > TERM_DIGITS_MAX:
+        raise DomainError("%s terms of up to %d digits, above the limit of %d"
+                          % (point, digits, TERM_DIGITS_MAX))
     indices = dict.fromkeys(index for _, index in reads)
     top = max(indices, default=0)
     if top > EVAL_INDEX_MAX:
-        raise DomainError("%s at (n=%s, m=%s) reads index %d, above the limit of %d"
-                          % (ident, n, m, top, EVAL_INDEX_MAX))
+        raise DomainError("%s index %d, above the limit of %d" % (point, top, EVAL_INDEX_MAX))
     # pair_bc is looked up on sequences, where perfbench's tracer wraps it.
     pairs = {index: sequences.pair_bc(index) for index in indices}
     terms = TermSource()
@@ -424,5 +422,5 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)
     except KeyError as exc:
-        raise read_error(desc, n, m, exc.args[0], max_n) from None
+        raise read_error(desc, n, m, exc.args[0], n if m is None else max(n, m)) from None
     return EvalResult(ident, n, m, lhs, rhs, lhs == rhs)

@@ -23,12 +23,12 @@ term once the term's estimated bit length passes _STR_MAX_BITS (index
 Smaller requests stay on int and never import decimal.
 
 All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
-seed pair. _KINDS holds each kind's short symbol, min_index, seeds and add,
-and walk() is the one place that steps the recurrence: stream() (a sized
-view that walks afresh on each iteration, as seq writes), generator_prefix()
-(the generator search) and the TermSource tables all read its terms. A
-TermSource is four plain dicts that prefill() fills from walk() up to a top
-index per kind; nothing grows on a read.
+seed pair. Each SequenceKind member carries its short symbol, min_index,
+seeds and add, and walk() is the one place that steps the recurrence:
+stream() (a sized view that walks afresh on each iteration, as seq writes),
+generator_prefix() (the generator search) and the TermSource tables all read
+its terms. A TermSource is four plain dicts that prefill() fills from walk()
+up to a top index per kind; nothing grows on a read.
 """
 
 from __future__ import annotations
@@ -59,37 +59,27 @@ class WorkerError(RuntimeError):
 
 
 class SequenceKind(Enum):
-    BALANCING = "balancing"
-    LUCAS_BALANCING = "lucas-balancing"
-    COBALANCING = "cobalancing"
-    LUCAS_COBALANCING = "lucas-cobalancing"
+    """Each member carries its short symbol (case-significant), min_index,
+    seeds (its values at min_index and min_index + 1) and add, the constant
+    of its recurrence x(n+1) = 6*x(n) - x(n-1) + add; its value is its long name."""
 
-    @property
-    def min_index(self) -> int:
-        """Smallest defined index: 0 for B and C, 1 for b and c."""
-        return _KINDS[self][1]
+    BALANCING = ("balancing", "B", 0, (0, 1), 0)
+    LUCAS_BALANCING = ("lucas-balancing", "C", 0, (1, 3), 0)
+    COBALANCING = ("cobalancing", "b", 1, (0, 2), 2)
+    LUCAS_COBALANCING = ("lucas-cobalancing", "c", 1, (1, 7), 0)
 
-    @property
-    def short(self) -> str:
-        """Single-letter conventional symbol (case-significant)."""
-        return _KINDS[self][0]
-
-
-# kind -> (short symbol, min_index, values at min_index and min_index + 1,
-#          add in the recurrence x(n+1) = 6*x(n) - x(n-1) + add)
-_KINDS = {
-    SequenceKind.BALANCING: ("B", 0, (0, 1), 0),
-    SequenceKind.LUCAS_BALANCING: ("C", 0, (1, 3), 0),
-    SequenceKind.COBALANCING: ("b", 1, (0, 2), 2),
-    SequenceKind.LUCAS_COBALANCING: ("c", 1, (1, 7), 0),
-}
+    def __new__(cls, name: str, short: str, min_index: int, seeds: tuple, add: int):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.short, kind.min_index, kind.seeds, kind.add = short, min_index, seeds, add
+        return kind
 
 
 def parse_kind(text: str) -> SequenceKind:
     """Resolve a kind from its short symbol (case-sensitive) or long name."""
     low = text.lower()
-    for kind, (short, *_) in _KINDS.items():
-        if text == short or low == kind.value:
+    for kind in SequenceKind:
+        if text == kind.short or low == kind.value:
             return kind
     raise DomainError(
         "unknown sequence kind %r (use B, C, b, c or balancing, "
@@ -273,8 +263,8 @@ def index_of(kind: SequenceKind, x: int) -> Optional[int]:
 
 def walk(kind: SequenceKind, one=1) -> Iterator:
     """kind's terms from index min_index upward, without end, by recurrence
-    from its seed pair in _KINDS, in the number type of one (1 or Decimal(1))."""
-    _, _, (x, y), add = _KINDS[kind]
+    from its seeds, in the number type of one (1 or Decimal(1))."""
+    (x, y), add = kind.seeds, kind.add
     x, y = x * one, y * one
     while True:
         yield x

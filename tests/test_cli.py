@@ -638,17 +638,29 @@ def test_library_render_ignores_int_str_digit_limit(capsys):
 
 # -- start-up -----------------------------------------------------------------
 
+# The child also records the module behind each import statement of decimal:
+# from CPython 3.12, str() of a large int imports it through the interpreter's
+# own _pylong, so whether decimal is loaded says nothing about balkit.
 IMPORT_GUARD_CHILD = textwrap.dedent(
     """
-    import io, sys
+    import builtins, io, sys
+    real_import, decimal_importers = builtins.__import__, set()
+
+    def recording_import(name, globals=None, *args, **kwargs):
+        if name == "decimal":
+            decimal_importers.add((globals or {}).get("__name__"))
+        return real_import(name, globals, *args, **kwargs)
+
+    builtins.__import__ = recording_import
     before = set(sys.modules)
     from balkit import cli
     real_stdout, sys.stdout = sys.stdout, io.StringIO()
     codes = [cli.main(argv) for argv in COMMANDS]
     loaded = sorted(set(sys.modules) - before)
+    importers = sorted(map(str, decimal_importers))
     codes.append(cli.main(["verify", "--max-n", "2"]))
     sys.stdout = real_stdout
-    print(repr({"codes": codes, "loaded": loaded,
+    print(repr({"codes": codes, "loaded": loaded, "decimal_importers": importers,
                 "loaded_after_verify": sorted(set(sys.modules) - before)}))
     """
 )
@@ -675,9 +687,11 @@ def test_lean_commands_import_only_what_they_need(child_env):
     result = ast.literal_eval(proc.stdout)
     assert result["codes"] == [0] * (len(commands) + 1)
     parser = {"argparse", "gettext", "locale"}
-    heavy = {"dataclasses", "decimal", "inspect", "json", "balkit.harness",
-             "balkit.identities"} | parser
+    heavy = {"dataclasses", "inspect", "json", "balkit.harness", "balkit.identities"} | parser
     assert heavy.isdisjoint(result["loaded"]), sorted(heavy & set(result["loaded"]))
+    # decimal may be loaded by CPython's _pylong (3.12+), never by balkit or
+    # by a module that balkit pulls in.
+    assert set(result["decimal_importers"]) <= {"_pylong"}, result["decimal_importers"]
     # Exactly these, so a new import into a lean command's path shows here.
     balkit_loaded = {name for name in result["loaded"] if name.split(".")[0] == "balkit"}
     assert balkit_loaded == {"balkit", "balkit.cli", "balkit.oracle", "balkit.sequences"}
@@ -869,14 +883,37 @@ def _parsed(parse, argv):
 _HELP_TOKENS = {"-h", "--h", "--he", "--hel", "--help"}
 
 
+def _joined_help(head):
+    """The first token of head that joins -h to more characters (-hx), or None."""
+    return next((t for t in head if t[:2] == "-h" and t[2:3] not in ("", "=")), None)
+
+
+def _assert_joined_help_refused(argv, joined):
+    """parse_args refuses argv for the token joined, as argparse 3.11 does."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(list(argv))
+    assert (exc.value.code, err.getvalue().splitlines()[-1]) == (
+        2, "balkit %s: error: argument -h/--help: ignored explicit argument %r"
+        % (argv[0], joined[2:])), argv
+
+
 def _agrees_with_argparse(argv):
     mine, reference = _parsed(cli.parse_args, argv), _parsed(_reference_parse, argv)
     if mine == reference:
         return
-    # The two documented differences, where argparse exits 2 and parse_args
-    # does not: -h before "--" shows the help even after an invalid token...
-    assert reference == 2, (argv, mine, reference)
     head = argv[:argv.index("--")] if "--" in argv else argv
+    # The third documented difference, against argparse 3.13+ only: there
+    # -h joined to more characters shows the help, where 3.11 and parse_args
+    # refuse the token.
+    joined = _joined_help(head)
+    if sys.version_info >= (3, 13) and reference == 0 and joined:
+        _assert_joined_help_refused(argv, joined)
+        return
+    # The two others, where argparse exits 2 and parse_args does not: -h
+    # before "--" shows the help even after an invalid token...
+    assert reference == 2, (argv, mine, reference)
     if mine == 0:
         assert _HELP_TOKENS & set(head), argv
     # ...and a "--" that ends the line is accepted wherever it stands.
@@ -941,6 +978,17 @@ def test_help_wins_even_after_an_invalid_token(capsys):
         out, err = capsys.readouterr()
         assert (exc.value.code, err) == (0, "")
         assert out.startswith("usage: balkit %s [-h] " % argv[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["term", "B", "5", "-hx"],
+    ["bench", "-hx"],
+    ["seq", "B", "1", "2", "-x", "-h5"],
+], ids=repr)
+def test_help_joined_to_other_characters_is_refused(argv):
+    # argparse 3.13 shows the help instead.
+    _assert_joined_help_refused(argv, _joined_help(argv))
+    assert _parsed(_reference_parse, argv) == (0 if sys.version_info >= (3, 13) else 2)
 
 
 @pytest.mark.parametrize("argv", [

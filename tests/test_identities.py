@@ -487,6 +487,11 @@ def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
     for args in (("PARITY_B", 4 * 10**7), ("MOD16_c", 10**7), ("B_ADD", 10**9, 0)):
         with pytest.raises(DomainError, match="above the limit of %d$" % TERM_DIGITS_MAX):
             evaluate(*args)
+    # Worded for the one point, as the index cap's refusal is: a point has no max_n.
+    with pytest.raises(DomainError) as info:
+        evaluate("B_ADD", 10**9, 0)
+    assert str(info.value) == ("B_ADD at (n=1000000000, m=0) reads terms of up to 1531200004 "
+                               "digits, above the limit of %d" % TERM_DIGITS_MAX)
 
 
 def test_evaluate_refuses_a_point_above_the_index_cap_before_any_term(monkeypatch):

@@ -1,6 +1,9 @@
 """Sequence generation: the three routes against an independent reference."""
 
+import copy
+import pickle
 import random
+from itertools import islice
 
 import pytest
 
@@ -219,6 +222,26 @@ def test_parse_kind():
     assert parse_kind("lucas-cobalancing") is c
     with pytest.raises(DomainError):
         parse_kind("x")
+
+
+@pytest.mark.parametrize("kind, name, short, min_index, prefix", [
+    (B, "balancing", "B", 0, [0, 1, 6, 35]),
+    (C, "lucas-balancing", "C", 0, [1, 3, 17, 99]),
+    (b, "cobalancing", "b", 1, [0, 2, 14, 84]),
+    (c, "lucas-cobalancing", "c", 1, [1, 7, 41, 239]),
+], ids=repr)
+def test_each_kind_carries_its_own_data(kind, name, short, min_index, prefix):
+    # The value stays the long name, so lookup by value and pickling by it hold.
+    assert kind.value == name and SequenceKind(name) is kind
+    assert parse_kind(short) is kind and kind.short == short
+    assert kind.min_index == min_index
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(kind, protocol)) is kind
+    assert copy.deepcopy(kind) is kind
+    # walk steps from the member's seeds by its add.
+    assert kind.seeds == tuple(prefix[:2])
+    assert 6 * prefix[1] - prefix[0] + kind.add == prefix[2]
+    assert list(islice(sequences.walk(kind), 4)) == prefix
 
 
 def test_term_source_matches_recurrence():
