@@ -171,16 +171,10 @@ def _classify(x: int) -> dict:
             continue
         out[kind.value] = {"member": True, "index": index_of(kind, x), role: decimal_str(w.r)}
 
-    # The root conditions: for odd x and t = (x^2 - 1)/8, x = C(k) iff t is a
-    # square (every solution of x^2 - 8y^2 = 1 is (C(k), B(k))), and x = c(k)
-    # iff 4t + 1 = (x^2 + 1)/2 is one (then x^2 = 8b^2 + 8b + 1, 2b + 1 its root).
-    t = (x * x - 1) // 8
-    for kind, s in ((SequenceKind.LUCAS_BALANCING, t),
-                    (SequenceKind.LUCAS_COBALANCING, 4 * t + 1)):
-        if x % 2 == 1 and oracle.isqrt(s) ** 2 == s:
-            out[kind.value] = {"member": True, "index": index_of(kind, x)}
-        else:
-            out[kind.value] = {"member": False}
+    # The Lucas families by their root conditions: one root each for odd x.
+    for kind in (SequenceKind.LUCAS_BALANCING, SequenceKind.LUCAS_COBALANCING):
+        out[kind.value] = ({"member": True, "index": index_of(kind, x)}
+                           if oracle.is_lucas(kind, x) else {"member": False})
     return out
 
 

@@ -51,6 +51,12 @@ GRID_CELLS_MAX = 4 * 10**7
 # first bound.
 JOBS_MAX = 64
 
+# Largest max_n compare_methods takes, near a minute's work. It computes
+# every term three ways, and its time grows four- to six-fold per doubling
+# of max_n: 0.24 s at 2000, 0.99 s at 4000, 4.9 s at 8000, 29 s at 16000
+# and 59 s at 20000 (2-core x86-64 VM, CPython 3.11).
+COMPARE_N_MAX = 2 * 10**4
+
 
 @dataclass
 class IdentityRecord:
@@ -322,10 +328,13 @@ def compare_methods(max_n: int) -> VerificationReport:
 
     Scans each kind's domain up to max_n and records the first divergence,
     if any, as a failure (lhs = recurrence value, rhs = first differing
-    value from another route).
+    value from another route). A max_n above COMPARE_N_MAX raises
+    DomainError before any term is computed.
     """
     if max_n < 1:
         raise DomainError("max_n must be >= 1, got %d" % max_n)
+    if max_n > COMPARE_N_MAX:
+        raise DomainError("max_n must be <= %d, got %d" % (COMPARE_N_MAX, max_n))
     report = VerificationReport("method-agreement", max_n)
     for kind in SequenceKind:
         ident = "AGREE_" + kind.short

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import sequences
 from .sequences import DomainError, SequenceKind, TermSource, UnknownIdentityError
-from .sequences import digits_bound
+from .sequences import digits_bound, parse_kind, term_of_pair
 
 Evaluator = Callable[[TermSource, int, Optional[int]], int]
 
@@ -387,9 +387,9 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     against TERM_DIGITS_MAX, then their largest index against
     EVAL_INDEX_MAX, both before any term is computed. A fresh
     TermSource, freed on return, holds just those terms: one pair_bc() call
-    per distinct index gives B and C, and b and c are bridged from it as
-    term_doubling() does. An evaluator that reads outside its statement's
-    reads raises read_error()'s DomainError, as in the harness.
+    per distinct index gives B and C, and term_of_pair() takes each read's
+    term from them, as term_doubling() does. An evaluator that reads outside
+    its statement's reads raises read_error()'s DomainError, as in the harness.
     """
     desc = lookup(ident)
     if desc.arity == 2 and m is None:
@@ -416,8 +416,7 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     pairs = {index: sequences.pair_bc(index) for index in indices}
     terms = TermSource()
     for short, index in reads:
-        pair = pairs[index] if short in "BC" else sequences._cobal(*pairs[index])
-        getattr(terms, short)[index] = pair[0] if short in "Bb" else pair[1]
+        getattr(terms, short)[index] = term_of_pair(parse_kind(short), *pairs[index])
     try:
         lhs = desc.lhs(terms, n, m)
         rhs = desc.rhs(terms, n, m)

@@ -14,15 +14,20 @@ every candidate a verdict, in order. It walks the candidates in blocks,
 one bit per candidate, and ANDs per block residue rows built from the
 squares mod 63, 65 and 11 and mod each prime from 17 to 59. A candidate
 rejected by a row is a non-square mod one of those moduli. Each survivor
-is confirmed by an exact isqrt. This is the table-driven square test
+is confirmed by square_root. This is the table-driven square test
 of H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 1993, section 1.7, applied to a block at a time.
+
+square_root is the one exact square test: the scan's survivors, the
+witnesses and is_lucas (the Lucas-balancing and Lucas-cobalancing root
+conditions, which classify uses) all call it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Optional
 
 from .sequences import DomainError, SequenceKind
 
@@ -78,27 +83,42 @@ def isqrt(x: int) -> int:
     """Floor square root: the r with r**2 <= x < (r+1)**2.
 
     math.isqrt with a DomainError for negative x. Every square root the
-    oracle takes goes through here.
+    oracle takes goes through here, by way of square_root.
     """
     if x < 0:
         raise DomainError("square root of negative number %d" % x)
     return math.isqrt(x)
 
 
-def _witness(x: int, a: int, lo: int, family: str) -> BalancerWitness:
-    """The witness r for x >= lo with 8*x**2 + a*x + 1 a perfect square.
+def square_root(t: int) -> Optional[int]:
+    """The root r of t if t = r**2 is a perfect square, else None.
 
-    Balancing numbers have a = 0, lo = 1 and left sum 1+...+(x-1);
-    cobalancing numbers a = 8, lo = 0 and left sum 1+...+x. Summing both
-    sides gives r = (-(2x+1) + sqrt(8x^2+ax+1)) / 2, so the one square root
-    both decides membership and gives r. Because the formula is derived,
-    the witness re-checks the sum equality with the closed forms of both
-    sums and fails loudly on mismatch.
+    The one square test of balkit, through the module global isqrt, so a
+    negative t raises DomainError.
     """
-    target = 8 * x * x + a * x + 1  # >= 1 for every integer x
-    root = isqrt(target)
-    if x < lo or root * root != target:
-        raise _NotMember(x, family)
+    r = isqrt(t)
+    return r if r * r == t else None
+
+
+# Each family the oracle decides: a in its witness polynomial 8*x**2 + a*x + 1,
+# and its least member.
+_FAMILIES = {SequenceKind.BALANCING: (0, 1), SequenceKind.COBALANCING: (8, 0)}
+
+
+def _witness(x: int, kind: SequenceKind) -> BalancerWitness:
+    """The witness r for x in kind's family, whose members are the x >= lo
+    with 8*x**2 + a*x + 1 a perfect square, (a, lo) its row of _FAMILIES.
+
+    Balancing numbers have left sum 1+...+(x-1), cobalancing numbers
+    1+...+x. Summing both sides gives r = (-(2x+1) + sqrt(8x^2+ax+1)) / 2,
+    so the one square root both decides membership and gives r. Because
+    the formula is derived, the witness re-checks the sum equality with the
+    closed forms of both sums and fails loudly on mismatch.
+    """
+    a, lo = _FAMILIES[kind]
+    root = square_root(8 * x * x + a * x + 1)  # the polynomial is >= 1 for every integer x
+    if x < lo or root is None:
+        raise _NotMember(x, kind.value)
     r = (-(2 * x + 1) + root) // 2
     return BalancerWitness(
         n=x,
@@ -110,12 +130,27 @@ def _witness(x: int, a: int, lo: int, family: str) -> BalancerWitness:
 
 def balancer_of(x: int) -> BalancerWitness:
     """Witness for a balancing number: r with 1+...+(x-1) = (x+1)+...+(x+r)."""
-    return _witness(x, 0, 1, "balancing")
+    return _witness(x, SequenceKind.BALANCING)
 
 
 def cobalancer_of(x: int) -> BalancerWitness:
     """Witness for a cobalancing number: r with 1+...+x = (x+1)+...+(x+r)."""
-    return _witness(x, 8, 0, "cobalancing")
+    return _witness(x, SequenceKind.COBALANCING)
+
+
+# The Lucas families' root conditions, as (d, q): an odd x > 0 is a term of
+# the family iff (x**2 - d)/q is a square. x = C(k) iff (x**2 - 1)/8 is one,
+# as every solution of x**2 - 8*y**2 = 1 is (C(k), B(k)); x = c(k) iff
+# (x**2 + 1)/2 is one, as then x**2 = 8*b**2 + 8*b + 1 with 2b + 1 its root.
+_LUCAS = {SequenceKind.LUCAS_BALANCING: (1, 8), SequenceKind.LUCAS_COBALANCING: (-1, 2)}
+
+
+def is_lucas(kind: SequenceKind, x: int) -> bool:
+    """Whether x is a term of kind, LUCAS_BALANCING or LUCAS_COBALANCING,
+    by its root condition in _LUCAS: one square root for an odd x > 0, and
+    none for any other x, as every term of both is odd and positive."""
+    d, q = _LUCAS[kind]
+    return x > 0 and x % 2 == 1 and square_root((x * x - d) // q) is not None
 
 
 # A square is a square residue modulo every modulus. Each group's product is
@@ -172,9 +207,7 @@ def _scan(a: int, start: int, limit: int) -> list[int]:
             low = live & -live
             live ^= low
             x = lo + low.bit_length() - 1
-            t = 8 * x * x + a * x + 1
-            r = isqrt(t)
-            if r * r == t:
+            if square_root(8 * x * x + a * x + 1) is not None:
                 out.append(x)
     return out
 
@@ -194,17 +227,13 @@ def search_family(family: SequenceKind, limit: int) -> list[int]:
     order. The residue rows reject each candidate whose polynomial is a
     non-square mod one of their moduli. Of the first 10**6 candidates, 41
     balancing and 59 cobalancing ones survive, the members among them, and
-    only the survivors get the exact isqrt test. A limit above
+    only the survivors get square_root. A limit above
     SEARCH_LIMIT_MAX raises DomainError before anything is scanned.
     """
     if limit > SEARCH_LIMIT_MAX:
         raise DomainError(
             "oracle search limit must be <= %d, got %d" % (SEARCH_LIMIT_MAX, limit)
         )
-    if family is SequenceKind.BALANCING:
-        return _scan(0, 1, limit)
-    if family is SequenceKind.COBALANCING:
-        return _scan(8, 0, limit)
-    raise DomainError(
-        "search_family handles balancing or cobalancing, got %s" % family.value
-    )
+    if family not in _FAMILIES:
+        raise DomainError("search_family handles balancing or cobalancing, got %s" % family.value)
+    return _scan(*_FAMILIES[family], limit)

@@ -81,10 +81,8 @@ def parse_kind(text: str) -> SequenceKind:
     for kind in SequenceKind:
         if text == kind.short or low == kind.value:
             return kind
-    raise DomainError(
-        "unknown sequence kind %r (use B, C, b, c or balancing, "
-        "lucas-balancing, cobalancing, lucas-cobalancing)" % text
-    )
+    raise DomainError("unknown sequence kind %r (use %s or %s)" % (
+        text, ", ".join(k.short for k in SequenceKind), ", ".join(k.value for k in SequenceKind)))
 
 
 def _check_index(kind: SequenceKind, n: int) -> None:
@@ -216,6 +214,17 @@ def pair_cobal(n: int) -> tuple[int, int]:
     return _cobal(*pair_bc(n))
 
 
+def term_of_pair(kind: SequenceKind, big_b, big_c):
+    """kind's term at n from (B(n), C(n)), n >= kind.min_index, in their
+    number type: B(n) and C(n) themselves, b(n) and c(n) through _cobal."""
+    if kind is SequenceKind.BALANCING:
+        return big_b
+    if kind is SequenceKind.LUCAS_BALANCING:
+        return big_c
+    small_b, small_c = _cobal(big_b, big_c)
+    return small_b if kind is SequenceKind.COBALANCING else small_c
+
+
 def term_doubling(kind: SequenceKind, n: int, one=1):
     """n-th term by fast doubling: kind's member of (B(n), C(n)) or its bridge.
 
@@ -224,13 +233,7 @@ def term_doubling(kind: SequenceKind, n: int, one=1):
     """
     _check_index(kind, n)
     _check_exact(one)
-    big_b, big_c = pair_bc(n) if one.__class__ is int else _pair_bc(n, one)
-    if kind is SequenceKind.BALANCING:
-        return big_b
-    if kind is SequenceKind.LUCAS_BALANCING:
-        return big_c
-    pair = _cobal(big_b, big_c)
-    return pair[0] if kind is SequenceKind.COBALANCING else pair[1]
+    return term_of_pair(kind, *(pair_bc(n) if one.__class__ is int else _pair_bc(n, one)))
 
 
 _LOG2_LAMBDA = math.log2(3 + 2 * math.sqrt(2))

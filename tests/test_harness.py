@@ -615,6 +615,17 @@ def test_compare_methods_records_the_first_divergence_per_kind_and_stops(monkeyp
         assert r.checked == 8 - kind.min_index
 
 
+def test_compare_methods_refuses_max_n_above_its_cap_before_any_term(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("computed a term above the cap")
+
+    for name in ("walk", "term_binet", "term_doubling"):
+        monkeypatch.setattr(harness, name, refuse)
+    with pytest.raises(DomainError) as info:
+        compare_methods(harness.COMPARE_N_MAX + 1)
+    assert str(info.value) == "max_n must be <= 20000, got 20001"
+
+
 @pytest.mark.parametrize("check, bound, message", [
     (compare_methods, 0, "max_n must be >= 1, got 0"),
     (oracle_equivalence, -1, "limit must be >= 0, got -1"),

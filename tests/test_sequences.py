@@ -222,6 +222,11 @@ def test_parse_kind():
     assert parse_kind("lucas-cobalancing") is c
     with pytest.raises(DomainError):
         parse_kind("x")
+    with pytest.raises(DomainError) as info:
+        parse_kind("d")
+    assert str(info.value) == (
+        "unknown sequence kind 'd' (use B, C, b, c or balancing, "
+        "lucas-balancing, cobalancing, lucas-cobalancing)")
 
 
 @pytest.mark.parametrize("kind, name, short, min_index, prefix", [
