@@ -35,13 +35,11 @@ from .sequences import (
     UnknownIdentityError,
     WorkerError,
     check_range,
-    decimal_digits,
     decimal_str,
     digits_bound,
     exact_context,
     generator_prefix,
     index_of,
-    pair_bc,
     parse_kind,
     stream,
     term_binet,
@@ -60,9 +58,9 @@ from .sequences import (
 PRINT_DIGITS_MAX = 10**8
 TERM_N_MAX = {"recurrence": 5 * 10**5}
 # bench refuses n above its method's cap before timing anything. Its
-# recurrence shares term's; its int doubling grows about as n**1.6, and at
-# n = 10**7 takes 17 s, and the whole run with its digit count and Pell check
-# about 50 s (same host). The digit count of B(10**7) alone takes 3.7 s.
+# recurrence shares term's; at n = 10**7 its doubling run (B(n), then C(n)
+# and the Pell check, in Decimal as term computes them) takes 3.3 s and
+# 68 MB (same host, median of 7 child runs).
 BENCH_N_MAX = {"recurrence": TERM_N_MAX["recurrence"], "doubling": 10**7}
 
 
@@ -93,16 +91,28 @@ def _write_json_strings(head: str, values: Iterable[str], tail: str) -> None:
     write("]" + tail)
 
 
+def _term_text(kind: SequenceKind, n: int, method: str) -> str:
+    """kind's term at n in decimal, by method (recurrence, binet, or else
+    doubling): the value term prints and every bench row times.
+
+    The int route serves the library, TermSource, the harness and classify.
+    Here doubling and the closed form compute the term as an exact Decimal
+    under exact_context() once its estimated bit length passes _STR_MAX_BITS
+    (index 12886), and render it with str(), which is linear, where str() of
+    an int is quadratic before CPython 3.12; libmpdec's products are also
+    faster than int's at that size. The recurrence, and every smaller term,
+    stays on int and never imports decimal."""
+    route = {"recurrence": term_recurrence, "binet": term_binet}.get(method, term_doubling)
+    if method != "recurrence" and n * _LOG2_LAMBDA > _STR_MAX_BITS:
+        with exact_context() as ctx:
+            return str(route(kind, n, ctx.create_decimal(1)))
+    return decimal_str(route(kind, n))
+
+
 def _cmd_term(args: SimpleNamespace) -> int:
     kind = parse_kind(args.kind)
     _check_size(kind, args.n, args.n, args.method)
-    route = {"recurrence": term_recurrence, "binet": term_binet}.get(args.method, term_doubling)
-    # Past this estimated bit length, Decimal products cost less than str() of the int.
-    if args.method != "recurrence" and args.n * _LOG2_LAMBDA > _STR_MAX_BITS:
-        with exact_context() as ctx:
-            text = str(route(kind, args.n, ctx.create_decimal(1)))
-    else:
-        text = decimal_str(route(kind, args.n))
+    text = _term_text(kind, args.n, args.method)
     # In slices, so the whole value is never copied; keys in json.dumps(sort_keys=True) order.
     write = sys.stdout.write
     if args.format == "json":
@@ -116,8 +126,9 @@ def _cmd_term(args: SimpleNamespace) -> int:
 def _cmd_seq(args: SimpleNamespace) -> int:
     kind = parse_kind(args.kind)
     _check_size(kind, args.start, args.stop)
-    # Past this estimated bit length of the last term, Decimal costs less than
-    # str() of the ints; below it each term has under 640 digits, so str() is decimal_str().
+    # Past this estimated bit length of the last term (index 755), Decimal
+    # costs less than str() of the ints, as in _term_text; below it each term
+    # has under 640 digits, so str() is decimal_str().
     # stream() returns a view that computes each term as it is written, so
     # the Decimal terms are written inside the context they are computed in.
     if args.stop * _LOG2_LAMBDA > _ALWAYS_STR_BITS:
@@ -238,28 +249,26 @@ def _cmd_bench(args: SimpleNamespace) -> int:
     if not methods:
         raise DomainError("no bench methods selected")
 
-    values: dict[str, int] = {}
-    companion: Optional[int] = None
+    texts: dict[str, str] = {}
     sys.stdout.write("method,seconds,digits\n")
     for m in methods:
         started = time.perf_counter()
-        if m == "recurrence":
-            value = term_recurrence(SequenceKind.BALANCING, args.n)
-        else:
-            value, companion = pair_bc(args.n)
+        texts[m] = _term_text(SequenceKind.BALANCING, args.n, m)
         elapsed = time.perf_counter() - started
-        values[m] = value
-        sys.stdout.write("%s,%.6f,%d\n" % (m, elapsed, decimal_digits(value)))
+        sys.stdout.write("%s,%.6f,%d\n" % (m, elapsed, len(texts[m])))
 
-    if companion is not None:
-        # Self-check the doubling result against the Pell relation.
-        b_val = values["doubling"]
-        pell_ok = companion * companion - 8 * (b_val * b_val) == 1
+    if "doubling" in texts:
+        # Self-check the doubling route's B(n) and C(n) against the Pell
+        # relation, as exact Decimals; C(n)'s text is dropped once it is read.
+        with exact_context() as ctx:
+            c_val = ctx.create_decimal(_term_text(SequenceKind.LUCAS_BALANCING, args.n, "doubling"))
+            b_val = ctx.create_decimal(texts["doubling"])
+            pell_ok = c_val * c_val - 8 * (b_val * b_val) == 1
         sys.stdout.write("pell: %s\n" % ("ok" if pell_ok else "VIOLATED"))
         if not pell_ok:
             return 1
-    if len(values) == 2:
-        equal = values["recurrence"] == values["doubling"]
+    if len(texts) == 2:
+        equal = texts["recurrence"] == texts["doubling"]
         sys.stdout.write("equal: %s\n" % ("true" if equal else "false"))
         if not equal:
             return 1

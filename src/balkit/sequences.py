@@ -14,14 +14,6 @@ Decimal(1). The three routes are algebraically equal, and the verification
 harness checks that this implementation keeps them equal. decimal_str
 renders the (possibly huge) values for the CLI and the harness reports.
 
-The int route serves the library, TermSource, the harness and classify.
-The CLI's term (by doubling or the closed form) and seq compute large
-values as exact Decimals under exact_context() and print them with str(),
-which is linear, where str() of an int is quadratic before CPython 3.12:
-term once the term's estimated bit length passes _STR_MAX_BITS (index
-12886), seq once its last term's passes _ALWAYS_STR_BITS (index 755).
-Smaller requests stay on int and never import decimal.
-
 All four sequences satisfy x(n+1) = 6*x(n) - x(n-1) + add, from their own
 seed pair. Each SequenceKind member carries its short symbol, min_index,
 seeds and add, and walk() is the one place that steps the recurrence:
@@ -332,22 +324,6 @@ class TermSource:
             kind = parse_kind(short)
             values = islice(walk(kind), max(top + 1 - kind.min_index, 0))
             getattr(self, short).update(enumerate(values, kind.min_index))
-
-
-_LOG10_2 = math.log10(2)
-
-
-def decimal_digits(x: int) -> int:
-    """Exact decimal digit count without converting x to a string."""
-    if x == 0:
-        return 1
-    x = abs(x)
-    est = int((x.bit_length() - 1) * _LOG10_2)  # never overshoots log10(x)
-    # 10**e <= x iff 5**e <= x >> e, as 10**e = 5**e * 2**e: exact, and
-    # 5**e has about 0.7 of the bits of 10**e.
-    while 5 ** (est + 1) <= x >> (est + 1):
-        est += 1
-    return est + 1
 
 
 def digits_bound(start: int, stop: int) -> int:

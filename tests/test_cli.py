@@ -437,7 +437,7 @@ def test_generator_search_is_capped_as_seq_is(capsys, monkeypatch, no_int_str_li
 @pytest.mark.parametrize("method, cap", sorted(cli.BENCH_N_MAX.items()))
 def test_bench_n_is_capped_per_method_before_timing(method, cap, capsys, monkeypatch):
     monkeypatch.setattr(cli, "term_recurrence", computed)
-    monkeypatch.setattr(cli, "pair_bc", computed)
+    monkeypatch.setattr(cli, "term_doubling", computed)
     with pytest.raises(Computed):
         cli.main(["bench", "--n", str(cap), "--methods", method])
     capsys.readouterr()
@@ -449,7 +449,7 @@ def test_bench_n_is_capped_per_method_before_timing(method, cap, capsys, monkeyp
 def test_bench_caps(capsys, monkeypatch):
     assert cli.BENCH_N_MAX == {"recurrence": cli.TERM_N_MAX["recurrence"], "doubling": 10**7}
     monkeypatch.setattr(cli, "term_recurrence", computed)
-    monkeypatch.setattr(cli, "pair_bc", computed)
+    monkeypatch.setattr(cli, "term_doubling", computed)
     # Between the two caps only the recurrence refuses.
     n = str(cli.BENCH_N_MAX["recurrence"] + 1)
     assert run_cli(capsys, "bench", "--n", n)[:2] == (2, "")
@@ -489,7 +489,8 @@ def test_bench_single_method_and_errors(capsys):
 
 
 @pytest.mark.parametrize("route, wrong, last", [
-    ("pair_bc", lambda n: (pair_bc(n)[0], pair_bc(n)[1] + 1), "pell: VIOLATED"),
+    ("term_doubling", lambda kind, n, one=1: sequences.term_doubling(kind, n, one)
+     + (kind is SequenceKind.LUCAS_BALANCING), "pell: VIOLATED"),
     ("term_recurrence", lambda kind, n: sequences.term_recurrence(kind, n) + 1, "equal: false"),
 ])
 def test_bench_exits_1_after_a_failed_self_check(capsys, monkeypatch, route, wrong, last):
@@ -501,7 +502,7 @@ def test_bench_exits_1_after_a_failed_self_check(capsys, monkeypatch, route, wro
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_bench_refuses_structured_formats(capsys, monkeypatch, fmt):
-    monkeypatch.setattr(cli, "pair_bc", computed)
+    monkeypatch.setattr(cli, "term_doubling", computed)
     with pytest.raises(Computed):
         cli.main(["bench", "--n", "5", "--methods", "doubling"])
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""The Decimal compute route of `term` and `seq` against the int route.
+"""The Decimal compute route of `term`, `seq` and `bench` against the int route.
 
 Above a size threshold the CLI computes terms as exact Decimals under
 sequences.exact_context() and prints them with str(); below it, as ints
@@ -18,7 +18,6 @@ from balkit import cli, sequences
 from balkit.sequences import (
     DomainError,
     SequenceKind,
-    decimal_digits,
     decimal_str,
     digits_bound,
     exact_context,
@@ -102,6 +101,30 @@ def test_term_prints_the_int_route_text_around_the_threshold(kind, routes, capsy
     assert routes == []
 
 
+@pytest.mark.parametrize("n", [TERM_T - 1, TERM_T, TERM_T + 1, 10**5])
+def test_bench_times_the_route_term_prints(n, routes, capsys):
+    # Each row's digits are the length of the value term prints by the row's
+    # method, and bench's doubling computes B(n), and C(n) for its Pell
+    # check, in the number type term's doubling does.
+    texts = {m: run_cli(capsys, "term", "B", str(n), "--method", m)[1][:-1]
+             for m in ("recurrence", "doubling")}
+    assert texts["recurrence"] == texts["doubling"]
+    seed = "Decimal" if n >= TERM_T else "int"
+    for methods in (["recurrence"], ["doubling"], ["recurrence", "doubling"]):
+        del routes[:]
+        code, out, err = run_cli(capsys, "bench", "--n", str(n), "--methods", ",".join(methods))
+        rows = out.splitlines()
+        assert (code, err, rows[0]) == (0, "", "method,seconds,digits")
+        timed = [row.split(",") for row in rows[1:len(methods) + 1]]
+        assert [(m, int(digits)) for m, _, digits in timed] == [(m, len(texts[m])) for m in methods]
+        checks = rows[len(methods) + 1:]
+        if "doubling" in methods:
+            assert routes == [seed, seed] and checks[0] == "pell: ok"
+        else:
+            assert routes == [] and checks == []
+        assert checks[1:] == (["equal: true"] if len(methods) == 2 else [])
+
+
 @pytest.mark.parametrize("kind", list(SequenceKind))
 def test_seq_prints_the_int_route_text_across_the_threshold(kind, routes, capsys):
     lo = kind.min_index
@@ -158,30 +181,15 @@ def test_exact_context_traps_rounding():
 def test_digits_bound_bounds_each_term_tightly(kind):
     # The smallest kind, b(n), has about n*log10(3+2*sqrt(2)) - 1.1 digits.
     for n in (kind.min_index, 1, 2, 3, 10, 99, 754, 755, 4000, TERM_T):
-        digits = decimal_digits(term_doubling(kind, n))
+        digits = len(decimal_str(term_doubling(kind, n)))
         assert digits <= digits_bound(n, n) <= digits + 2, (kind, n)
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
 def test_digits_bound_bounds_a_range(kind):
     for start, stop in ((kind.min_index, 300), (200, 1000), (999, 1000)):
-        total = sum(map(decimal_digits, stream(kind, start, stop)))
+        total = sum(len(decimal_str(v)) for v in stream(kind, start, stop))
         assert total <= digits_bound(start, stop) <= total + 2 * (stop - start + 1)
-
-
-def test_decimal_digits_at_powers_of_ten():
-    # Each side of every power of ten up to 10**3000, where the estimate from
-    # the bit length is closest to being off by one, and the sign ignored.
-    assert decimal_digits(0) == 1
-    for x in (-1, -9, -10, -11, -(10**50), 1 - 10**50):
-        assert decimal_digits(x) == len(str(-x)), x
-    for k in range(1, 3001):
-        p = 10**k
-        assert decimal_digits(p - 1) == k, k
-        assert decimal_digits(p) == decimal_digits(p + 1) == k + 1, k
-        assert decimal_digits(-p) == k + 1, k
-    for x in (2**1000, 2**9965, 3**6000):
-        assert decimal_digits(x) == len(str(x))
 
 
 def test_digits_bound_takes_any_size_of_index():
