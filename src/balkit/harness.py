@@ -7,12 +7,14 @@ VerificationReport that serializes deterministically: identical inputs give
 byte-identical JSON/CSV. Measured wall times stay on the in-process report
 objects; the canonical serializations zero them out, since emitting timings
 would break byte-level reproducibility. A catalog run reads its terms from
-one TermSource prefilled to identities.term_tops() for its entries: the
-highest index each kind is read at on the grid, none below its first. With
-more than one usable CPU the entries are split into shares by cell count;
-the calling process runs one share and forked workers run the others on
-the same prefilled terms, and the records come back in the selected order,
-so the report does not depend on how many processes ran. A run that writes
+one TermSource prefilled at identities.term_reads() for its entries: the
+indices each kind is read at on the grid, as one progression per read.
+With more than one usable CPU the entries are split into shares by cell
+count; the calling process runs one share and forked workers run the
+others on the same prefilled terms. Each worker sends its records back as
+marshal data, with the position of the entry that raised, if one did, and
+the records come back in the selected order, so the report does not
+depend on how many processes ran. A run that writes
 its cases (verify --format csv --verbose) stays in one process and writes
 each row as it evaluates the case, so it holds one case at a time.
 """
@@ -20,6 +22,7 @@ each row as it evaluates the case, so it holds one case at a time.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import time
 from dataclasses import dataclass, field
@@ -162,14 +165,43 @@ def _run_share(
     return done, None
 
 
+def _send(share_result: tuple) -> bytes:
+    """A _run_share result as marshal data: the records as plain tuples, and
+    the position of the entry that raised, or None, without its exception."""
+    done, error = share_result
+    records = [(r.ident, r.checked, r.skipped, r.wall_ms,
+                [(f.ident, f.n, f.m, f.lhs, f.rhs, f.holds) for f in r.failures]) for r in done]
+    return marshal.dumps((records, None if error is None else error[0]))
+
+
+def _receive(
+    data: bytes, share: list[int]
+) -> Optional[tuple[list[IdentityRecord], Optional[int]]]:
+    """The records and the raising position _send wrote for share, or None
+    if data does not decode to a result for share."""
+    try:
+        records, failed = marshal.loads(data)
+        done = [IdentityRecord(ident, checked, skipped, wall_ms,
+                               [EvalResult(*f) for f in failures])
+                for ident, checked, skipped, wall_ms, failures in records]
+        if len(done) == (len(share) if failed is None else share.index(failed)):
+            return done, failed
+    except (EOFError, TypeError, ValueError):
+        pass
+    return None
+
+
 def _run_forked(
     selected: list[IdentityDescriptor], max_n: int, terms: TermSource, workers: int
 ) -> list[IdentityRecord]:
     """Run share 0 here and every other share in a forked child, which
-    sends its _run_share result back through a pipe. The records come back
-    in selected order; if entries raised, the one earliest in selected
-    order is re-raised, as a run in one process would raise it first."""
-    import pickle
+    sends its records back through a pipe as marshal data (_send), with the
+    position of the entry that raised, if one did. The records come back in
+    selected order. If entries raised, the one earliest in selected order
+    raises here, as a run in one process would raise it first: a child's
+    is run again in this process, which raises the same exception. A child
+    that exits without a result that decodes, or whose entry does not raise
+    again here, raises WorkerError."""
     import signal
 
     shares = _shares(selected, max_n, workers)
@@ -193,9 +225,9 @@ def _run_forked(
                     os.close(read_fd)
                     for pipe in children.values():
                         pipe.close()
-                    result = _run_share(selected, share, max_n, terms)
+                    data = _send(_run_share(selected, share, max_n, terms))
                     with os.fdopen(write_fd, "wb") as out:
-                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                        out.write(data)
                     code = 0
                 finally:
                     os._exit(code)
@@ -203,17 +235,16 @@ def _run_forked(
             children[pid] = os.fdopen(read_fd, "rb")
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-        results = [_run_share(selected, shares[0], max_n, terms)]
-        for pid, pipe in list(children.items()):
+        done, error = _run_share(selected, shares[0], max_n, terms)
+        results = [(done, None if error is None else error[0])]
+        for share, (pid, pipe) in zip(shares[1:], list(children.items())):
             # Read to the end before waiting: a child blocks on a full pipe.
             with pipe:
-                try:
-                    result = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    result = None
+                data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
-            if result is None or status != 0:
+            result = _receive(data, share) if status == 0 else None
+            if result is None:
                 raise WorkerError("a verify worker exited without a result (status %d)"
                                   % os.waitstatus_to_exitcode(status))
             results.append(result)
@@ -231,14 +262,17 @@ def _run_forked(
         raise
 
     records: list[Optional[IdentityRecord]] = [None] * len(selected)
-    errors = []
-    for share, (done, error) in zip(shares, results):
+    for share, (done, _) in zip(shares, results):
         for i, record in zip(share, done):
             records[i] = record
-        if error is not None:
-            errors.append(error)
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
+    failed = [i for _, i in results if i is not None]
+    if failed:
+        first = min(failed)
+        if error is not None and error[0] == first:
+            raise error[1]
+        _run_identity(selected[first], max_n, terms, None)
+        raise WorkerError("a verify worker reported that %s raised, which it does not here"
+                          % selected[first].ident)
     return records
 
 
@@ -266,16 +300,20 @@ def run_suite(
     (1..JOBS_MAX) if given; one where os.fork is missing, another thread
     runs, or write is given. With more than one, the entries are split by
     cell count, and every share but the calling process's own runs in a
-    forked child on the same prefilled terms. If entries raise, the one
-    first in order is re-raised, as with jobs=1; a worker that dies without
-    a result raises WorkerError, a RuntimeError.
+    forked child on the same prefilled terms, which reports back through
+    marshal, not pickle. If entries raise, the one first in order raises,
+    as with jobs=1: a worker's is run again in the calling process. A
+    worker that dies without a result, sends one that does not decode, or
+    reports an error that does not recur here raises WorkerError, a
+    RuntimeError.
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
-    above what identities.term_tops() allows, is refused with DomainError
+    above what identities.term_reads() allows, is refused with DomainError
     before any term is computed, process started or text written.
-    term_tops() prefills exactly the indices the entries' statements read
-    on the grid, their reads, so only an entry whose lhs or rhs a caller
-    replaced (by dataclasses.replace, say) can read outside the prefill;
+    identities.term_reads() gives a progression per read of the entries'
+    statements that holds every index the read takes on the grid, and the
+    prefill holds those indices alone, so only an entry whose lhs or rhs a
+    caller replaced (by dataclasses.replace, say) can read outside it;
     that raises DomainError naming the entry, the cell and the index,
     rather than wrapping, after the rows before it are written.
     """
@@ -303,9 +341,9 @@ def run_suite(
             "max_n=%d gives a grid of %d cells, above the limit of %d"
             % (max_n, cells, GRID_CELLS_MAX))
 
-    tops = identities.term_tops(selected, max_n)
+    reads = identities.term_reads(selected, max_n)
     terms = TermSource()
-    terms.prefill(tops)
+    terms.prefill(reads)
 
     report = VerificationReport("identity-catalog", max_n)
     # A run that writes its cases stays in one process, which writes the

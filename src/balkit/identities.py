@@ -11,10 +11,12 @@ domain is n = 2k+j, m = j). One pass over the syntax tree of each printed
 side checks the grammar, gives the evaluator's source and folds each
 subscript into its form a*k + b*j + c; _entry refuses any other
 subscript, and any with a < 0, b < 0 or c below the kind's first index,
-and keeps the forms as the entry's reads. term_tops() takes each kind's
-highest index on a grid from the reads at the grid's corners, which the
-harness prefills, and evaluate() computes by fast doubling only the terms
-its one point reads, at its (k, j). Adding an entry means adding a table row.
+and keeps the forms as the entry's reads. term_reads() turns each read
+into a progression of indices on a grid, from c to the read's highest
+value at the grid's corners in steps of gcd(a, b), which the harness
+prefills; term_tops() is each kind's highest index. evaluate() computes by
+fast doubling only the terms its one point reads, at its (k, j). Adding an
+entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -25,6 +27,7 @@ residue (negative expectations are normalized into 0..k-1).
 from __future__ import annotations
 
 import ast
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -45,7 +48,7 @@ class IdentityDescriptor:
     field is derived from them. lhs and rhs are compiled from statement,
     and reads lists the terms statement reads, in the order first read, as
     (short, a, b, c) for the index a*k + b*j + c at the domain's cell of k
-    and j; term_tops() bounds a grid's prefill by them. arity and indices
+    and j; term_reads() gives a grid's prefill from them. arity and indices
     are looked up from domain_desc, and domain(n, m) is the membership test
     read off indices. modulus marks a congruence: it is the k of a
     statement "L == R (mod k)", and None on an equation. note records a known
@@ -328,13 +331,15 @@ def lookup(ident: str) -> IdentityDescriptor:
         raise UnknownIdentityError("unknown identity id %r" % ident) from None
 
 
-# The cap on the digits of the terms a caller holds, about 12 MB of ints.
-# term_tops() bounds a grid's tables, each kind from min_index to its top:
-# the full catalog at max_n 1239, the largest the harness's cell cap allows,
-# holds 1.6e7 digits, and PARITY_B alone reaches the cap near max_n 8850.
-# evaluate() checks the distinct terms its one point reads against it
-# first; below EVAL_INDEX_MAX no catalog point reaches it (CB_MIX reads six
-# terms), so that index cap is what bounds a point.
+# The cap on the digits of the terms a grid's prefill walks, about 12 MB
+# of ints. term_reads() counts each kind from min_index to its top, since
+# the walk computes every one of those terms, although the tables keep only
+# the indices the statements read: the full catalog at max_n 1239, the
+# largest the harness's cell cap allows, walks 1.6e7 digits, and PARITY_B
+# alone reaches the cap near max_n 8850. evaluate() checks the distinct
+# terms its one point reads against it first; below EVAL_INDEX_MAX no
+# catalog point reaches it (CB_MIX reads six terms), so that index cap is
+# what bounds a point.
 TERM_DIGITS_MAX = 3 * 10**7
 
 # The cap on the largest index an evaluate() point reads: each distinct
@@ -346,21 +351,39 @@ TERM_DIGITS_MAX = 3 * 10**7
 EVAL_INDEX_MAX = 5 * 10**6
 
 
-def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
-    """Top index to prefill per kind the entries read on the grid 0..max_n:
-    the highest index any of their in-domain cells reads (c(4n) reads c up
-    to 4*max_n, PARITY_B reads B only up to max_n). Each is the largest
-    value one of an entry's reads takes at the corners of its domain in
-    the grid. A kind no cell reads gets no top. Raises DomainError if the
-    tops hold more than TERM_DIGITS_MAX digits in all."""
-    # Sorted, each kind's highest index comes last, and the kinds in "BCbc" order.
-    tops = dict(sorted((short, a * k + b * j + c) for d in entries for short, a, b, c in d.reads
-                       for k, j in _DOMAINS[d.domain_desc][3](max_n) if k >= 0 and j >= 0))
-    digits = sum(digits_bound(_MIN_INDEX[k], top) for k, top in tops.items())
+def term_reads(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, list[range]]:
+    """The indices to prefill per kind the entries read on the grid 0..max_n,
+    as progressions: each read (short, a, b, c) gives range(c, top + 1,
+    gcd(a, b) or 1), top being the largest value the read takes at the
+    corners of its entry's domain in the grid. Every in-domain cell reads
+    a*k + b*j + c, which lies in [c, top] and is c modulo gcd(a, b), so
+    the ranges cover every index read (c(4n) reads c(4), c(8), ..., c(4*max_n),
+    C(2n) - C(2m) only the even C). A read no cell takes gives no range,
+    and a kind no cell reads no entry; the kinds come in "BCbc" order.
+    Raises DomainError if the terms of each kind from min_index to its
+    top, all of which a prefill walks, hold more than TERM_DIGITS_MAX
+    digits in all."""
+    reads: dict[str, dict[range, None]] = {}
+    for d in entries:
+        corners = [(k, j) for k, j in _DOMAINS[d.domain_desc][3](max_n) if k >= 0 and j >= 0]
+        for short, a, b, c in d.reads if corners else ():
+            top = max(a * k + b * j + c for k, j in corners)
+            reads.setdefault(short, {})[range(c, top + 1, math.gcd(a, b) or 1)] = None
+    # The top of a progression is its last index: top - c = a*k + b*j.
+    digits = sum(digits_bound(_MIN_INDEX[k], max(r[-1] for r in rs)) for k, rs in reads.items())
     if digits > TERM_DIGITS_MAX:
         raise DomainError("max_n=%d reads terms of up to %d digits in all, above the limit of %d"
                           % (max_n, digits, TERM_DIGITS_MAX))
-    return tops
+    return {short: list(reads[short]) for short in sorted(reads)}
+
+
+def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
+    """Top index per kind the entries read on the grid 0..max_n: the
+    highest index any of their in-domain cells reads (c(4n) reads c up to
+    4*max_n, PARITY_B reads B only up to max_n), the last of term_reads()'
+    progressions. A kind no cell reads gets no top. Refused as
+    term_reads() refuses."""
+    return {short: max(r[-1] for r in rs) for short, rs in term_reads(entries, max_n).items()}
 
 
 def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n: int):

@@ -19,8 +19,9 @@ seed pair. Each SequenceKind member carries its short symbol, min_index,
 seeds and add, and walk() is the one place that steps the recurrence:
 stream() (a sized view that walks afresh on each iteration, as seq writes),
 generator_prefix() (the generator search) and the TermSource tables all read
-its terms. A TermSource is four plain dicts that prefill() fills from walk()
-up to a top index per kind; nothing grows on a read.
+its terms. A TermSource is four plain dicts that prefill() fills from one
+walk() per kind, keeping only the indices a grid's statements read; nothing
+grows on a read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from itertools import islice, takewhile
+from itertools import compress, islice, takewhile
 from typing import Iterator, Optional
 
 
@@ -305,11 +306,11 @@ def generator_prefix(kind: SequenceKind, limit: int) -> list[int]:
 class TermSource:
     """The four term tables the catalog evaluators read, as t.B[i], t.C[i],
     t.b[i] and t.c[i]: plain dicts from index to term. prefill() fills them
-    from min_index up with no gap, for a grid; identities.evaluate() sets
-    just the terms its one point reads. A read outside them, below
-    min_index included, is a plain KeyError. harness.run_suite() prefills
-    one source before it forks any worker, and the workers only read it;
-    identities.evaluate() builds its own.
+    at the indices a grid's statements read, from one walk per kind;
+    identities.evaluate() sets just the terms its one point reads. A read
+    outside them, below min_index or in a gap included, is a plain KeyError.
+    harness.run_suite() prefills one source before it forks any worker, and
+    the workers only read it; identities.evaluate() builds its own.
     """
 
     __slots__ = ("B", "C", "b", "c")
@@ -317,13 +318,23 @@ class TermSource:
     def __init__(self) -> None:
         self.B, self.C, self.b, self.c = {}, {}, {}, {}
 
-    def prefill(self, tops: dict[str, int]) -> None:
-        """Fill each table named in tops (by short symbol) from min_index to
-        its top index, from a fresh walk()."""
-        for short, top in tops.items():
+    def prefill(self, reads: dict[str, list[range]]) -> None:
+        """Fill each table named in reads (by short symbol) at the indices
+        of its ranges, which start at or above the kind's min_index and
+        step up (identities.term_reads() gives such): one fresh walk() to
+        the highest of them, keeping the terms at those indices only."""
+        for short, ranges in reads.items():
             kind = parse_kind(short)
-            values = islice(walk(kind), max(top + 1 - kind.min_index, 0))
-            getattr(self, short).update(enumerate(values, kind.min_index))
+            lo = kind.min_index
+            ranges = [r for r in ranges if r]
+            if any(r.start < lo or r.step < 1 for r in ranges):
+                raise ValueError("%s is prefilled from index %d up, in steps of 1 or more"
+                                 % (short, lo))
+            keep = bytearray(max((r[-1] + 1 - lo for r in ranges), default=0))
+            for r in ranges:
+                keep[r.start - lo:r.stop - lo:r.step] = b"\1" * len(r)
+            terms = islice(walk(kind), len(keep))
+            getattr(self, short).update(compress(enumerate(terms, lo), keep))
 
 
 def digits_bound(start: int, stop: int) -> int:

@@ -722,7 +722,9 @@ def test_the_module_entry_freezes_the_collector_and_main_does_not(capsys, child_
 
 
 def test_verify_in_one_process_imports_nothing_the_workers_need(child_env):
-    # pickle is loaded only once a run forks, not by --jobs 1 or one worker.
+    # A forked run loads nothing a run in one process does not: its workers
+    # report back through the built-in marshal, so no verify run loads
+    # pickle, forked or not.
     child = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -736,12 +738,14 @@ def test_verify_in_one_process_imports_nothing_the_workers_need(child_env):
             harness._usable_cpus = lambda: 2
             run("--jobs", "2")
         print(" ".join(sorted(set(sys.modules) - one)))
+        print("pickle" in one, "pickle" in sys.modules)
         """
     )
     proc = subprocess.run([sys.executable, "-c", child], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "pickle" in proc.stdout.split()
+    forked, pickled = proc.stdout.splitlines()
+    assert "pickle" not in forked.split() and pickled == "False False"
 
 
 # Small argv for term, seq, classify, search, verify and bench: valid and bad

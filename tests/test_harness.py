@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import marshal
 import os
 import signal
 import sys
@@ -154,7 +155,7 @@ def test_negative_control_corrupted_catalog_fails():
 def test_negative_control_built_from_the_statement_fails_on_the_same_cells():
     # The 15 * B * B reading, evaluated by hand from the TermSource tables.
     src = sequences.TermSource()
-    src.prefill({"B": 30, "C": 30})
+    src.prefill({"B": [range(31)], "C": [range(31)]})
     expected = []
     for n in range(31):
         for m in range(n % 2, n + 1, 2):
@@ -206,14 +207,16 @@ def unchecked(ident, statement, domain="n >= 0"):
 
 
 def reading_past_its_prefill(ident, statement, domain="n >= 0"):
-    """with_statement on the entry of B(2n) = B(2n), whose B is prefilled
-    to 2*max_n: an entry the harness runs that reads outside its prefill."""
-    return with_statement(identities._entry(ident, "B(2n) = B(2n)", domain), statement)
+    """with_statement on the entry of B(2n) - B(n) = B(2n) - B(n), whose B
+    is prefilled at 0..max_n and at the even indices up to 2*max_n: an
+    entry the harness runs that reads outside its prefill."""
+    return with_statement(identities._entry(ident, "B(2n) - B(n) = B(2n) - B(n)", domain),
+                          statement)
 
 
 @pytest.mark.parametrize("statement, max_n, cell, index", [
     ("B(n-1) = B(n-1)", 5, "(n=0, m=None)", -1),  # must not wrap to the last term
-    ("B(5n) = B(5n)", 5, "(n=3, m=None)", 15),  # above the 2*max_n prefill
+    ("B(5n) = B(5n)", 5, "(n=3, m=None)", 15),  # odd, above max_n: not prefilled
 ])
 def test_out_of_table_read_names_entry_cell_and_index(statement, max_n, cell, index):
     with pytest.raises(DomainError) as info:
@@ -224,20 +227,22 @@ def test_out_of_table_read_names_entry_cell_and_index(statement, max_n, cell, in
 
 def test_a_caller_built_entry_is_prefilled_for_what_its_evaluators_read():
     # Its statement says B(2n), its evaluators read B(3n): the run prefills
-    # B to 2*max_n, what the statement reads. The first read past that
-    # raises DomainError naming the entry, the cell and the index, after
-    # the rows before that cell are written.
+    # B at the even indices up to 2*max_n, what the statement reads. The
+    # first read outside them, the odd B(3) at n = 1, raises DomainError
+    # naming the entry, the cell and the index, after the rows before that
+    # cell are written.
     entry = with_statement(identities._entry("X", "B(2n) = B(2n)", "n >= 0"), "B(3n) = B(3n)")
     assert identities.term_tops([entry], 20) == {"B": 40}
+    assert identities.term_reads([entry], 20) == {"B": [range(0, 41, 2)]}
     message = "X at (n=%d, m=None) reads index %d, outside the terms prefilled for max_n=20"
     out = []
     with pytest.raises(DomainError) as info:
         run_suite(20, catalog=[entry], write=out.append)
-    assert str(info.value) == message % (14, 42)
-    assert len(out) == 15  # the header and the rows of n = 0..13
+    assert str(info.value) == message % (1, 3)
+    assert len(out) == 2  # the header and the row of n = 0
     # Evaluators that read below min_index, or at an index that is no
     # integer form in the domain's coordinates, fail the same way.
-    for lhs, n, index in ((lambda t, n, m: t.B[n - 1], 0, -1), (lambda t, n, m: t.B[n * n], 7, 49)):
+    for lhs, n, index in ((lambda t, n, m: t.B[n - 1], 0, -1), (lambda t, n, m: t.B[n * n], 1, 1)):
         with pytest.raises(DomainError) as info:
             run_suite(20, catalog=[dataclasses.replace(entry, lhs=lhs)])
         assert str(info.value) == message % (n, index)
@@ -254,9 +259,9 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
     prefills, seen = [], []
 
     class Source(sequences.TermSource):
-        def prefill(self, tops):
-            prefills.append(dict(tops))
-            super().prefill(tops)
+        def prefill(self, reads):
+            prefills.append(dict(reads))
+            super().prefill(reads)
 
     def run_identity(desc, max_n, terms, on_case):
         # The one source prefilled above, whose tables are plain dicts.
@@ -280,9 +285,17 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
         "BCc": {"B": 40, "C": 79, "c": 40},
         "BCbc": {"B": 80, "C": 80, "b": 81, "c": 160},
     }[filled]
-    assert prefills == [tops]
-    # A table holds every index from its kind's min_index to its top.
-    sizes = {k: tops[k] - sequences.parse_kind(k).min_index + 1 for k in tops}
+    assert [{k: max(r[-1] for r in rs) for k, rs in p.items()} for p in prefills] == [tops]
+    # A table holds just the indices the statements read: MOD16_c's c at
+    # 4, 8, ..., 160, and the full catalog's c at 1..80 (c(2n) in MOD8_c)
+    # and at the multiples of 4 above.
+    sizes = {
+        "B": {"B": 41},
+        "BC": {"B": 81, "C": 81},
+        "bc": {"b": 40, "c": 40},
+        "BCc": {"B": 41, "C": 80, "c": 40},
+        "BCbc": {"B": 81, "C": 81, "b": 81, "c": 100},
+    }[filled]
     assert seen[0] == {k: sizes.get(k, 0) for k in "BCbc"}
 
 
@@ -469,6 +482,71 @@ def test_forked_run_raises_what_one_process_raises(forks, jobs, picks):
         run_suite(20, catalog=catalog, jobs=jobs)
     assert len(forks) == jobs - 1
     assert str(many.value) == str(one.value)
+    assert_no_children_left()
+
+
+def raising_in_a_worker(max_n, jobs, lhs):
+    """The catalog at max_n with lhs (given the entry's own lhs) on the
+    first entry of the last worker's share, and that entry's position."""
+    catalog = identities.list_identities()
+    i = harness._shares(catalog, max_n, jobs)[-1][0]
+    catalog[i] = dataclasses.replace(catalog[i], lhs=lhs(catalog[i].lhs))
+    return catalog, i
+
+
+def test_a_workers_exception_is_raised_as_one_process_raises_it(forks):
+    # The worker reports only the position of the entry that raised; this
+    # process runs that entry again, which raises the same exception.
+    def dividing_by_zero_at_7(lhs):
+        return lambda t, n, m: lhs(t, n, m) + 0 // (n - 7)
+
+    catalog, i = raising_in_a_worker(20, 2, dividing_by_zero_at_7)
+    with pytest.raises(ZeroDivisionError) as one:
+        run_suite(20, catalog=catalog, jobs=1)
+    assert forks == []
+    with pytest.raises(ZeroDivisionError) as many:
+        run_suite(20, catalog=catalog, jobs=2)
+    assert len(forks) == 1
+    assert str(many.value) == str(one.value)
+    assert_no_children_left()
+
+
+def test_an_error_a_worker_reports_that_does_not_recur_fails_the_run(forks, monkeypatch, capsys):
+    from balkit import cli
+
+    parent = os.getpid()
+
+    def raising_in_a_child(lhs):
+        def side(t, n, m):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("in a worker only")
+            return lhs(t, n, m)
+        return side
+
+    catalog, i = raising_in_a_worker(20, 2, raising_in_a_child)
+    message = "a verify worker reported that %s raised, which it does not here" % catalog[i].ident
+    with pytest.raises(sequences.WorkerError) as info:
+        run_suite(20, catalog=catalog, jobs=2)
+    assert str(info.value) == message
+    assert_no_children_left()
+    monkeypatch.setattr(identities, "list_identities", lambda: catalog)
+    assert cli.main(["verify", "--max-n", "20", "--jobs", "2"]) == 3
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("payload", [
+    b"",  # nothing written
+    b"\x00not marshal data",
+    marshal.dumps(([], None)),  # no record for an entry of the share
+    marshal.dumps(([], 0)),  # a position outside the share
+    marshal.dumps([("B_ADD", 1, 0, 0, [])]),  # not a (records, position) pair
+])
+def test_a_worker_result_that_does_not_decode_fails_the_run(forks, monkeypatch, payload):
+    monkeypatch.setattr(harness, "_send", lambda result: payload)
+    with pytest.raises(sequences.WorkerError) as info:
+        run_suite(10, jobs=2)
+    assert str(info.value) == "a verify worker exited without a result (status 0)"
     assert_no_children_left()
 
 

@@ -354,7 +354,7 @@ def test_term_tops_are_the_indices_a_recording_source_sees():
     # and the indices read per kind at each cell are those the entry's
     # reads give at the cell's (k, j), which is what evaluate computes.
     full = TermSource()
-    full.prefill({k: 170 for k in "BCbc"})
+    full.prefill({k: [range(parse_kind(k).min_index, 171)] for k in "BCbc"})
     seen = {k: [] for k in "BCbc"}
     recording = TermSource()
     for k in "BCbc":
@@ -390,6 +390,60 @@ def test_term_tops_are_the_indices_a_recording_source_sees():
     for max_n in grid:
         assert identities.term_tops(list_identities(), max_n) == catalog_tops[max_n]
     assert identities.term_tops(list_identities(), 100) == {"B": 200, "C": 200, "b": 201, "c": 400}
+
+
+def prefilled(entries, max_n):
+    """A TermSource prefilled as run_suite prefills it for entries."""
+    src = TermSource()
+    src.prefill(identities.term_reads(entries, max_n))
+    return src
+
+
+def test_every_index_an_evaluator_reads_is_prefilled():
+    # A recording source over full tables sees every index each entry's
+    # evaluators read on every in-domain cell of the grid; the tables a
+    # prefill of term_reads holds must have each of them, for every entry
+    # alone and for the whole catalog. They hold only the progressions
+    # term_reads gives, so on a sparse read most indices below the top
+    # are left out.
+    full = TermSource()
+    full.prefill({k: [range(parse_kind(k).min_index, 4 * 101 + 2)] for k in "BCbc"})
+    for max_n in [*range(1, 25), 60, 101]:
+        by_catalog = {k: set() for k in "BCbc"}
+        for d in list_identities():
+            seen = {k: [] for k in "BCbc"}
+            recording = TermSource()
+            for k in "BCbc":
+                setattr(recording, k, RecordingTable(getattr(full, k), seen[k]))
+            for n in range(max_n + 1):
+                for m in d.indices(n, max_n):
+                    d.lhs(recording, n, m)
+                    d.rhs(recording, n, m)
+            held = prefilled([d], max_n)
+            for k, read in seen.items():
+                assert set(read) <= getattr(held, k).keys(), (d.ident, max_n, k)
+                by_catalog[k].update(read)
+        held = prefilled(list_identities(), max_n)
+        for k, read in by_catalog.items():
+            assert read <= getattr(held, k).keys(), (max_n, k)
+    # c(4n) on n >= 1 holds c(4), c(8), ..., c(4*max_n) and nothing else.
+    held = prefilled([lookup("MOD16_c")], 30)
+    assert held.c == {i: full.c[i] for i in range(4, 121, 4)}
+    assert held.B == held.C == held.b == {}
+
+
+@pytest.mark.parametrize("ident, reads", [
+    ("MOD16_c", {"c": [range(4, 121, 4)]}),
+    ("MOD8_c", {"c": [range(2, 61, 2)]}),
+    ("C_DIFF_EVEN", {"B": [range(0, 61), range(0, 31)], "C": [range(0, 61, 2)]}),
+    ("B_2N_MINUS6", {"B": [range(2, 61, 2), range(0, 30)], "C": [range(2, 32)]}),
+    ("C2N_PLUS1", {"B": [range(1, 31)], "b": [range(1, 31)], "c": [range(2, 61, 2)]}),
+])
+def test_term_reads_gives_each_read_its_progression(ident, reads):
+    # One range per distinct read, from c to its top in steps of gcd(a, b).
+    assert identities.term_reads([lookup(ident)], 30) == reads
+    tops = {k: max(r[-1] for r in rs) for k, rs in reads.items()}
+    assert identities.term_tops([lookup(ident)], 30) == tops
 
 
 def test_compiled_evaluators_read_only_the_four_sequences():

@@ -251,7 +251,7 @@ def test_each_kind_carries_its_own_data(kind, name, short, min_index, prefix):
 
 def test_term_source_matches_recurrence():
     src = TermSource()
-    src.prefill({"B": 64, "C": 64, "b": 64, "c": 64})
+    src.prefill({"B": [range(65)], "C": [range(65)], "b": [range(1, 65)], "c": [range(1, 65)]})
     for n in range(0, 65):
         assert src.B[n] == term_recurrence(B, n)
         assert src.C[n] == term_recurrence(C, n)
@@ -274,7 +274,7 @@ def test_term_source_read_outside_the_filled_range_is_a_key_error():
     src = TermSource()
     with pytest.raises(KeyError):
         src.c[1]  # nothing is filled until prefill()
-    src.prefill({"B": 5, "c": 12})
+    src.prefill({"B": [range(6)], "c": [range(1, 13)]})
     assert src.c[12] == _reference(1, 7, 0, 12)[-1]
     for table, i in ((src.B, 6), (src.B, -1), (src.c, 13), (src.c, 0), (src.C, 0), (src.b, 1)):
         with pytest.raises(KeyError):
@@ -286,7 +286,7 @@ def test_term_source_read_outside_the_filled_range_is_a_key_error():
 @pytest.mark.parametrize("prefill", [None, (40, 70)])
 def test_term_source_reads_in_any_order(prefill):
     # prefill() extends a table and never shrinks it, whatever the order of
-    # its tops, and the terms read back in any order.
+    # its ranges, and the terms read back in any order.
     top = 120
     expected = {
         kind.short: dict(enumerate(stream(kind, kind.min_index, top), kind.min_index))
@@ -296,12 +296,14 @@ def test_term_source_reads_in_any_order(prefill):
     random.Random(11).shuffle(reads)
     src = TermSource()
     if prefill:  # a partial fill first, which the full one extends
-        src.prefill({"B": prefill[0], "C": prefill[0], "b": prefill[1], "c": prefill[1]})
-    src.prefill({short: top for short in "BCbc"})
+        src.prefill({"B": [range(prefill[0] + 1)], "C": [range(prefill[0] + 1)],
+                     "b": [range(1, prefill[1] + 1)], "c": [range(1, prefill[1] + 1)]})
+    src.prefill({kind.short: [range(kind.min_index, top + 1)] for kind in (B, C, b, c)})
     for step, (short, n) in enumerate(reads):
         assert getattr(src, short)[n] == expected[short][n], (short, n)
         if step % 37 == 0:
-            src.prefill({"B": step % 5, "C": step % 7, "b": step % 3, "c": 1})
+            src.prefill({"B": [range(step % 5 + 1)], "C": [range(step % 7 + 1)],
+                         "b": [range(1, step % 3 + 1)], "c": [range(1, 2)]})
             assert [len(src.B), len(src.C), len(src.b), len(src.c)] == [top + 1, top + 1, top, top]
     assert {k: getattr(src, k) for k in "BCbc"} == expected
 
@@ -317,8 +319,20 @@ def test_prefill_walks_each_named_kind_to_its_top(monkeypatch):
 
     monkeypatch.setattr(sequences, "walk", counting_walk)
     fresh, src = TermSource(), TermSource()
-    src.prefill({"B": 80, "c": 30, "b": -1})  # a top below min_index fills nothing
+    # c is walked to its top, 30, and kept at 3, 12, 21 and 30 only; an
+    # empty range fills nothing.
+    src.prefill({"B": [range(81)], "c": [range(3, 31, 9), range(30, 31)], "b": [range(1, 1)]})
     assert (stepped.count("B"), stepped.count("c"), len(stepped)) == (81, 30, 111)
     assert src.B == dict(enumerate(stream(B, 0, 80)))
+    assert src.c == {i: term_recurrence(c, i) for i in (3, 12, 21, 30)}
     # Each source fills only its own tables.
     assert [len(t) for t in (src.C, src.b, fresh.B, fresh.C, fresh.b, fresh.c)] == [0] * 6
+
+
+@pytest.mark.parametrize("ranges", [[range(0, 3)], [range(5, 1, -1)], [range(1, 9), range(-2, 9)]])
+def test_prefill_refuses_a_range_below_min_index_or_stepping_down(ranges):
+    src = TermSource()
+    with pytest.raises(ValueError) as info:
+        src.prefill({"b": ranges})
+    assert str(info.value) == "b is prefilled from index 1 up, in steps of 1 or more"
+    assert src.b == {}

@@ -134,7 +134,7 @@ def test_streamed_verbose_csv_of_the_negative_control_is_the_collected_report(mo
     # the false ones are the csv report of the run's failures.
     catalog = corrupt_c_diff_half()
     terms = TermSource()
-    terms.prefill({k: 120 for k in "BCbc"})
+    terms.prefill({k: [range(parse_kind(k).min_index, 121)] for k in "BCbc"})
     rows = ["id,n,m,lhs,rhs,holds\n"]
     for d in catalog:
         for n in range(31):
