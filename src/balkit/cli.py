@@ -327,8 +327,8 @@ COMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[Arg, ...]]] = {
         Arg("--id", list, metavar="IDENT",
             help="restrict to this identity id (repeatable; default: all)"),
         Arg("--jobs", int, metavar="N",
-            help="run the identities on at most N processes (default: one per usable "
-                 "CPU); never more than one per identity, and one with --format csv "
+            help="split the grid's rows over at most N processes (default: one per "
+                 "usable CPU); never more than one per row, and one with --format csv "
                  "--verbose; the report does not depend on N"),
         Arg("--verbose", bool, help="with --format csv, emit one row per evaluated case"),
     )),

@@ -9,12 +9,13 @@ objects; the canonical serializations zero them out, since emitting timings
 would break byte-level reproducibility. A catalog run reads its terms from
 one TermSource prefilled at identities.term_reads() for its entries: the
 indices each kind is read at on the grid, as one progression per read.
-With more than one usable CPU the entries are split into shares by cell
-count; the calling process runs one share and forked workers run the
-others on the same prefilled terms. Each worker sends its records back as
-marshal data, with the position of the entry that raised, if one did, and
-the records come back in the selected order, so the report does not
-depend on how many processes ran. A run that writes
+With more than one usable CPU the grid's rows are dealt out to processes
+in turn, process w of W taking the rows n = w, w+W, ...; the calling
+process is one of them and forked workers are the others, on the same
+prefilled terms. Every process runs every entry on its rows through the
+loop a run in one process uses, each worker sends its records back as
+marshal data, and each entry's records are merged into one, so the report
+does not depend on how many processes ran. A run that writes
 its cases (verify --format csv --verbose) stays in one process and writes
 each row as it evaluates the case, so it holds one case at a time.
 """
@@ -49,9 +50,9 @@ FORMATS = ("json", "csv", "plain")
 # run time grows about as max_n**3, as the operands grow with max_n.
 GRID_CELLS_MAX = 4 * 10**7
 
-# Largest jobs run_suite accepts. It runs min(jobs, usable CPUs, entries)
-# workers, the calling process being one of them; jobs=None leaves out the
-# first bound.
+# Largest jobs run_suite accepts. It runs min(jobs, usable CPUs, max_n+1)
+# processes, the calling process being one of them, and each takes at least
+# one row of the grid; jobs=None leaves out the first bound.
 JOBS_MAX = 64
 
 # Largest max_n compare_methods takes, near a minute's work. It computes
@@ -65,7 +66,9 @@ COMPARE_N_MAX = 2 * 10**4
 class IdentityRecord:
     """Per-identity tally for one campaign.
 
-    failures holds the cases whose two sides disagreed (holds=False).
+    failures holds the cases whose two sides disagreed (holds=False). In
+    a forked run, each process runs the identity on its own rows, and
+    wall_ms is the longest that one of them took.
     """
 
     ident: str
@@ -92,12 +95,14 @@ class VerificationReport:
 
 def _run_identity(
     desc: IdentityDescriptor,
+    rows: range,
     max_n: int,
     terms: TermSource,
     write: Optional[Callable[[str], object]],
 ) -> IdentityRecord:
-    """Evaluate desc on its domain within the grid; write, if given, gets
-    each evaluated case's csv row as the case is evaluated."""
+    """Evaluate desc on its domain within the rows n of the grid 0..max_n;
+    write, if given, gets each evaluated case's csv row as the case is
+    evaluated. skipped counts the other cells of those rows."""
     started = time.perf_counter()
     checked = 0
     failures: list[EvalResult] = []
@@ -105,7 +110,7 @@ def _run_identity(
     try:
         # Rows in n order, each with its in-domain m values ((None,) or ()
         # for a unary entry), so the failures come out in (n, m) order.
-        for n in range(max_n + 1):
+        for n in rows:
             ms = indices(n, max_n)
             checked += len(ms)
             for m in ms:
@@ -117,7 +122,7 @@ def _run_identity(
                     write(_csv_row(ident, n, m, lv, rv, lv == rv))
     except KeyError as exc:
         raise identities.read_error(desc, n, m, exc.args[0], max_n) from None
-    skipped = (max_n + 1) ** desc.arity - checked
+    skipped = len(rows) * (max_n + 1) ** (desc.arity - 1) - checked
     wall_ms = int((time.perf_counter() - started) * 1000)
     return IdentityRecord(desc.ident, checked, skipped, wall_ms, failures)
 
@@ -137,78 +142,57 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shares(selected: list[IdentityDescriptor], max_n: int, workers: int) -> list[list[int]]:
-    """Split the positions of selected into workers shares of about equal
-    in-domain cell count: largest entry first, each to the least loaded
-    share (the lowest-numbered on a tie). Each share is in selected order."""
-    cells = [sum(len(d.indices(n, max_n)) for n in range(max_n + 1)) for d in selected]
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(selected)), key=lambda i: -cells[i]):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += cells[i]
-    return [sorted(share) for share in shares]
+def _send(done: list[IdentityRecord]) -> bytes:
+    """A worker's records as marshal data: plain tuples."""
+    return marshal.dumps([(r.ident, r.checked, r.skipped, r.wall_ms,
+                           [(f.ident, f.n, f.m, f.lhs, f.rhs, f.holds) for f in r.failures])
+                          for r in done])
 
 
-def _run_share(
-    selected: list[IdentityDescriptor], share: list[int], max_n: int, terms: TermSource
-) -> tuple[list[IdentityRecord], Optional[tuple[int, Exception]]]:
-    """Run the entries of one share in order, up to the first that raises:
-    the records of those before it, and (position, exception) for it."""
-    done: list[IdentityRecord] = []
-    for i in share:
-        try:
-            done.append(_run_identity(selected[i], max_n, terms, None))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
-
-
-def _send(share_result: tuple) -> bytes:
-    """A _run_share result as marshal data: the records as plain tuples, and
-    the position of the entry that raised, or None, without its exception."""
-    done, error = share_result
-    records = [(r.ident, r.checked, r.skipped, r.wall_ms,
-                [(f.ident, f.n, f.m, f.lhs, f.rhs, f.holds) for f in r.failures]) for r in done]
-    return marshal.dumps((records, None if error is None else error[0]))
-
-
-def _receive(
-    data: bytes, share: list[int]
-) -> Optional[tuple[list[IdentityRecord], Optional[int]]]:
-    """The records and the raising position _send wrote for share, or None
-    if data does not decode to a result for share."""
+def _receive(data: bytes, selected: list[IdentityDescriptor]) -> Optional[list[IdentityRecord]]:
+    """The records _send wrote, or None if data does not decode to records
+    of the first entries of selected, in order."""
     try:
-        records, failed = marshal.loads(data)
         done = [IdentityRecord(ident, checked, skipped, wall_ms,
                                [EvalResult(*f) for f in failures])
-                for ident, checked, skipped, wall_ms, failures in records]
-        if len(done) == (len(share) if failed is None else share.index(failed)):
-            return done, failed
+                for ident, checked, skipped, wall_ms, failures in marshal.loads(data)]
     except (EOFError, TypeError, ValueError):
-        pass
-    return None
+        return None
+    if [r.ident for r in done] != [d.ident for d in selected[:len(done)]]:
+        return None
+    return done
 
 
 def _run_forked(
     selected: list[IdentityDescriptor], max_n: int, terms: TermSource, workers: int
 ) -> list[IdentityRecord]:
-    """Run share 0 here and every other share in a forked child, which
-    sends its records back through a pipe as marshal data (_send), with the
-    position of the entry that raised, if one did. The records come back in
-    selected order. If entries raised, the one earliest in selected order
-    raises here, as a run in one process would raise it first: a child's
-    is run again in this process, which raises the same exception. A child
-    that exits without a result that decodes, or whose entry does not raise
-    again here, raises WorkerError."""
+    """Run every selected entry on the rows n = w, w+workers, ... in
+    process w: process 0 is this one, each other a forked child, which
+    sends its records back through a pipe as marshal data (_send). A
+    process stops at the first entry that raises, so it holds records for
+    the entries before it. Each entry's records are merged: checked and
+    skipped summed, wall_ms the largest, failures in (n, m) order.
+
+    If a process holds fewer records than entries, the entry at the
+    smallest such count runs again here on every row. Every entry before
+    it ran on every row without raising, so it raises what a run in one
+    process raises. A child that exits without a result that decodes, or
+    an entry that does not raise again here, raises WorkerError."""
     import signal
 
-    shares = _shares(selected, max_n, workers)
+    def run(rows: range) -> list[IdentityRecord]:
+        done: list[IdentityRecord] = []
+        try:
+            for d in selected:
+                done.append(_run_identity(d, rows, max_n, terms, None))
+        except Exception:
+            pass
+        return done
+
     children = {}  # pid -> the read end of its pipe
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
-        for share in shares[1:]:
+        for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             # SIGINT waits until the parent has recorded the child, and the
             # child has entered the try that ends in os._exit, so Ctrl-C
@@ -225,7 +209,7 @@ def _run_forked(
                     os.close(read_fd)
                     for pipe in children.values():
                         pipe.close()
-                    data = _send(_run_share(selected, share, max_n, terms))
+                    data = _send(run(range(w, max_n + 1, workers)))
                     with os.fdopen(write_fd, "wb") as out:
                         out.write(data)
                     code = 0
@@ -235,19 +219,18 @@ def _run_forked(
             children[pid] = os.fdopen(read_fd, "rb")
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-        done, error = _run_share(selected, shares[0], max_n, terms)
-        results = [(done, None if error is None else error[0])]
-        for share, (pid, pipe) in zip(shares[1:], list(children.items())):
+        parts = [run(range(0, max_n + 1, workers))]
+        for pid, pipe in list(children.items()):
             # Read to the end before waiting: a child blocks on a full pipe.
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
-            result = _receive(data, share) if status == 0 else None
-            if result is None:
+            done = _receive(data, selected) if status == 0 else None
+            if done is None:
                 raise WorkerError("a verify worker exited without a result (status %d)"
                                   % os.waitstatus_to_exitcode(status))
-            results.append(result)
+            parts.append(done)
     except BaseException:
         # A second Ctrl-C waits until every child is reaped.
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -261,19 +244,17 @@ def _run_forked(
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         raise
 
-    records: list[Optional[IdentityRecord]] = [None] * len(selected)
-    for share, (done, _) in zip(shares, results):
-        for i, record in zip(share, done):
-            records[i] = record
-    failed = [i for _, i in results if i is not None]
-    if failed:
-        first = min(failed)
-        if error is not None and error[0] == first:
-            raise error[1]
-        _run_identity(selected[first], max_n, terms, None)
+    first = min(len(done) for done in parts)
+    if first < len(selected):
+        _run_identity(selected[first], range(max_n + 1), max_n, terms, None)
         raise WorkerError("a verify worker reported that %s raised, which it does not here"
                           % selected[first].ident)
-    return records
+    # Each row is in one part, so a stable sort on n puts the failures in
+    # (n, m) order.
+    return [IdentityRecord(records[0].ident, sum(r.checked for r in records),
+                           sum(r.skipped for r in records), max(r.wall_ms for r in records),
+                           sorted((f for r in records for f in r.failures), key=lambda f: f.n))
+            for records in zip(*parts)]
 
 
 def run_suite(
@@ -296,16 +277,16 @@ def run_suite(
     run, then each case's row as _run_identity evaluates the case, so no
     case outlives its row. The records keep only the failures, for passed.
 
-    The run uses min(usable CPUs, entries) processes, and at most jobs
+    The run uses min(usable CPUs, max_n+1) processes, and at most jobs
     (1..JOBS_MAX) if given; one where os.fork is missing, another thread
-    runs, or write is given. With more than one, the entries are split by
-    cell count, and every share but the calling process's own runs in a
-    forked child on the same prefilled terms, which reports back through
-    marshal, not pickle. If entries raise, the one first in order raises,
-    as with jobs=1: a worker's is run again in the calling process. A
-    worker that dies without a result, sends one that does not decode, or
-    reports an error that does not recur here raises WorkerError, a
-    RuntimeError.
+    runs, or write is given. With W > 1, process w runs every entry on the
+    rows n = w, w+W, ..., the calling process on its own and forked
+    children on the same prefilled terms, which report back through
+    marshal, not pickle; each entry's records are then merged into one. If
+    entries raise, the one first in order raises, as with jobs=1: the
+    calling process runs it again on every row. A worker that dies without
+    a result or sends one that does not decode, or an error that does not
+    recur here, raises WorkerError, a RuntimeError.
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
     above what identities.term_reads() allows, is refused with DomainError
@@ -348,7 +329,7 @@ def run_suite(
     report = VerificationReport("identity-catalog", max_n)
     # A run that writes its cases stays in one process, which writes the
     # rows in order as it evaluates them.
-    workers = 1 if write is not None else min(jobs or JOBS_MAX, len(selected))
+    workers = 1 if write is not None else min(jobs or JOBS_MAX, max_n + 1)
     if workers > 1:
         workers = min(workers, _usable_cpus())
     if workers > 1:
@@ -356,8 +337,8 @@ def run_suite(
         return report
     if write is not None:
         write(_CSV_HEADER)
-    for d in selected:
-        report.records.append(_run_identity(d, max_n, terms, write))
+    rows = range(max_n + 1)
+    report.records = [_run_identity(d, rows, max_n, terms, write) for d in selected]
     return report
 
 

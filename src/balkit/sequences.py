@@ -46,7 +46,8 @@ class UnknownIdentityError(LookupError):
 
 
 class WorkerError(RuntimeError):
-    """A verify worker process exited without a result. Defined here, as
+    """A verify process exited without a result, or an entry that stopped
+    one did not raise again in the calling process. Defined here, as
     UnknownIdentityError is, so that the CLI can catch it without loading
     the harness."""
 

@@ -141,21 +141,22 @@ def test_verify_deterministic_across_jobs(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, cpus, expected", [
     (["--jobs", "1"], 8, 0),
-    (["--id", "B_ADD", "--jobs", "4"], 8, 0),
+    (["--id", "B_ADD", "--jobs", "4"], 8, 3),
     (["--format", "csv", "--verbose", "--jobs", "3"], 8, 0),  # collects its cases
     (["--jobs", "3"], 1, 0),
     (["--jobs", "3"], 2, 1),
     (["--jobs", "3"], 8, 2),
     ([], 1, 0),
     ([], 4, 3),
-    (["--id", "B_ADD"], 8, 0),
-    (["--id", "B_ADD", "--id", "MOD16_c"], 8, 1),
+    (["--id", "B_ADD"], 8, 6),
+    (["--id", "B_ADD", "--id", "MOD16_c"], 8, 6),
     (["--format", "csv", "--verbose"], 8, 0),
+    (["--jobs", "9"], 16, 6),  # one process per row of the grid 0..6
 ])
 def test_verify_forks_one_worker_less_than_it_uses(capsys, monkeypatch, argv, cpus, expected):
-    # min(jobs, usable CPUs, entries) workers, the calling process among them,
-    # with no first bound when --jobs is not given; one when the run collects
-    # its cases.
+    # min(jobs, usable CPUs, max_n + 1) processes, the calling process among
+    # them, with no first bound when --jobs is not given; one when the run
+    # writes its cases.
     forks = fork_spy(monkeypatch, cpus)
     assert run_cli(capsys, "verify", "--max-n", "6", *argv)[0] == 0
     assert len(forks) == expected
@@ -732,8 +733,7 @@ def test_verify_in_one_process_imports_nothing_the_workers_need(child_env):
         run = lambda *argv: cli.main(["verify", "--max-n", "6", *argv])
         with contextlib.redirect_stdout(io.StringIO()):
             run("--jobs", "1")
-            run("--id", "B_ADD", "--jobs", "4")
-            run("--id", "B_ADD")
+            run("--id", "B_ADD", "--format", "csv", "--verbose", "--jobs", "4")
             one = set(sys.modules)
             harness._usable_cpus = lambda: 2
             run("--jobs", "2")

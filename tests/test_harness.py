@@ -112,7 +112,7 @@ def test_run_identity_walks_exactly_the_domain_in_grid_order():
             walked = dataclasses.replace(
                 desc, lhs=lambda t, n, m: seen.append((n, m)) or 0, rhs=lambda t, n, m: 0
             )
-            rec = harness._run_identity(walked, max_n, None, None)
+            rec = harness._run_identity(walked, range(max_n + 1), max_n, None, None)
             ms = [None] if desc.arity == 1 else range(max_n + 1)
             expected = [(n, m) for n in range(max_n + 1) for m in ms if ref(n, m)]
             assert seen == expected, (desc.ident, max_n)
@@ -263,13 +263,13 @@ def test_only_the_kinds_the_statements_read_are_prefilled(ids, filled, monkeypat
             prefills.append(dict(reads))
             super().prefill(reads)
 
-    def run_identity(desc, max_n, terms, on_case):
+    def run_identity(desc, rows, max_n, terms, on_case):
         # The one source prefilled above, whose tables are plain dicts.
         assert type(terms) is Source
         tables = {k: getattr(terms, k) for k in "BCbc"}
         assert all(type(t) is dict for t in tables.values()), desc.ident
         seen.append({k: len(t) for k, t in tables.items()})
-        return real(desc, max_n, terms, on_case)
+        return real(desc, rows, max_n, terms, on_case)
 
     real = harness._run_identity
     monkeypatch.setattr(harness, "TermSource", Source)
@@ -421,60 +421,72 @@ def assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("max_n", [1, 30, 189, 300])
+@pytest.mark.parametrize("max_n", [1, 2, 30])
 @pytest.mark.parametrize("workers", [2, 3, 5])
-def test_shares_split_every_entry_once_by_cell_count(max_n, workers):
-    selected = identities.list_identities()
-    shares = harness._shares(selected, max_n, workers)
-    assert len(shares) == workers
-    assert sorted(i for share in shares for i in share) == list(range(len(selected)))
-    assert all(share == sorted(share) for share in shares)
-    cells = [sum(len(d.indices(n, max_n)) for n in range(max_n + 1)) for d in selected]
-    loads = [sum(cells[i] for i in share) for share in shares]
-    # Largest first to the least loaded: no two loads differ by more than one entry.
-    assert max(loads) - min(loads) <= max(cells)
-    assert shares == harness._shares(selected, max_n, workers)
+def test_rows_split_over_workers_give_the_one_process_records(max_n, workers):
+    # Process w of workers takes the rows n = w, w+workers, ...; its records
+    # of an entry add up to the record of one process on every row.
+    catalog = corrupt_c_diff_half()
+    terms = sequences.TermSource()
+    terms.prefill(identities.term_reads(catalog, max_n))
+    for d in catalog:
+        one = harness._run_identity(d, range(max_n + 1), max_n, terms, None)
+        parts = [harness._run_identity(d, range(w, max_n + 1, workers), max_n, terms, None)
+                 for w in range(workers)]
+        assert sum(r.checked for r in parts) == one.checked, d.ident
+        assert sum(r.skipped for r in parts) == one.skipped, d.ident
+        merged = sorted((f for r in parts for f in r.failures), key=lambda f: f.n)
+        assert merged == one.failures, d.ident
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_forked_run_gives_the_one_process_report(forks, jobs):
+def test_forked_run_gives_the_one_process_report(monkeypatch, jobs):
+    forks = fork_spy(monkeypatch, 8)
     catalog = corrupt_c_diff_half()
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    one = run_suite(30, catalog=catalog, jobs=1)
-    assert forks == []
-    many = run_suite(30, catalog=catalog, jobs=jobs)
-    assert len(forks) == jobs - 1
-    assert_no_children_left()
-    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
-    strip = lambda r: dataclasses.replace(r, wall_ms=0)
-    assert [strip(r) for r in many.records] == [strip(r) for r in one.records]
-    assert many.total_failures == one.total_failures == 225
+    # At max_n = 2 the grid has 3 rows, fewer than the jobs asked for, so
+    # the run takes one process per row.
+    for max_n, asked, processes, failures in ((30, jobs, jobs, 225), (2, jobs + 3, 3, 1)):
+        forks.clear()
+        one = run_suite(max_n, catalog=catalog, jobs=1)
+        assert forks == []
+        many = run_suite(max_n, catalog=catalog, jobs=asked)
+        assert len(forks) == processes - 1
+        assert_no_children_left()
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        strip = lambda r: dataclasses.replace(r, wall_ms=0)
+        assert [strip(r) for r in many.records] == [strip(r) for r in one.records]
+        assert many.total_failures == one.total_failures == failures
 
 
-def out_of_table(ident, domain="n >= 0"):
-    return reading_past_its_prefill(ident, "B(3n) = B(3n)", domain)
+def raising_on(desc, ident, residues, jobs):
+    """desc renamed ident, with an lhs that reads outside the prefill on
+    the rows n with n % jobs in residues: with jobs processes, residue 0
+    is the calling process's rows and each other residue a worker's."""
+    lhs = desc.lhs
+    return dataclasses.replace(desc, ident=ident, lhs=lambda t, n, m: (
+        t.B[-1 - n] if n % jobs in residues else lhs(t, n, m)))
 
 
 @pytest.mark.parametrize("jobs, picks", [
-    (2, None),  # one bad entry, appended
-    (2, [(1, 0), (0, -1)]),  # an early one in the child, a late one in this process
-    (2, [(0, 1), (1, -1)]),
-    (3, [(2, 0), (1, 1), (0, -1)]),
+    (2, None),  # one bad entry, appended, raising on every row
+    (2, [(5, {1}), (20, {0})]),  # an early one in the child, a late one in this process
+    (2, [(5, {0}), (20, {1})]),
+    (3, [(5, {2}), (20, {1}), (30, {0})]),
     (3, None),
+    (2, [(20, {1})]),  # only in the child
+    (2, [(20, {0})]),  # only in this process
 ])
 def test_forked_run_raises_what_one_process_raises(forks, jobs, picks):
-    # picks: (share, rank in share) of the entries turned bad, X0 first in
-    # catalog order. Each keeps its domain, so the shares stay as they were.
+    # picks: (position, residues of n mod jobs) of the entries turned bad,
+    # X0 first in catalog order; each raises only on the rows of those
+    # processes.
     catalog = corrupt_c_diff_half()
     if picks is None:
-        catalog.append(out_of_table("X0"))
+        catalog.append(raising_on(catalog[0], "X0", range(jobs), jobs))
     else:
-        shares = harness._shares(catalog, 20, jobs)
-        at = [shares[share][rank] for share, rank in picks]
-        assert at == sorted(at)
-        for k, i in enumerate(at):
-            catalog[i] = out_of_table("X%d" % k, catalog[i].domain_desc)
-        assert harness._shares(catalog, 20, jobs) == shares
+        for k, (i, residues) in enumerate(picks):
+            catalog[i] = raising_on(catalog[i], "X%d" % k, residues, jobs)
     with pytest.raises(DomainError) as one:
         run_suite(20, catalog=catalog, jobs=1)
     assert str(one.value).startswith("X0 at (n=")
@@ -485,22 +497,22 @@ def test_forked_run_raises_what_one_process_raises(forks, jobs, picks):
     assert_no_children_left()
 
 
-def raising_in_a_worker(max_n, jobs, lhs):
-    """The catalog at max_n with lhs (given the entry's own lhs) on the
-    first entry of the last worker's share, and that entry's position."""
+def raising_in_a_worker(lhs):
+    """The catalog with lhs (given the entry's own lhs) on its entry B_SUB."""
     catalog = identities.list_identities()
-    i = harness._shares(catalog, max_n, jobs)[-1][0]
+    i = [d.ident for d in catalog].index("B_SUB")
     catalog[i] = dataclasses.replace(catalog[i], lhs=lhs(catalog[i].lhs))
-    return catalog, i
+    return catalog
 
 
 def test_a_workers_exception_is_raised_as_one_process_raises_it(forks):
-    # The worker reports only the position of the entry that raised; this
-    # process runs that entry again, which raises the same exception.
+    # Row 7 is the worker's with two processes. The worker reports only
+    # records; this process runs the entry that has too few of them again
+    # on every row, which raises the same exception.
     def dividing_by_zero_at_7(lhs):
         return lambda t, n, m: lhs(t, n, m) + 0 // (n - 7)
 
-    catalog, i = raising_in_a_worker(20, 2, dividing_by_zero_at_7)
+    catalog = raising_in_a_worker(dividing_by_zero_at_7)
     with pytest.raises(ZeroDivisionError) as one:
         run_suite(20, catalog=catalog, jobs=1)
     assert forks == []
@@ -523,8 +535,8 @@ def test_an_error_a_worker_reports_that_does_not_recur_fails_the_run(forks, monk
             return lhs(t, n, m)
         return side
 
-    catalog, i = raising_in_a_worker(20, 2, raising_in_a_child)
-    message = "a verify worker reported that %s raised, which it does not here" % catalog[i].ident
+    catalog = raising_in_a_worker(raising_in_a_child)
+    message = "a verify worker reported that B_SUB raised, which it does not here"
     with pytest.raises(sequences.WorkerError) as info:
         run_suite(20, catalog=catalog, jobs=2)
     assert str(info.value) == message
@@ -535,15 +547,20 @@ def test_an_error_a_worker_reports_that_does_not_recur_fails_the_run(forks, monk
     assert_no_children_left()
 
 
+RECORDS = [(d.ident, 1, 0, 0, []) for d in identities.list_identities()]
+
+
 @pytest.mark.parametrize("payload", [
     b"",  # nothing written
     b"\x00not marshal data",
-    marshal.dumps(([], None)),  # no record for an entry of the share
-    marshal.dumps(([], 0)),  # a position outside the share
-    marshal.dumps([("B_ADD", 1, 0, 0, [])]),  # not a (records, position) pair
+    marshal.dumps(([], None)),  # a pair, not a list of records
+    marshal.dumps(([], 0)),
+    marshal.dumps(RECORDS + RECORDS[:1]),  # more records than entries
+    marshal.dumps(RECORDS[1::-1] + RECORDS[2:]),  # the first two ids swapped
+    marshal.dumps([RECORDS[0][:4]]),  # a record of four fields
 ])
 def test_a_worker_result_that_does_not_decode_fails_the_run(forks, monkeypatch, payload):
-    monkeypatch.setattr(harness, "_send", lambda result: payload)
+    monkeypatch.setattr(harness, "_send", lambda done: payload)
     with pytest.raises(sequences.WorkerError) as info:
         run_suite(10, jobs=2)
     assert str(info.value) == "a verify worker exited without a result (status 0)"
@@ -617,12 +634,13 @@ def test_sigint_waits_across_each_fork(monkeypatch):
     (3, {}, 2),
     (3, {"jobs": 2}, 1),
     (1, {}, 0),
-    (3, {"ids": ["B_ADD"]}, 0),
-    (3, {"ids": ["B_ADD", "MOD16_c"]}, 1),
+    (3, {"ids": ["B_ADD"]}, 2),
+    (3, {"ids": ["B_ADD", "MOD16_c"]}, 2),
     (3, {"write": lambda text: None}, 0),
 ])
 def test_without_jobs_a_run_uses_every_usable_cpu(monkeypatch, cpus, kwargs, expected):
-    # min(usable CPUs, entries) processes; jobs only lowers that.
+    # min(usable CPUs, max_n + 1) processes, whatever the entries; jobs
+    # only lowers that.
     forks = fork_spy(monkeypatch, cpus)
     report = run_suite(12, **kwargs)
     assert len(forks) == expected
