@@ -2,10 +2,9 @@
 
 Exit codes are part of the contract: 0 for success (or an all-pass
 verification), 1 when a verification run found failures, 2 for usage or
-domain errors, 3 when a verify worker process died without a result, 141
-(128 + SIGPIPE) when the reader of stdout closed it early. Data goes to
-stdout, diagnostics to stderr. Long outputs (seq, search, verify reports)
-are written a value, row or record at a time.
+domain errors, 141 (128 + SIGPIPE) when the reader of stdout closed it
+early. Data goes to stdout, diagnostics to stderr. Long outputs (seq,
+search, verify reports) are written a value, row or record at a time.
 
 COMMANDS states each command's inputs once, and parse_args reads a command
 line against it by argparse's rules and messages, without importing
@@ -33,7 +32,6 @@ from .sequences import (
     DomainError,
     SequenceKind,
     UnknownIdentityError,
-    WorkerError,
     check_range,
     decimal_str,
     digits_bound,
@@ -516,10 +514,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DomainError, UnknownIdentityError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except WorkerError as exc:
-        # Not 1: the run is incomplete, so it says nothing of the identities.
-        sys.stderr.write("error: %s\n" % exc)
-        return 3
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

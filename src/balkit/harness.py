@@ -15,9 +15,12 @@ process is one of them and forked workers are the others, on the same
 prefilled terms. Every process runs every entry on its rows through the
 loop a run in one process uses, each worker sends its records back as
 marshal data, and each entry's records are merged into one, so the report
-does not depend on how many processes ran. A run that writes
-its cases (verify --format csv --verbose) stays in one process and writes
-each row as it evaluates the case, so it holds one case at a time.
+does not depend on how many processes ran. A forked run either gets every
+process's records or none count: if an entry raised anywhere, or a worker
+died or sent what does not decode, the grid runs again in one process,
+which raises or reports exactly what a run with jobs=1 does. A run that
+writes its cases (verify --format csv --verbose) stays in one process and
+writes each row as it evaluates the case, so it holds one case at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .sequences import (
     DomainError,
     SequenceKind,
     TermSource,
-    WorkerError,
     decimal_str,
     generator_prefix,
     term_binet,
@@ -150,44 +152,35 @@ def _send(done: list[IdentityRecord]) -> bytes:
 
 
 def _receive(data: bytes, selected: list[IdentityDescriptor]) -> Optional[list[IdentityRecord]]:
-    """The records _send wrote, or None if data does not decode to records
-    of the first entries of selected, in order."""
+    """The records _send wrote, or None if data does not decode to one
+    record per entry of selected, in order."""
     try:
         done = [IdentityRecord(ident, checked, skipped, wall_ms,
                                [EvalResult(*f) for f in failures])
                 for ident, checked, skipped, wall_ms, failures in marshal.loads(data)]
     except (EOFError, TypeError, ValueError):
         return None
-    if [r.ident for r in done] != [d.ident for d in selected[:len(done)]]:
+    if [r.ident for r in done] != [d.ident for d in selected]:
         return None
     return done
 
 
 def _run_forked(
     selected: list[IdentityDescriptor], max_n: int, terms: TermSource, workers: int
-) -> list[IdentityRecord]:
+) -> Optional[list[IdentityRecord]]:
     """Run every selected entry on the rows n = w, w+workers, ... in
     process w: process 0 is this one, each other a forked child, which
-    sends its records back through a pipe as marshal data (_send). A
-    process stops at the first entry that raises, so it holds records for
-    the entries before it. Each entry's records are merged: checked and
-    skipped summed, wall_ms the largest, failures in (n, m) order.
+    sends its records back through a pipe as marshal data (_send). Each
+    entry's records are merged: checked and skipped summed, wall_ms the
+    largest, failures in (n, m) order.
 
-    If a process holds fewer records than entries, the entry at the
-    smallest such count runs again here on every row. Every entry before
-    it ran on every row without raising, so it raises what a run in one
-    process raises. A child that exits without a result that decodes, or
-    an entry that does not raise again here, raises WorkerError."""
+    A process whose entry raises sends nothing. If any process's records
+    are missing, because an entry raised, a child exited nonzero or sent
+    what does not decode, this returns None once every child is reaped."""
     import signal
 
     def run(rows: range) -> list[IdentityRecord]:
-        done: list[IdentityRecord] = []
-        try:
-            for d in selected:
-                done.append(_run_identity(d, rows, max_n, terms, None))
-        except Exception:
-            pass
-        return done
+        return [_run_identity(d, rows, max_n, terms, None) for d in selected]
 
     children = {}  # pid -> the read end of its pipe
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
@@ -219,18 +212,17 @@ def _run_forked(
             children[pid] = os.fdopen(read_fd, "rb")
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-        parts = [run(range(0, max_n + 1, workers))]
+        try:
+            parts = [run(range(0, max_n + 1, workers))]
+        except Exception:
+            parts = [None]
         for pid, pipe in list(children.items()):
             # Read to the end before waiting: a child blocks on a full pipe.
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
-            done = _receive(data, selected) if status == 0 else None
-            if done is None:
-                raise WorkerError("a verify worker exited without a result (status %d)"
-                                  % os.waitstatus_to_exitcode(status))
-            parts.append(done)
+            parts.append(_receive(data, selected) if status == 0 else None)
     except BaseException:
         # A second Ctrl-C waits until every child is reaped.
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -244,11 +236,8 @@ def _run_forked(
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         raise
 
-    first = min(len(done) for done in parts)
-    if first < len(selected):
-        _run_identity(selected[first], range(max_n + 1), max_n, terms, None)
-        raise WorkerError("a verify worker reported that %s raised, which it does not here"
-                          % selected[first].ident)
+    if None in parts:
+        return None
     # Each row is in one part, so a stable sort on n puts the failures in
     # (n, m) order.
     return [IdentityRecord(records[0].ident, sum(r.checked for r in records),
@@ -283,10 +272,10 @@ def run_suite(
     rows n = w, w+W, ..., the calling process on its own and forked
     children on the same prefilled terms, which report back through
     marshal, not pickle; each entry's records are then merged into one. If
-    entries raise, the one first in order raises, as with jobs=1: the
-    calling process runs it again on every row. A worker that dies without
-    a result or sends one that does not decode, or an error that does not
-    recur here, raises WorkerError, a RuntimeError.
+    any process's records are missing (an entry raised, or a worker died or
+    sent what does not decode), the grid runs again in this process alone,
+    which raises what jobs=1 raises, or gives its report where the fault
+    was outside the run, such as a worker the kernel killed.
 
     jobs out of range, a grid of more than GRID_CELLS_MAX cells, or terms
     above what identities.term_reads() allows, is refused with DomainError
@@ -332,13 +321,13 @@ def run_suite(
     workers = 1 if write is not None else min(jobs or JOBS_MAX, max_n + 1)
     if workers > 1:
         workers = min(workers, _usable_cpus())
-    if workers > 1:
-        report.records = _run_forked(selected, max_n, terms, workers)
-        return report
-    if write is not None:
-        write(_CSV_HEADER)
-    rows = range(max_n + 1)
-    report.records = [_run_identity(d, rows, max_n, terms, write) for d in selected]
+    records = _run_forked(selected, max_n, terms, workers) if workers > 1 else None
+    if records is None:
+        if write is not None:
+            write(_CSV_HEADER)
+        rows = range(max_n + 1)
+        records = [_run_identity(d, rows, max_n, terms, write) for d in selected]
+    report.records = records
     return report
 
 

@@ -120,6 +120,14 @@ _DOMAINS: dict[str, tuple] = {
                ((1, 0, 1), None), lambda N: [(N - 1, 0)]),
 }
 
+# The longest statement _entry takes, about nine times the catalog's longest
+# (54 characters). Longer sides can nest past the interpreter's recursion
+# limit: 5000 unary minus signs, or a sum of 2000 reads, raised
+# RecursionError from the parse, the fold over its tree or the compile. At
+# the cap, the deepest unary nesting and the deepest sum both still build
+# with 450 frames of the caller's stack in use (CPython 3.11.7).
+STATEMENT_LEN_MAX = 500
+
 _CONGRUENCE_FORM = re.compile(r"(.+) == (.+) \(mod ([1-9][0-9]*)\)")
 # The characters a side may use; its syntax tree decides the rest.
 _ALPHABET = frozenset("0123456789nmBCbc+-*/() ")
@@ -223,12 +231,15 @@ def _entry(
 ) -> IdentityDescriptor:
     """Build a catalog entry from its printed statement and printed domain.
 
-    A statement outside the grammar, or one with a subscript that is not an
-    integer form a*k + b*j + c in the domain's coordinates, or that can
-    read below its kind's first index, is refused with ValueError naming
-    the entry and the form (see _side). Any other form is at least c on
-    the whole domain, so no in-domain cell reads below a first index.
+    A statement longer than STATEMENT_LEN_MAX characters or outside the
+    grammar, or one with a subscript that is not an integer form
+    a*k + b*j + c in the domain's coordinates, or that can read below its
+    kind's first index, is refused with ValueError naming the entry and the
+    form (see _side). Any other form is at least c on the whole domain, so
+    no in-domain cell reads below a first index.
     """
+    if len(statement) > STATEMENT_LEN_MAX:
+        raise ValueError("%s: %r is outside the statement grammar" % (ident, statement))
     arity, indices, cell = _DOMAINS[domain][:3]
     congruence = _CONGRUENCE_FORM.fullmatch(statement)
     if congruence:

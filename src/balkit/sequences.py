@@ -45,13 +45,6 @@ class UnknownIdentityError(LookupError):
     """
 
 
-class WorkerError(RuntimeError):
-    """A verify process exited without a result, or an entry that stopped
-    one did not raise again in the calling process. Defined here, as
-    UnknownIdentityError is, so that the CLI can catch it without loading
-    the harness."""
-
-
 class SequenceKind(Enum):
     """Each member carries its short symbol (case-significant), min_index,
     seeds (its values at min_index and min_index + 1) and add, the constant

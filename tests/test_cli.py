@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balkit import cli, harness, oracle, sequences
-from test_harness import fork_spy
+from test_harness import assert_no_children_left, fork_spy
 from balkit.sequences import SequenceKind, pair_bc, pair_cobal, parse_kind, stream
 
 
@@ -162,9 +162,10 @@ def test_verify_forks_one_worker_less_than_it_uses(capsys, monkeypatch, argv, cp
     assert len(forks) == expected
 
 
-def test_verify_exits_3_when_a_worker_dies_without_a_result(capsys, monkeypatch):
-    # The run is incomplete, so it exits neither 1 (failures found) nor 2.
-    fork_spy(monkeypatch, 2)
+def test_verify_runs_in_one_process_when_a_worker_dies_without_a_result(capsys, monkeypatch):
+    # The forked run has no records from the worker, so the grid runs again
+    # in the balkit process, and the report is the one --jobs 1 gives.
+    forks = fork_spy(monkeypatch, 2)
     parent, run_identity = os.getpid(), harness._run_identity
 
     def dying(*args):
@@ -173,9 +174,11 @@ def test_verify_exits_3_when_a_worker_dies_without_a_result(capsys, monkeypatch)
         return run_identity(*args)
 
     monkeypatch.setattr(harness, "_run_identity", dying)
-    code, out, err = run_cli(capsys, "verify", "--max-n", "10", "--jobs", "2")
-    assert (code, out) == (3, "")
-    assert err == "error: a verify worker exited without a result (status 0)\n"
+    outcomes = [run_cli(capsys, "verify", "--max-n", "10", "--jobs", jobs) for jobs in "12"]
+    code, out, err = outcomes[0]
+    assert outcomes[1] == outcomes[0] and (code, err) == (0, "") and out
+    assert len(forks) == 1
+    assert_no_children_left()
 
 
 def test_verify_rejects_jobs_below_one(capsys):

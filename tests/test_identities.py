@@ -218,6 +218,34 @@ def test_statement_outside_the_grammar_is_refused(statement):
         identities._entry("X", statement, "n >= 0")
 
 
+CAP = identities.STATEMENT_LEN_MAX
+
+
+@pytest.mark.parametrize("lhs, value", [
+    ("-" * (CAP - 5) + "n", -7),  # the deepest unary nesting the cap admits
+    ("+".join(["n"] * ((CAP - 3) // 2)), 7 * ((CAP - 3) // 2)),  # the deepest sum
+])
+def test_the_deepest_statements_at_the_length_cap_build(lhs, value):
+    statement = lhs + " = n"
+    assert len(statement) in (CAP - 1, CAP)
+    assert identities._entry("X", statement, "n >= 0").lhs(None, 7, None) == value
+
+
+@pytest.mark.parametrize("statement", [
+    "-" * (CAP - 4) + "n = n",  # one character over the cap
+    "+".join(["n"] * ((CAP - 1) // 2)) + " = n",
+    "-" * 5000 + "B(n) = B(n)",
+    " + ".join(["B(n)"] * 2000) + " = 0",
+    " + ".join(["B(n)"] * 20000) + " = 0",
+], ids=["unary over the cap", "sum over the cap", "5000 minus signs", "2000 reads",
+        "20000 reads"])
+def test_a_statement_longer_than_the_cap_is_outside_the_grammar(statement):
+    # Not a RecursionError from the parse, the fold or the compile.
+    with pytest.raises(ValueError) as info:
+        identities._entry("X", statement, "n >= 0")
+    assert str(info.value) == "X: %r is outside the statement grammar" % statement
+
+
 @pytest.mark.parametrize("statement, domain", [
     *((d.statement, d.domain_desc) for d in list_identities()),
     ("B(1-n+2n) = B(n+1)", "n >= 0"),
