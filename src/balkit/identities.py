@@ -14,9 +14,9 @@ subscript, and any with a < 0, b < 0 or c below the kind's first index,
 and keeps the forms as the entry's reads. term_reads() turns each read
 into a progression of indices on a grid, from c to the read's highest
 value at the grid's corners in steps of gcd(a, b), which the harness
-prefills; term_tops() is each kind's highest index. evaluate() computes by
-fast doubling only the terms its one point reads, at its (k, j). Adding an
-entry means adding a table row.
+prefills. evaluate() computes by fast doubling only the terms its one point
+reads, at its (k, j), and refuses a point that reads above EVAL_INDEX_MAX.
+Adding an entry means adding a table row.
 
 Equational entries ("L = R") compare two unbounded integers for equality.
 Congruence entries ("L == R (mod k)") compare residues: the left evaluator
@@ -239,7 +239,10 @@ def _entry(
     no in-domain cell reads below a first index.
     """
     if len(statement) > STATEMENT_LEN_MAX:
-        raise ValueError("%s: %r is outside the statement grammar" % (ident, statement))
+        # %.41r keeps 41 characters of the repr, the quote mark and 40 more, so
+        # the message stays short for a statement of any length or content.
+        raise ValueError("%s: %.41r... is outside the statement grammar: %d characters, above "
+                         "the limit of %d" % (ident, statement, len(statement), STATEMENT_LEN_MAX))
     arity, indices, cell = _DOMAINS[domain][:3]
     congruence = _CONGRUENCE_FORM.fullmatch(statement)
     if congruence:
@@ -347,18 +350,18 @@ def lookup(ident: str) -> IdentityDescriptor:
 # the walk computes every one of those terms, although the tables keep only
 # the indices the statements read: the full catalog at max_n 1239, the
 # largest the harness's cell cap allows, walks 1.6e7 digits, and PARITY_B
-# alone reaches the cap near max_n 8850. evaluate() checks the distinct
-# terms its one point reads against it first; below EVAL_INDEX_MAX no
-# catalog point reaches it (CB_MIX reads six terms), so that index cap is
-# what bounds a point.
+# alone reaches the cap near max_n 8850.
 TERM_DIGITS_MAX = 3 * 10**7
 
-# The cap on the largest index an evaluate() point reads: each distinct
-# index costs one pair_bc(), about 3x slower per doubling of the index. The
-# slowest catalog points run two pairs near their top index and two products
-# of such terms: at the cap, C_SUB at (5e6, 2) took 38.8 and 41.1 s, B_SUB at
-# (5e6, 5e6 - 2) and B_SHIFT_SUB at (5e6, 2) 37.5 s, at 40 MB peak RSS (2-vCPU
-# Xeon VM, CPython 3.11.7). PARITY_B at 39e6, under the digit cap, took 266 s.
+# The cap on the largest index an evaluate() point reads, and the one bound
+# on a point: each distinct index costs one pair_bc(), about 3x slower per
+# doubling of the index. The slowest catalog points run two pairs near their
+# top index and two products of such terms: at the cap, C_SUB at (5e6, 2)
+# took 38.8 and 41.1 s, B_SUB at (5e6, 5e6 - 2) and B_SHIFT_SUB at (5e6, 2)
+# 37.5 s, at 40 MB peak RSS (2-vCPU Xeon VM, CPython 3.11.7); PARITY_B at
+# 39e6 took 266 s before this cap. A catalog point reads at most six terms
+# (CB_MIX_MINUS, CB_MIX_PLUS), so under the cap it holds at most
+# 6 * digits_bound(5e6, 5e6) = 22,968,006 digits, under TERM_DIGITS_MAX.
 EVAL_INDEX_MAX = 5 * 10**6
 
 
@@ -388,15 +391,6 @@ def term_reads(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, l
     return {short: list(reads[short]) for short in sorted(reads)}
 
 
-def term_tops(entries: Iterable[IdentityDescriptor], max_n: int) -> dict[str, int]:
-    """Top index per kind the entries read on the grid 0..max_n: the
-    highest index any of their in-domain cells reads (c(4n) reads c up to
-    4*max_n, PARITY_B reads B only up to max_n), the last of term_reads()'
-    progressions. A kind no cell reads gets no top. Refused as
-    term_reads() refuses."""
-    return {short: max(r[-1] for r in rs) for short, rs in term_reads(entries, max_n).items()}
-
-
 def read_error(desc: IdentityDescriptor, n: int, m: Optional[int], index, max_n: int):
     """The DomainError for an evaluator's read of index outside the prefill."""
     return DomainError("%s at (n=%s, m=%s) reads index %s, outside the terms prefilled for "
@@ -417,9 +411,8 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
     Refusing out-of-domain inputs (instead of skipping them quietly) lets
     callers distinguish "skipped by domain" from "evaluated and failed".
     The point's coordinates (k, j) in its domain give the index of each of
-    the entry's reads, a*k + b*j + c. Those terms' digits are checked
-    against TERM_DIGITS_MAX, then their largest index against
-    EVAL_INDEX_MAX, both before any term is computed. A fresh
+    the entry's reads, a*k + b*j + c. Their largest index is checked
+    against EVAL_INDEX_MAX before any term is computed. A fresh
     TermSource, freed on return, holds just those terms: one pair_bc() call
     per distinct index gives B and C, and term_of_pair() takes each read's
     term from them, as term_doubling() does. An evaluator that reads outside
@@ -437,15 +430,11 @@ def evaluate(ident: str, n: int, m: Optional[int] = None) -> EvalResult:
         )
     k, j = _coordinates(_DOMAINS[desc.domain_desc][2], n, m)
     reads = dict.fromkeys((short, a * k + b * j + c) for short, a, b, c in desc.reads)
-    point = "%s at (n=%s, m=%s) reads" % (ident, n, m)
-    digits = sum(digits_bound(index, index) for _, index in reads)
-    if digits > TERM_DIGITS_MAX:
-        raise DomainError("%s terms of up to %d digits, above the limit of %d"
-                          % (point, digits, TERM_DIGITS_MAX))
     indices = dict.fromkeys(index for _, index in reads)
     top = max(indices, default=0)
     if top > EVAL_INDEX_MAX:
-        raise DomainError("%s index %d, above the limit of %d" % (point, top, EVAL_INDEX_MAX))
+        raise DomainError("%s at (n=%s, m=%s) reads index %d, above the limit of %d"
+                          % (ident, n, m, top, EVAL_INDEX_MAX))
     # pair_bc is looked up on sequences, where perfbench's tracer wraps it.
     pairs = {index: sequences.pair_bc(index) for index in indices}
     terms = TermSource()

@@ -232,7 +232,6 @@ def test_a_caller_built_entry_is_prefilled_for_what_its_evaluators_read():
     # naming the entry, the cell and the index, after the rows before that
     # cell are written.
     entry = with_statement(identities._entry("X", "B(2n) = B(2n)", "n >= 0"), "B(3n) = B(3n)")
-    assert identities.term_tops([entry], 20) == {"B": 40}
     assert identities.term_reads([entry], 20) == {"B": [range(0, 41, 2)]}
     message = "X at (n=%d, m=None) reads index %d, outside the terms prefilled for max_n=20"
     out = []
@@ -304,7 +303,7 @@ def test_a_read_of_an_unprefilled_kind_names_entry_cell_and_index():
     # Its statement reads only B, its lhs C: only B is prefilled, and the
     # first read of C names the entry, the cell and the index.
     stray = dataclasses.replace(d, lhs=lambda t, n, m: t.C[n] % 2)
-    assert identities.term_tops([stray], 5) == {"B": 5}
+    assert identities.term_reads([stray], 5) == {"B": [range(0, 6)]}
     with pytest.raises(DomainError) as info:
         run_suite(5, catalog=[stray])
     assert str(info.value) == (
@@ -344,7 +343,7 @@ def test_grid_above_the_cell_cap_is_refused_before_prefill(no_prefill, capsys):
     (1000, ["PARITY_B", "ODD_C", "MOD16_C", "MOD4_CSUM", "EVEN_b",
             "MOD4_bDIFF", "ODD_c", "MOD8_c", "MOD16_c"]),  # C6
     (600, [d.ident for d in identities.list_identities()[:4]]),  # a benchmark subset
-    (4400, ["MOD8_c"]),  # just under the digit cap of term_tops: c to 8800
+    (4400, ["MOD8_c"]),  # just under the digit cap of term_reads: c to 8800
     (8850, ["PARITY_B"]),  # just under it: B to 8850
 ])
 def test_grids_under_the_cell_cap_are_run(no_prefill, max_n, ids):

@@ -240,10 +240,13 @@ def test_the_deepest_statements_at_the_length_cap_build(lhs, value):
 ], ids=["unary over the cap", "sum over the cap", "5000 minus signs", "2000 reads",
         "20000 reads"])
 def test_a_statement_longer_than_the_cap_is_outside_the_grammar(statement):
-    # Not a RecursionError from the parse, the fold or the compile.
+    # Not a RecursionError from the parse, the fold or the compile. The
+    # message quotes the first 40 characters, not the whole statement.
     with pytest.raises(ValueError) as info:
         identities._entry("X", statement, "n >= 0")
-    assert str(info.value) == "X: %r is outside the statement grammar" % statement
+    assert str(info.value) == ("X: '%s... is outside the statement grammar: %d characters, above "
+                               "the limit of %d" % (statement[:40], len(statement), CAP))
+    assert len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("statement, domain", [
@@ -298,7 +301,7 @@ def test_a_subscript_divided_then_shifted_is_a_form_in_domain_coordinates():
     # (n-m)/2 + 1 on the parity domain n = 2k+j, m = j is k+1.
     entry = identities._entry("X", "B((n-m)/2 + 1) = B(n)", identities._PARITY)
     assert entry.reads == (("B", 1, 0, 1), ("B", 2, 1, 0))
-    assert identities.term_tops([entry], 9) == {"B": 9}
+    assert identities.term_reads([entry], 9) == {"B": [range(1, 6), range(0, 10)]}
     # 1-n, an int minus a form, is a form too.
     entry = identities._entry("X", "B(1-n+2n) = B(n+1)", "n >= 0")
     assert entry.reads == (("B", 1, 0, 1),)
@@ -354,7 +357,7 @@ def test_evaluators_wrapped_to_measure_their_result_keep_their_forms():
     for d in list_identities():
         wrapped = dataclasses.replace(d, lhs=measured(d.lhs), rhs=measured(d.rhs))
         assert wrapped.reads == d.reads
-        assert identities.term_tops([wrapped], 30) == identities.term_tops([d], 30)
+        assert identities.term_reads([wrapped], 30) == identities.term_reads([d], 30)
     assert run_suite(30, catalog=[wrapped]).passed and measured.bits > 0
 
 
@@ -376,11 +379,17 @@ class RecordingTable:
         return self.values[index]
 
 
-def test_term_tops_are_the_indices_a_recording_source_sees():
+def last_indices(reads):
+    """The last index of term_reads' ranges, per kind."""
+    return {k: max(r[-1] for r in rs) for k, rs in reads.items()}
+
+
+def test_term_reads_reach_the_indices_a_recording_source_sees():
     # Every read of every entry on every in-domain cell of the grids
-    # 0..1 to 0..40: term_tops gives each kind's highest index exactly,
-    # and the indices read per kind at each cell are those the entry's
-    # reads give at the cell's (k, j), which is what evaluate computes.
+    # 0..1 to 0..40: each index read lies in one of term_reads' ranges,
+    # each kind's highest read is the last index of its ranges, and the
+    # indices read per kind at each cell are those the entry's reads give
+    # at the cell's (k, j), which is what evaluate computes.
     full = TermSource()
     full.prefill({k: [range(parse_kind(k).min_index, 171)] for k in "BCbc"})
     seen = {k: [] for k in "BCbc"}
@@ -390,14 +399,14 @@ def test_term_tops_are_the_indices_a_recording_source_sees():
     grid = range(1, 41)
     catalog_tops = {max_n: {} for max_n in grid}
     for d in list_identities():
-        # The highest index per kind read at each cell of the grid 0..40.
+        # The indices read per kind at each cell of the grid 0..40.
         at_cell = {}
         cell = identities._DOMAINS[d.domain_desc][2]
         for n in range(41):
             for m in d.indices(n, 40):
                 d.lhs(recording, n, m)
                 d.rhs(recording, n, m)
-                at_cell[n, m] = {k: max(v) for k, v in seen.items() if v}
+                at_cell[n, m] = {k: set(v) for k, v in seen.items() if v}
                 x, y = identities._coordinates(cell, n, m)
                 assert {k: set(v) for k, v in seen.items()} == {
                     k: {a * x + b * y + c for short, a, b, c in d.reads if short == k}
@@ -407,17 +416,24 @@ def test_term_tops_are_the_indices_a_recording_source_sees():
                 for v in seen.values():
                     v.clear()
         for max_n in grid:
-            tops = {}
+            read = {}
             for n in range(max_n + 1):
                 for m in d.indices(n, max_n):
-                    for k, top in at_cell[n, m].items():
-                        tops[k] = max(tops.get(k, top), top)
-            assert identities.term_tops([d], max_n) == tops, (d.ident, max_n)
+                    for k, indices in at_cell[n, m].items():
+                        read.setdefault(k, set()).update(indices)
+            ranges = identities.term_reads([d], max_n)
+            assert ranges.keys() == read.keys(), (d.ident, max_n)
+            for k, indices in read.items():
+                assert all(any(i in r for r in ranges[k]) for i in indices), (d.ident, max_n, k)
+            tops = {k: max(indices) for k, indices in read.items()}
+            assert last_indices(ranges) == tops, (d.ident, max_n)
             for k, top in tops.items():
                 catalog_tops[max_n][k] = max(catalog_tops[max_n].get(k, top), top)
     for max_n in grid:
-        assert identities.term_tops(list_identities(), max_n) == catalog_tops[max_n]
-    assert identities.term_tops(list_identities(), 100) == {"B": 200, "C": 200, "b": 201, "c": 400}
+        assert last_indices(identities.term_reads(list_identities(), max_n)) == catalog_tops[max_n]
+    reads = identities.term_reads(list_identities(), 100)
+    assert last_indices(reads) == {"B": 200, "C": 200, "b": 201, "c": 400}
+    assert range(4, 401, 4) in reads["c"]  # c(4n) in MOD16_c
 
 
 def prefilled(entries, max_n):
@@ -470,8 +486,6 @@ def test_every_index_an_evaluator_reads_is_prefilled():
 def test_term_reads_gives_each_read_its_progression(ident, reads):
     # One range per distinct read, from c to its top in steps of gcd(a, b).
     assert identities.term_reads([lookup(ident)], 30) == reads
-    tops = {k: max(r[-1] for r in rs) for k, rs in reads.items()}
-    assert identities.term_tops([lookup(ident)], 30) == tops
 
 
 def test_compiled_evaluators_read_only_the_four_sequences():
@@ -559,24 +573,9 @@ def test_evaluate_words_a_read_past_its_prefill_as_the_harness_does(monkeypatch)
     assert str(info.value) == message % (15, 5)
 
 
-def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
-    # The cap counts the terms the point reads, and is checked before any
-    # of them is computed.
-    def pair_bc(n):
-        raise AssertionError("computed a term")
-
-    monkeypatch.setattr(sequences, "pair_bc", pair_bc)
-    for args in (("PARITY_B", 4 * 10**7), ("MOD16_c", 10**7), ("B_ADD", 10**9, 0)):
-        with pytest.raises(DomainError, match="above the limit of %d$" % TERM_DIGITS_MAX):
-            evaluate(*args)
-    # Worded for the one point, as the index cap's refusal is: a point has no max_n.
-    with pytest.raises(DomainError) as info:
-        evaluate("B_ADD", 10**9, 0)
-    assert str(info.value) == ("B_ADD at (n=1000000000, m=0) reads terms of up to 1531200004 "
-                               "digits, above the limit of %d" % TERM_DIGITS_MAX)
-
-
 def test_evaluate_refuses_a_point_above_the_index_cap_before_any_term(monkeypatch):
+    # The cap is checked on the largest index the point reads, before any
+    # term is computed, and the refusal names the point: it has no max_n.
     class Computed(Exception):
         pass
 
@@ -586,12 +585,27 @@ def test_evaluate_refuses_a_point_above_the_index_cap_before_any_term(monkeypatc
     monkeypatch.setattr(sequences, "pair_bc", pair_bc)
     with pytest.raises(Computed):
         evaluate("PARITY_B", EVAL_INDEX_MAX)
-    # Both pass TERM_DIGITS_MAX; 39e6 took 266 s before the index cap.
-    for n in (EVAL_INDEX_MAX + 1, 39 * 10**6):
+    for ident, n, m, top in (
+        ("PARITY_B", EVAL_INDEX_MAX + 1, None, EVAL_INDEX_MAX + 1),
+        ("PARITY_B", 39 * 10**6, None, 39 * 10**6),  # took 266 s before the index cap
+        ("PARITY_B", 4 * 10**7, None, 4 * 10**7),
+        ("MOD16_c", 10**7, None, 4 * 10**7),  # c(4n)
+        ("B_ADD", 10**9, 0, 10**9),
+    ):
         with pytest.raises(DomainError) as info:
-            evaluate("PARITY_B", n)
-        assert str(info.value) == ("PARITY_B at (n=%d, m=None) reads index %d, above the "
-                                   "limit of %d" % (n, n, EVAL_INDEX_MAX))
+            evaluate(ident, n, m)
+        assert str(info.value) == ("%s at (n=%d, m=%s) reads index %d, above the limit of %d"
+                                   % (ident, n, m, top, EVAL_INDEX_MAX))
+
+
+def test_every_catalog_point_under_the_index_cap_is_under_the_digit_cap():
+    # Why evaluate needs no digit cap of its own: a point reads at most
+    # len(reads) distinct terms (the reads are distinct forms), each of at
+    # most digits_bound(i, i) digits at an index i <= EVAL_INDEX_MAX. An
+    # entry of 8 distinct reads would fail here.
+    per_term = sequences.digits_bound(EVAL_INDEX_MAX, EVAL_INDEX_MAX)
+    for d in list_identities():
+        assert len(d.reads) * per_term <= TERM_DIGITS_MAX, d.ident
 
 
 class RecurrenceTable(dict):
