@@ -588,10 +588,26 @@ def test_evaluate_refuses_a_point_above_the_index_cap_before_any_term(monkeypatc
     for ident, n, m, top in (
         ("PARITY_B", EVAL_INDEX_MAX + 1, None, EVAL_INDEX_MAX + 1),
         ("PARITY_B", 39 * 10**6, None, 39 * 10**6),  # took 266 s before the index cap
+    ):
+        with pytest.raises(DomainError) as info:
+            evaluate(ident, n, m)
+        assert str(info.value) == ("%s at (n=%d, m=%s) reads index %d, above the limit of %d"
+                                   % (ident, n, m, top, EVAL_INDEX_MAX))
+
+
+def test_evaluate_refuses_oversized_terms_before_prefill(monkeypatch):
+    # Points whose terms would pass TERM_DIGITS_MAX are refused by the index
+    # cap, before any of their terms is computed.
+    def pair_bc(n):
+        raise AssertionError("computed a term")
+
+    monkeypatch.setattr(sequences, "pair_bc", pair_bc)
+    for ident, n, m, top in (
         ("PARITY_B", 4 * 10**7, None, 4 * 10**7),
         ("MOD16_c", 10**7, None, 4 * 10**7),  # c(4n)
         ("B_ADD", 10**9, 0, 10**9),
     ):
+        assert sequences.digits_bound(top, top) > TERM_DIGITS_MAX, ident  # one term is too long
         with pytest.raises(DomainError) as info:
             evaluate(ident, n, m)
         assert str(info.value) == ("%s at (n=%d, m=%s) reads index %d, above the limit of %d"
